@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 
@@ -40,7 +39,6 @@ __all__ = [
     "longest_prime_run",
     "run_length_threshold",
     "ek_sample",
-    "ek_sample_stream",
     "erdos_kac_samples",
     "gaussian_mass",
 ]
@@ -254,17 +252,6 @@ def _omega_array(x: int, table: PrimeTable | None = None) -> np.ndarray:
         prime = int(prime)
         om[prime::prime] += 1
     return om
-
-
-def ek_sample_stream(x: int, table: PrimeTable | None = None) -> Iterator[EKSample]:
-    """Yield EKSample for every 3 <= n <= x (bulk omega pass, not per-n
-    factorization)."""
-    if x < 3:
-        raise DomainError("erdos_kac requires x >= 3")
-    om = _omega_array(x, table)
-    for n in range(3, x + 1):
-        ll = math.log(math.log(n))
-        yield EKSample(n, int(om[n]), (int(om[n]) - ll) / math.sqrt(ll))
 
 
 def erdos_kac_samples(

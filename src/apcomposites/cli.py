@@ -1,21 +1,26 @@
 """Command-line surface: every library operation behind a sub-command.
 
-Output is one JSON record per line (schema_version 1), keys sorted, so
-repeated runs with identical arguments are byte-identical. Sweep tables
-can alternatively be emitted as CSV with --format csv.
+Output is one strict-JSON record per line (schema_version 1, no NaN or
+Infinity), keys sorted, so repeated runs with identical arguments are
+byte-identical. Sweep tables can alternatively be emitted as CSV with
+--format csv. The four checks of the inequality chain are declared once,
+in BOUNDS, which generates both `<name>` and `sweep <name>`.
 
-Exit codes: 0 ok, 1 domain/precondition error, 2 usage error,
-3 capacity error.
+Exit codes: 0 ok, 1 domain/precondition error, 2 usage error (also a
+malformed --config or a non-finite or non-integral number), 3 capacity
+error; the root group maps the library's errors to them.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
-import sys
+import math
+from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from typing import Callable
 
 import click
 
@@ -27,98 +32,77 @@ from .numcore import Factorization, Progression
 SCHEMA_VERSION = 1
 DEFAULT_MAX_SIEVE = 50_000_000
 
-# Sub-command -> library operation(s) it surfaces. A test checks every
-# public operation is reachable from here.
-DISPATCH = {
-    "sieve": (numcore.sieve,),
-    "count": (numcore.prime_count, numcore.prime_count_progression),
-    "witness multiple": (constructions.witness_multiple_of_b,),
-    "witness unit": (constructions.witness_unit_b,),
-    "witness power": (constructions.witness_power,),
-    "factorial": (constructions.factorial_consecutive,),
-    "consecutive": (constructions.consecutive_in_progression,),
-    "kcomposite": (constructions.k_composite_witnesses,),
-    "poly": (constructions.polynomial_composites,),
-    "twin3": (constructions.three_composites_4n3,),
-    "density": (analysis.density_bound_check,),
-    "binom": (analysis.central_binom_bound,),
-    "dyadic": (analysis.dyadic_gap_bound,),
-    "pow4": (analysis.pi_power4_bound,),
-    "runs": (analysis.longest_prime_run,),
-    "ek": (analysis.erdos_kac_samples,),
-    "lucky": (explorer.euler_lucky_search,),
-    "streak": (explorer.prime_streak,),
-    "fermatreal": (explorer.fermat_real_root,),
-    "ratscan": (explorer.rational_scan,),
-    "sweep density": (analysis.density_bound_check,),
-    "sweep dyadic": (analysis.dyadic_gap_bound,),
-    "sweep binom": (analysis.central_binom_bound,),
-    "sweep pow4": (analysis.pi_power4_bound,),
-    "sweep runs": (analysis.longest_prime_run,),
-    "sweep pdensity": (analysis.progression_composite_density,),
-}
-
 
 class IntParam(click.ParamType):
-    """Integer that also accepts scientific notation like 1e6."""
+    """Exact integer that also accepts scientific notation like 1e6; values
+    beyond float range (1e1000000000) are refused, not expanded."""
 
     name = "integer"
 
     def convert(self, value, param, ctx):
-        if isinstance(value, int):
-            return value
         try:
             return int(value)
         except ValueError:
-            try:
-                f = float(value)
-            except ValueError:
-                self.fail(f"{value!r} is not an integer", param, ctx)
-            if f != int(f):
-                self.fail(f"{value!r} is not an integer", param, ctx)
-            return int(f)
+            pass
+        try:
+            d = Decimal(value)
+        except InvalidOperation:
+            d = Decimal("nan")
+        if not d.is_finite() or math.isinf(float(d)) or d != d.to_integral_value():
+            self.fail(f"{value!r} is not an integer", param, ctx)
+        return int(d)
 
 
 INT = IntParam()
 
 
-def parse_pair(value: str, name: str) -> tuple[float, float]:
+def finite_float(ctx, param, value) -> float:
+    """Option callback: a finite float."""
+    try:
+        f = float(value)
+    except ValueError:
+        f = math.nan
+    if not math.isfinite(f):
+        raise click.BadParameter(f"{value!r} is not a finite number", param=param)
+    return f
+
+
+def pair_option(ctx, param, value) -> tuple[float, float]:
+    """Option callback: 'lo,hi' as two finite floats."""
     parts = value.split(",")
     if len(parts) != 2:
-        raise click.UsageError(f"{name} must be 'lo,hi'")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise click.UsageError(f"{name} must be two numbers 'lo,hi'")
+        raise click.BadParameter(f"{value!r} is not 'lo,hi'", param=param)
+    return finite_float(ctx, param, parts[0]), finite_float(ctx, param, parts[1])
+
+
+def at_least(low: int):
+    """Option callback factory: reject values below `low`."""
+
+    def check(ctx, param, value):
+        if value < low:
+            raise click.BadParameter(f"must be >= {low}", ctx, param)
+        return value
+
+    return check
 
 
 def parse_range(value: str, name: str) -> tuple[int, int]:
     parts = value.split("..")
     if len(parts) != 2:
         raise click.UsageError(f"{name} must be 'start..stop'")
-    try:
-        lo = IntParam().convert(parts[0], None, None)
-        hi = IntParam().convert(parts[1], None, None)
-    except click.exceptions.Exit:  # pragma: no cover
-        raise
+    lo, hi = (INT.convert(part, None, None) for part in parts)
     if lo > hi:
         raise click.UsageError(f"{name}: start must be <= stop")
     return lo, hi
 
 
-def handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except DomainError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
-        except CapacityError as exc:
-            click.echo(f"capacity error: {exc}", err=True)
-            sys.exit(3)
-
-    return wrapper
+def geometric_points(lo: int, hi: int, factor: int):
+    """lo, lo*factor, ... <= hi, lazily: for lo < 1 it never ends, and the
+    caller's check must reject lo before asking for more."""
+    x = lo
+    while x <= hi:
+        yield x
+        x *= factor
 
 
 def emit(command: str, params: dict, result) -> None:
@@ -152,17 +136,39 @@ def as_jsonable(obj):
     return obj
 
 
-def max_sieve_of(ctx) -> int:
-    return ctx.obj["max_sieve"]
-
-
 def check_capacity(ctx, needed: int) -> None:
-    cap = max_sieve_of(ctx)
+    cap = ctx.obj["max_sieve"]
     if needed > cap:
         raise CapacityError(f"needs sieve to {needed}, --max-sieve is {cap}")
 
 
-@click.group()
+def config_max_sieve(path: str, default: int) -> int:
+    """The max_sieve key of a JSON config file; a malformed file is a usage error."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise TypeError("expected a JSON object")
+        return INT.convert(str(data.get("max_sieve", default)), None, None)
+    except (OSError, ValueError, TypeError, click.BadParameter) as exc:
+        raise click.BadParameter(f"{path}: key 'max_sieve': {exc}", param_hint="'--config'")
+
+
+class RootGroup(click.Group):
+    """Root group: maps DomainError to exit 1 and CapacityError to exit 3."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except DomainError as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(1)
+        except CapacityError as exc:
+            click.echo(f"capacity error: {exc}", err=True)
+            ctx.exit(3)
+
+
+@click.group(cls=RootGroup)
 @click.option("--max-sieve", type=INT, default=None,
               help="Largest sieve limit allowed (capacity cap).")
 @click.option("--config", type=click.Path(exists=True), default=None,
@@ -174,8 +180,7 @@ def cli(ctx, max_sieve, config):
     ctx.ensure_object(dict)
     cap = DEFAULT_MAX_SIEVE
     if config is not None:
-        with open(config) as fh:
-            cap = int(json.load(fh).get("max_sieve", cap))
+        cap = config_max_sieve(config, cap)
     if max_sieve is not None:
         cap = max_sieve
     ctx.obj["max_sieve"] = cap
@@ -184,7 +189,6 @@ def cli(ctx, max_sieve, config):
 @cli.command("sieve")
 @click.option("--limit", type=INT, required=True)
 @click.pass_context
-@handle_errors
 def sieve_cmd(ctx, limit):
     """Prime count and largest prime up to --limit."""
     check_capacity(ctx, limit)
@@ -199,7 +203,6 @@ def sieve_cmd(ctx, limit):
 @click.option("--a", type=INT, default=None)
 @click.option("--b", type=INT, default=None)
 @click.pass_context
-@handle_errors
 def count_cmd(ctx, x, a, b):
     """pi(x), or pi_{a,b}(x) when --a/--b are given."""
     check_capacity(ctx, x)
@@ -216,31 +219,24 @@ def witness_group():
     """Composite-witness constructions."""
 
 
-@witness_group.command("multiple")
-@click.option("--a", type=INT, required=True)
-@click.option("--b", type=INT, required=True)
-@click.option("--m", type=INT, required=True)
-@handle_errors
-def witness_multiple_cmd(a, b, m):
-    w = constructions.witness_multiple_of_b(Progression(a, b), m)
-    emit("witness multiple", {"a": a, "b": b, "m": m}, as_jsonable(w))
+def _witness_command(name: str, builder: str) -> None:
+    @witness_group.command(name)
+    @click.option("--a", type=INT, required=True)
+    @click.option("--b", type=INT, required=True)
+    @click.option("--m", type=INT, required=True)
+    def cmd(a, b, m):
+        w = getattr(constructions, builder)(Progression(a, b), m)
+        emit(f"witness {name}", {"a": a, "b": b, "m": m}, as_jsonable(w))
 
 
-@witness_group.command("unit")
-@click.option("--a", type=INT, required=True)
-@click.option("--b", type=INT, required=True)
-@click.option("--m", type=INT, required=True)
-@handle_errors
-def witness_unit_cmd(a, b, m):
-    w = constructions.witness_unit_b(Progression(a, b), m)
-    emit("witness unit", {"a": a, "b": b, "m": m}, as_jsonable(w))
+_witness_command("multiple", "witness_multiple_of_b")
+_witness_command("unit", "witness_unit_b")
 
 
 @witness_group.command("power")
 @click.option("--a", type=INT, required=True)
 @click.option("--sign", type=click.Choice(["+1", "-1", "1"]), required=True)
 @click.option("--k", type=INT, required=True)
-@handle_errors
 def witness_power_cmd(a, sign, k):
     w = constructions.witness_power(a, int(sign), k)
     emit("witness power", {"a": a, "sign": int(sign), "k": k}, as_jsonable(w))
@@ -248,7 +244,6 @@ def witness_power_cmd(a, sign, k):
 
 @cli.command("factorial")
 @click.option("--m", type=INT, required=True)
-@handle_errors
 def factorial_cmd(m):
     """Witnesses for the consecutive composites m!+2 ... m!+m."""
     ws = constructions.factorial_consecutive(m)
@@ -260,7 +255,6 @@ def factorial_cmd(m):
 @click.option("--b", type=INT, required=True)
 @click.option("--count", "n_consecutive", type=INT, required=True,
               help="How many consecutive composite terms to find.")
-@handle_errors
 def consecutive_cmd(a, b, n_consecutive):
     res = constructions.consecutive_in_progression(Progression(a, b), n_consecutive)
     emit("consecutive", {"a": a, "b": b, "count": n_consecutive},
@@ -276,7 +270,6 @@ def consecutive_cmd(a, b, n_consecutive):
 @click.option("--count", type=INT, default=1)
 @click.option("--mode", type=click.Choice(["distinct", "multiplicity"]),
               default="distinct")
-@handle_errors
 def kcomposite_cmd(a, b, k, count, mode):
     ws = constructions.k_composite_witnesses(Progression(a, b), k, count, mode)
     emit("kcomposite", {"a": a, "b": b, "k": k, "count": count, "mode": mode},
@@ -287,7 +280,6 @@ def kcomposite_cmd(a, b, k, count, mode):
 @click.option("--coeffs", required=True,
               help="Comma-separated coefficients, constant term first.")
 @click.option("--count", type=INT, default=1)
-@handle_errors
 def poly_cmd(coeffs, count):
     try:
         cs = [int(c) for c in coeffs.split(",")]
@@ -302,67 +294,11 @@ def poly_cmd(coeffs, count):
 @cli.command("twin3")
 @click.option("--count", type=INT, required=True)
 @click.option("--k-max", type=INT, default=10**4)
-@handle_errors
 def twin3_cmd(count, k_max):
     res = constructions.three_composites_4n3(count, k_max)
     emit("twin3", {"count": count, "k_max": k_max},
          {"witnesses": [as_jsonable(w) for w in res.witnesses],
           "shortfall": res.shortfall})
-
-
-def _density_payload(pt) -> dict:
-    return {"x": pt.x, "pi": pt.pi_x, "ratio": as_jsonable(pt.ratio),
-            "bound": pt.bound, "holds": pt.holds}
-
-
-@cli.command("density")
-@click.option("--x", type=INT, required=True)
-@click.pass_context
-@handle_errors
-def density_cmd(ctx, x):
-    """pi(x)/x against the bound 1/x + 4/sqrt(x) + 8/log4(x)."""
-    if x >= 2:
-        check_capacity(ctx, x)
-    pt = analysis.density_bound_check(x)
-    emit("density", {"x": x}, _density_payload(pt))
-
-
-def _bound_payload(bc) -> dict:
-    out = {"param": bc.param, "lhs": bc.lhs, "rhs": bc.rhs, "holds": bc.holds}
-    out.update({k: v for k, v in bc.detail})
-    return out
-
-
-@cli.command("binom")
-@click.option("--n", type=INT, required=True)
-@click.pass_context
-@handle_errors
-def binom_cmd(ctx, n):
-    """Check n^(pi(2n)-pi(n)) < 4^n."""
-    check_capacity(ctx, 2 * max(n, 1))
-    emit("binom", {"n": n}, _bound_payload(analysis.central_binom_bound(n)))
-
-
-@cli.command("dyadic")
-@click.option("--k", type=INT, required=True)
-@click.pass_context
-@handle_errors
-def dyadic_cmd(ctx, k):
-    """Check pi(2^k) - pi(2^(k-1)) < 2^k/(k-1)."""
-    if k >= 2:
-        check_capacity(ctx, 2**k)
-    emit("dyadic", {"k": k}, _bound_payload(analysis.dyadic_gap_bound(k)))
-
-
-@cli.command("pow4")
-@click.option("--m", type=INT, required=True)
-@click.pass_context
-@handle_errors
-def pow4_cmd(ctx, m):
-    """Check pi(4^m) < 1 + 2^(m+1) + 2^(2m+1)/m."""
-    if m >= 1:
-        check_capacity(ctx, 4**m)
-    emit("pow4", {"m": m}, _bound_payload(analysis.pi_power4_bound(m)))
 
 
 def _run_payload(scan) -> dict:
@@ -382,27 +318,24 @@ def _run_payload(scan) -> dict:
 @click.option("--b", type=INT, required=True)
 @click.option("--n-max", type=INT, required=True)
 @click.pass_context
-@handle_errors
 def runs_cmd(ctx, a, b, n_max):
     """Longest runs of prime values among n in [1, n_max]."""
     scan = analysis.longest_prime_run(
-        Progression(a, b), n_max, sieve_cap=max_sieve_of(ctx))
+        Progression(a, b), n_max, sieve_cap=ctx.obj["max_sieve"])
     emit("runs", {"a": a, "b": b, "n_max": n_max}, _run_payload(scan))
 
 
 @cli.command("ek")
 @click.option("--x", type=INT, required=True)
-@click.option("--interval", default="-1,1",
+@click.option("--interval", default="-1,1", callback=pair_option,
               help="Statistic interval 'lo,hi'.")
 @click.pass_context
-@handle_errors
 def ek_cmd(ctx, x, interval):
     """Distinct-prime-factor statistic summary over 3 <= n <= x."""
     check_capacity(ctx, x)
-    lo, hi = parse_pair(interval, "--interval")
-    summary = analysis.erdos_kac_samples(x, intervals=((lo, hi),))
+    summary = analysis.erdos_kac_samples(x, intervals=(interval,))
     iv = summary.intervals[0]
-    emit("ek", {"x": x, "interval": [lo, hi]},
+    emit("ek", {"x": x, "interval": list(interval)},
          {"sample_count": summary.sample_count,
           "mean_omega": summary.mean_omega,
           "sample_fraction": iv.sample_fraction,
@@ -411,7 +344,6 @@ def ek_cmd(ctx, x, interval):
 
 @cli.command("lucky")
 @click.option("--max", "c_max", type=INT, required=True)
-@handle_errors
 def lucky_cmd(c_max):
     """Constants C <= max with n^2 - n + C prime for all 1 <= n <= C-1."""
     emit("lucky", {"max": c_max}, {"lucky": explorer.euler_lucky_search(c_max)})
@@ -419,7 +351,6 @@ def lucky_cmd(c_max):
 
 @cli.command("streak")
 @click.option("--c", type=INT, required=True)
-@handle_errors
 def streak_cmd(c):
     """Initial run of n >= 0 with n^2 + n + C prime."""
     res = explorer.prime_streak(c)
@@ -432,15 +363,14 @@ def streak_cmd(c):
 @click.option("--x", type=INT, required=True)
 @click.option("--y", type=INT, required=True)
 @click.option("--z", type=INT, required=True)
-@click.option("--bracket", default="2,3", help="Sign-change bracket 'lo,hi'.")
-@click.option("--tol", type=float, default=1e-12)
-@handle_errors
+@click.option("--bracket", default="2,3", callback=pair_option,
+              help="Sign-change bracket 'lo,hi'.")
+@click.option("--tol", type=float, default=1e-12, callback=finite_float)
 def fermatreal_cmd(x, y, z, bracket, tol):
     """Bisect x^t + y^t - z^t to the stated tolerance."""
-    lo, hi = parse_pair(bracket, "--bracket")
-    r = explorer.fermat_real_root(x, y, z, (lo, hi), tol)
+    r = explorer.fermat_real_root(x, y, z, bracket, tol)
     emit("fermatreal",
-         {"x": x, "y": y, "z": z, "bracket": [lo, hi], "tol": tol},
+         {"x": x, "y": y, "z": z, "bracket": list(bracket), "tol": tol},
          {"s": r.s, "residual": r.residual,
           "refined_bracket": list(r.refined_bracket),
           "iterations": r.iterations})
@@ -450,17 +380,15 @@ def fermatreal_cmd(x, y, z, bracket, tol):
 @click.option("--x", type=INT, required=True)
 @click.option("--y", type=INT, required=True)
 @click.option("--z", type=INT, required=True)
-@click.option("--bracket", default="2,3")
+@click.option("--bracket", default="2,3", callback=pair_option)
 @click.option("--q-max", type=INT, required=True)
-@click.option("--tol", type=float, default=1e-9)
-@handle_errors
+@click.option("--tol", type=float, default=1e-9, callback=finite_float)
 def ratscan_cmd(x, y, z, bracket, q_max, tol):
     """Rationals p/q in the bracket that nearly solve x^t + y^t = z^t."""
-    lo, hi = parse_pair(bracket, "--bracket")
-    root = explorer.fermat_real_root(x, y, z, (lo, hi))
+    root = explorer.fermat_real_root(x, y, z, bracket)
     hits = explorer.rational_scan(root, q_max, tol)
     emit("ratscan",
-         {"x": x, "y": y, "z": z, "bracket": [lo, hi],
+         {"x": x, "y": y, "z": z, "bracket": list(bracket),
           "q_max": q_max, "tol": tol},
          {"hits": [{"p": h.numerator, "q": h.denominator} for h in hits]})
 
@@ -473,11 +401,9 @@ def emit_sweep(command: str, params: dict, rows: list[dict],
         emit(command, params, {"summary": summary})
         return
     buf = io.StringIO()
-    fieldnames = list(rows[0].keys()) if rows else []
-    writer = csv.DictWriter(buf, fieldnames=fieldnames)
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     click.echo(buf.getvalue(), nl=False)
     click.echo("# summary: " + json.dumps(summary, sort_keys=True))
 
@@ -487,103 +413,104 @@ def sweep_group():
     """Run a check over a parameter range, with a trailing summary row."""
 
 
-def _flatten_density(pt) -> dict:
-    return {"x": pt.x, "pi": pt.pi_x, "ratio": float(pt.ratio),
+FORMAT = click.option("--format", "fmt", type=click.Choice(["records", "csv"]),
+                      default="records")
+GEOMETRIC = click.option("--geometric", type=INT, default=10, callback=at_least(2),
+                         help="Multiplicative step between points.")
+STEP = click.option("--step", type=INT, default=1, callback=at_least(1))
+
+
+def _density_row(pt) -> dict:
+    return {"x": pt.x, "pi": pt.pi_x, "ratio": pt.ratio,
             "bound": pt.bound, "holds": pt.holds}
 
 
-@sweep_group.command("density")
-@click.option("--x", "x_range", required=True, help="Range 'start..stop'.")
-@click.option("--geometric", type=INT, default=10,
-              help="Multiplicative step between points.")
-@click.option("--format", "fmt", type=click.Choice(["records", "csv"]),
-              default="records")
-@click.pass_context
-@handle_errors
-def sweep_density_cmd(ctx, x_range, geometric, fmt):
-    lo, hi = parse_range(x_range, "--x")
-    if geometric < 2:
-        raise click.UsageError("--geometric must be >= 2")
-    check_capacity(ctx, hi)
-    table = numcore.sieve(hi) if hi >= 2 else None
-    rows = []
-    x = lo
-    while x <= hi:
-        rows.append(_flatten_density(analysis.density_bound_check(x, table)))
-        x *= geometric
-    summary = {"all_holds": all(r["holds"] for r in rows), "rows": len(rows)}
-    emit_sweep("sweep density", {"x": [lo, hi], "geometric": geometric},
-               rows, summary, fmt)
+def _bound_row(bc) -> dict:
+    return {"param": bc.param, "lhs": bc.lhs, "rhs": bc.rhs, "holds": bc.holds,
+            **dict(bc.detail)}
 
 
-@sweep_group.command("dyadic")
-@click.option("--k", "k_range", required=True, help="Range 'start..stop'.")
-@click.option("--format", "fmt", type=click.Choice(["records", "csv"]),
-              default="records")
-@click.pass_context
-@handle_errors
-def sweep_dyadic_cmd(ctx, k_range, fmt):
-    lo, hi = parse_range(k_range, "--k")
-    check_capacity(ctx, 2**hi)
-    table = numcore.sieve(2**hi)
-    rows = [_bound_payload(analysis.dyadic_gap_bound(k, table))
-            for k in range(lo, hi + 1)]
-    summary = {"all_holds": all(r["holds"] for r in rows), "rows": len(rows)}
-    emit_sweep("sweep dyadic", {"k": [lo, hi]}, rows, summary, fmt)
+@dataclass(frozen=True)
+class Bound:
+    """One link of the inequality chain, surfaced as `<name>` and `sweep <name>`."""
+
+    name: str
+    check: str  # analysis function; looked up per call, so rebinding it is seen
+    option: str  # parameter name: --x, --n, --k or --m
+    sieve_need: Callable[[int], int]  # sieve limit the check needs at a value
+    min_value: int  # smallest value the check accepts
+    step: Callable | None  # the sweep's step option, if any
+    row: Callable[[object], dict]  # check result -> output row (Fractions kept)
+    doc: str
 
 
-@sweep_group.command("binom")
-@click.option("--n", "n_range", required=True, help="Range 'start..stop'.")
-@click.option("--step", type=INT, default=1)
-@click.option("--format", "fmt", type=click.Choice(["records", "csv"]),
-              default="records")
-@click.pass_context
-@handle_errors
-def sweep_binom_cmd(ctx, n_range, step, fmt):
-    lo, hi = parse_range(n_range, "--n")
-    check_capacity(ctx, 2 * hi)
-    table = numcore.sieve(2 * hi)
-    rows = [_bound_payload(analysis.central_binom_bound(n, table))
-            for n in range(lo, hi + 1, step)]
-    summary = {"all_holds": all(r["holds"] for r in rows), "rows": len(rows)}
-    emit_sweep("sweep binom", {"n": [lo, hi], "step": step}, rows, summary, fmt)
+BOUNDS = (
+    Bound("density", "density_bound_check", "x", lambda x: x, 2, GEOMETRIC,
+          _density_row, "pi(x)/x against the bound 1/x + 4/sqrt(x) + 8/log4(x)."),
+    Bound("binom", "central_binom_bound", "n", lambda n: 2 * n, 2, STEP,
+          _bound_row, "Check n^(pi(2n)-pi(n)) < 4^n."),
+    Bound("dyadic", "dyadic_gap_bound", "k", lambda k: 2**k, 2, None,
+          _bound_row, "Check pi(2^k) - pi(2^(k-1)) < 2^k/(k-1)."),
+    Bound("pow4", "pi_power4_bound", "m", lambda m: 4**m, 1, None,
+          _bound_row, "Check pi(4^m) < 1 + 2^(m+1) + 2^(2m+1)/m."),
+)
 
 
-@sweep_group.command("pow4")
-@click.option("--m", "m_range", required=True, help="Range 'start..stop'.")
-@click.option("--format", "fmt", type=click.Choice(["records", "csv"]),
-              default="records")
-@click.pass_context
-@handle_errors
-def sweep_pow4_cmd(ctx, m_range, fmt):
-    lo, hi = parse_range(m_range, "--m")
-    check_capacity(ctx, 4**hi)
-    table = numcore.sieve(4**hi)
-    rows = [_bound_payload(analysis.pi_power4_bound(m, table))
-            for m in range(lo, hi + 1)]
-    summary = {"all_holds": all(r["holds"] for r in rows), "rows": len(rows)}
-    emit_sweep("sweep pow4", {"m": [lo, hi]}, rows, summary, fmt)
+def _bound_commands(b: Bound) -> None:
+    @cli.command(b.name, help=b.doc)
+    @click.option(f"--{b.option}", type=INT, required=True)
+    @click.pass_context
+    def single(ctx, **kw):
+        value = kw[b.option]
+        if value >= b.min_value:
+            check_capacity(ctx, b.sieve_need(value))
+        result = getattr(analysis, b.check)(value)
+        emit(b.name, kw, {k: as_jsonable(v) for k, v in b.row(result).items()})
+
+    @FORMAT
+    @click.pass_context
+    def sweep(ctx, fmt, **kw):
+        lo, hi = parse_range(kw.pop(f"{b.option}_range"), f"--{b.option}")
+        check_capacity(ctx, b.sieve_need(hi))
+        table = numcore.sieve(b.sieve_need(hi)) if hi >= b.min_value else None
+        # kw now holds only the step option, if the sweep has one.
+        if "geometric" in kw:
+            points = geometric_points(lo, hi, kw["geometric"])
+        else:
+            points = range(lo, hi + 1, kw.get("step", 1))
+        check = getattr(analysis, b.check)
+        rows = [{k: float(v) if isinstance(v, Fraction) else v
+                 for k, v in b.row(check(p, table)).items()} for p in points]
+        summary = {"all_holds": all(r["holds"] for r in rows), "rows": len(rows)}
+        emit_sweep(f"sweep {b.name}", {b.option: [lo, hi], **kw}, rows, summary, fmt)
+
+    if b.step:
+        sweep = b.step(sweep)
+    range_option = click.option(f"--{b.option}", f"{b.option}_range", required=True,
+                                help="Range 'start..stop'.")
+    sweep_group.command(b.name)(range_option(sweep))
+
+
+for _bound in BOUNDS:
+    _bound_commands(_bound)
 
 
 @sweep_group.command("runs")
 @click.option("--a", "a_range", required=True, help="Range 'start..stop'.")
 @click.option("--b", type=INT, required=True)
 @click.option("--n-max", type=INT, required=True)
-@click.option("--format", "fmt", type=click.Choice(["records", "csv"]),
-              default="records")
+@FORMAT
 @click.pass_context
-@handle_errors
 def sweep_runs_cmd(ctx, a_range, b, n_max, fmt):
     lo, hi = parse_range(a_range, "--a")
     rows = []
     for a in range(lo, hi + 1):
-        scan = analysis.longest_prime_run(
-            Progression(a, b), n_max, sieve_cap=max_sieve_of(ctx))
+        p = Progression(a, b)
+        scan = analysis.longest_prime_run(p, n_max, sieve_cap=ctx.obj["max_sieve"])
         rows.append({"a": a, "b": b, "max_length": scan.max_length,
                      "a_squared": a * a,
                      "within_bound": scan.max_length <= a * a
-                     or scan.best.start_n <= analysis.run_length_threshold(
-                         Progression(a, b))})
+                     or scan.best.start_n <= analysis.run_length_threshold(p)})
     summary = {"all_within_bound": all(r["within_bound"] for r in rows),
                "rows": len(rows)}
     emit_sweep("sweep runs", {"a": [lo, hi], "b": b, "n_max": n_max},
@@ -594,24 +521,18 @@ def sweep_runs_cmd(ctx, a_range, b, n_max, fmt):
 @click.option("--a", type=INT, required=True)
 @click.option("--b", type=INT, required=True)
 @click.option("--x", "x_range", required=True, help="Range 'start..stop'.")
-@click.option("--geometric", type=INT, default=10)
-@click.option("--format", "fmt", type=click.Choice(["records", "csv"]),
-              default="records")
+@GEOMETRIC
+@FORMAT
 @click.pass_context
-@handle_errors
 def sweep_pdensity_cmd(ctx, a, b, x_range, geometric, fmt):
     """Composite density of |a*n+b| over n <= x, swept in x."""
     lo, hi = parse_range(x_range, "--x")
-    if geometric < 2:
-        raise click.UsageError("--geometric must be >= 2")
     rows = []
-    x = lo
-    while x <= hi:
+    for x in geometric_points(lo, hi, geometric):
         frac = analysis.progression_composite_density(
-            Progression(a, b), x, sieve_cap=max_sieve_of(ctx))
+            Progression(a, b), x, sieve_cap=ctx.obj["max_sieve"])
         rows.append({"x": x, "density": float(frac),
                      "num": frac.numerator, "den": frac.denominator})
-        x *= geometric
     summary = {"rows": len(rows), "final_density": rows[-1]["density"]}
     emit_sweep("sweep pdensity", {"a": a, "b": b, "x": [lo, hi],
                                   "geometric": geometric},

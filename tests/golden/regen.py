@@ -46,6 +46,12 @@ GROUPS = {
         "sweep dyadic --k 2..22",
         "sweep runs --a 1..6 --b 1 --n-max 1e5",
         "ek --x 1e6 --interval -1,1",
+        "binom --n 1000",
+        "sweep binom --n 2..1e6 --step 1000",
+        "dyadic --k 20",
+        "pow4 --m 10",
+        "sweep pow4 --m 1..12",
+        "density --x 1e6",
     ),
     "commands": _argvs(
         "sieve --limit 100",

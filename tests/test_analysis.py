@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 from apcomposites.analysis import (
+    _omega_array,
     central_binom_bound,
     density_bound_check,
     dyadic_gap_bound,
     ek_sample,
-    ek_sample_stream,
     erdos_kac_samples,
     gaussian_mass,
     longest_prime_run,
@@ -192,13 +192,12 @@ class TestErdosKac:
         assert s.statistic == pytest.approx((2 - ll) / math.sqrt(ll))
         assert abs(s.statistic - s.recompute()) < 1e-12
 
-    def test_stream_matches_single(self):
-        stream = list(ek_sample_stream(30))
-        assert stream[0].n == 3
-        for s in stream:
-            single = ek_sample(s.n)
-            assert s.omega == single.omega
-            assert s.statistic == pytest.approx(single.statistic, abs=1e-12)
+    def test_omega_pass_matches_single(self):
+        # The bulk omega pass behind erdos_kac_samples, against per-n
+        # factorization.
+        om = _omega_array(30)
+        for n in range(3, 31):
+            assert om[n] == ek_sample(n).omega
 
     def test_gaussian_mass(self):
         assert gaussian_mass(-1, 1) == pytest.approx(0.6827, abs=1e-4)

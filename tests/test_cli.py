@@ -3,8 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from apcomposites import analysis, constructions, explorer, numcore
-from apcomposites.cli import DISPATCH, cli
+from apcomposites.cli import cli
 
 
 @pytest.fixture
@@ -129,23 +128,59 @@ class TestDeterminism:
         assert a.exit_code == b.exit_code == 0
 
 
-class TestCoverage:
-    def test_every_operation_dispatched(self):
-        dispatched = {fn for fns in DISPATCH.values() for fn in fns}
-        ops = []
-        for mod in (numcore, constructions, analysis, explorer):
-            for name in mod.__all__:
-                obj = getattr(mod, name)
-                if callable(obj) and not isinstance(obj, type):
-                    ops.append(obj)
-        helpers = {
-            numcore.is_prime,  # surfaced implicitly by every witness proof
-            numcore.factorize,
-            explorer.lucky_check,  # euler_lucky_search covers it
-            analysis.ek_sample,  # ek summary covers the statistic
-            analysis.ek_sample_stream,
-            analysis.gaussian_mass,
-            analysis.run_length_threshold,
-        }
-        missing = [op for op in ops if op not in dispatched and op not in helpers]
-        assert missing == []
+class TestInputParsing:
+    @pytest.mark.parametrize("text, value", [
+        ("1e23", 10**23),  # through float this was 99999999999999991611392
+        ("1.2345678901234567891e22", 12345678901234567891000),
+        ("2.5e1", 25),
+    ])
+    def test_exact_integers(self, runner, text, value):
+        res = invoke(runner, ["witness", "multiple", "--a", "3", "--b", "2", "--m", text])
+        assert res.exit_code == 0
+        assert records(res.output)[0]["params"]["m"] == value
+
+    @pytest.mark.parametrize("args", [
+        ["count", "--x", "inf"],
+        ["count", "--x", "-inf"],
+        ["count", "--x", "nan"],
+        ["count", "--x", "1e309"],  # beyond float range, as before
+        ["count", "--x", "1e1000000000"],
+        ["count", "--x", "2.00000000000000000001"],
+        ["sweep", "density", "--x", "inf..10"],
+    ])
+    def test_rejects_non_integers(self, runner, args):
+        res = runner.invoke(cli, args)
+        assert (res.exit_code, res.stdout) == (2, "")
+
+    @pytest.mark.parametrize("args", [
+        ["fermatreal", "--x", "4", "--y", "5", "--z", "6", "--tol", "nan"],
+        ["fermatreal", "--x", "4", "--y", "5", "--z", "6", "--tol", "inf"],
+        ["fermatreal", "--x", "4", "--y", "5", "--z", "6", "--bracket", "2,inf"],
+        ["ratscan", "--x", "4", "--y", "5", "--z", "6", "--q-max", "5", "--tol", "nan"],
+        ["ratscan", "--x", "4", "--y", "5", "--z", "6", "--q-max", "5", "--bracket", "nan,3"],
+        ["ek", "--x", "100", "--interval", "nan,1"],
+        ["ek", "--x", "100", "--interval", "-1,1e400"],
+    ])
+    def test_rejects_non_finite_floats(self, runner, args):
+        res = runner.invoke(cli, args)
+        assert (res.exit_code, res.stdout) == (2, "")
+
+    @pytest.mark.parametrize("step", ["0", "-1"])
+    def test_rejects_non_positive_step(self, runner, step):
+        res = runner.invoke(cli, ["sweep", "binom", "--n", "2..10", "--step", step])
+        assert (res.exit_code, res.stdout) == (2, "")
+
+    @pytest.mark.parametrize("content, detail", [
+        ("[500]", "JSON object"),
+        ('{"max_sieve": "abc"}', "abc"),
+        ('{"max_sieve": null}', "None"),
+        ('{"max_sieve": 2.7}', "2.7"),  # was silently 2
+        ('{"max_sieve": 5', "line 1"),
+    ])
+    def test_malformed_config(self, runner, tmp_path, content, detail):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(content)
+        res = runner.invoke(cli, ["--config", str(cfg), "sieve", "--limit", "10"])
+        assert res.exit_code == 2
+        assert "bad.json" in res.stderr and "max_sieve" in res.stderr
+        assert detail in res.stderr

@@ -2,11 +2,13 @@
 tests/golden/regen.py): stdout bytes and exit code must match exactly."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from apcomposites import analysis, constructions, explorer, numcore
 from apcomposites.cli import cli
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -18,3 +20,50 @@ CASES = [case for path in sorted(GOLDEN_DIR.glob("*.json"))
 def test_golden(case):
     res = CliRunner().invoke(cli, case["argv"], catch_exceptions=False)
     assert (res.exit_code, res.stdout) == (case["exit_code"], case["stdout"])
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_golden_stdout_is_strict_json():
+    for case in CASES:
+        csv = "csv" in case["argv"]
+        for line in case["stdout"].splitlines():
+            if csv and not line.startswith("# summary: "):
+                continue
+            json.loads(line.removeprefix("# summary: "), parse_constant=_reject_constant)
+
+
+def test_every_operation_reached():
+    """Every public library operation runs under some golden argv. Code
+    objects are recorded with a profiler, since the CLI may hold function
+    objects captured at import."""
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    runner = CliRunner()
+    sys.setprofile(profile)
+    try:
+        for case in CASES:
+            runner.invoke(cli, case["argv"])
+    finally:
+        sys.setprofile(None)
+    helpers = {
+        numcore.is_prime,  # surfaced implicitly by every witness proof
+        numcore.factorize,
+        explorer.lucky_check,  # euler_lucky_search covers it
+        analysis.ek_sample,  # ek summary covers the statistic
+        analysis.gaussian_mass,
+        analysis.run_length_threshold,
+    }
+    missing = [f"{mod.__name__}.{name}"
+               for mod in (numcore, constructions, analysis, explorer)
+               for name in mod.__all__
+               if (op := getattr(mod, name)) not in helpers
+               and callable(op) and not isinstance(op, type)
+               and op.__code__ not in reached]
+    assert missing == []
