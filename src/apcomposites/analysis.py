@@ -61,6 +61,7 @@ def central_binom_bound(n: int, table: PrimeTable | None = None) -> BoundCheck:
     """n^(pi(2n) - pi(n)) < 4^n, compared in log space."""
     if n < 2:
         raise DomainError("central_binom_bound requires n >= 2")
+    table = table or sieve(2 * n)
     gap = prime_count(2 * n, table) - prime_count(n, table)
     lhs = gap * math.log(n)
     rhs = n * math.log(4)
@@ -71,6 +72,7 @@ def dyadic_gap_bound(k: int, table: PrimeTable | None = None) -> BoundCheck:
     """pi(2^k) - pi(2^(k-1)) < 2^k / (k-1)."""
     if k < 2:
         raise DomainError("dyadic_gap_bound requires k >= 2")
+    table = table or sieve(2**k)
     gap = prime_count(2**k, table) - prime_count(2 ** (k - 1), table)
     bound = 2**k / (k - 1)
     return BoundCheck(k, float(gap), bound, gap < bound)
@@ -107,8 +109,7 @@ def density_bound_check(x: int, table: PrimeTable | None = None) -> DensityPoint
 
 
 def _term_values(p: Progression, n_max: int) -> np.ndarray:
-    n = np.arange(1, n_max + 1, dtype=np.int64)
-    return np.abs(p.a * n + p.b)
+    return np.abs(np.arange(p.a + p.b, p.a * n_max + p.b + 1, p.a))
 
 
 def _value_table(p: Progression, n_max: int, sieve_cap: int) -> PrimeTable:
@@ -244,39 +245,37 @@ def ek_sample(n: int) -> EKSample:
     return EKSample(n, omega, (omega - ll) / math.sqrt(ll))
 
 
-def _omega_array(x: int, table: PrimeTable | None = None) -> np.ndarray:
+def _omega_array(x: int) -> np.ndarray:
     """omega(n) for 0 <= n <= x by one strided pass per prime."""
-    t = table if table is not None and table.limit >= x else sieve(max(x, 4))
+    primes = np.flatnonzero(sieve(x).membership)
     om = np.zeros(x + 1, dtype=np.int16)
-    for prime in t.primes(x):
-        prime = int(prime)
+    for prime in primes:
         om[prime::prime] += 1
     return om
 
 
 def erdos_kac_samples(
-    x: int,
-    intervals: tuple[tuple[float, float], ...] = ((-1.0, 1.0),),
-    table: PrimeTable | None = None,
+    x: int, intervals: tuple[tuple[float, float], ...] = ((-1.0, 1.0),)
 ) -> EKSummary:
     """Summary of the normalized statistic over 3 <= n <= x.
 
     Interval fractions normalize by log log x (the fixed-endpoint form
     of the limit theorem), which converges much faster at desk scale
     than the per-sample log log n used in EKSample; both forms have the
-    same Gaussian limit. Counts use exact integer accumulators so the
-    result is independent of any internal partitioning.
+    same Gaussian limit. Everything is read off the exact histogram of
+    omega, so the result is independent of any internal partitioning.
     """
     if x < 3:
         raise DomainError("erdos_kac requires x >= 3")
-    om = _omega_array(x, table)[3:].astype(np.float64)
+    om = _omega_array(x)[3:]
+    hist = [int(np.count_nonzero(om == k)) for k in range(int(om.max()) + 1)]
     llx = math.log(math.log(x))
-    stat = (om - llx) / math.sqrt(llx)
 
     count = x - 2
-    mean_omega = float(om.sum() / count)
+    mean_omega = sum(k * h for k, h in enumerate(hist)) / count
     stats = []
     for lo, hi in intervals:
-        inside = int(np.count_nonzero((stat >= lo) & (stat <= hi)))
+        inside = sum(h for k, h in enumerate(hist)
+                     if lo <= (k - llx) / math.sqrt(llx) <= hi)
         stats.append(EKIntervalStat(lo, hi, inside / count, gaussian_mass(lo, hi)))
     return EKSummary(x, count, mean_omega, tuple(stats))

@@ -136,10 +136,19 @@ def as_jsonable(obj):
     return obj
 
 
-def check_capacity(ctx, needed: int) -> None:
+def check_capacity(ctx, option: str, value: int, need: tuple[int, int] | None = None) -> int:
+    """The sieve limit mult * 2**exp, need = (mult, exp) or else (value, 0),
+    that `--option value` needs, if within --max-sieve; callers check the
+    domain first. An exponent beyond the cap's bit length is refused as it
+    is, so 2**k is never built for a huge k."""
     cap = ctx.obj["max_sieve"]
-    if needed > cap:
-        raise CapacityError(f"needs sieve to {needed}, --max-sieve is {cap}")
+    mult, exp = need or (value, 0)
+    limit = mult << exp if exp <= max(cap, 1).bit_length() else None
+    if limit is None or limit > cap:
+        shown = limit if limit is not None else f"at least 2**{exp}"
+        raise CapacityError(
+            f"--{option} {value} needs a sieve to {shown}, --max-sieve is {cap}")
+    return limit
 
 
 def config_max_sieve(path: str, default: int) -> int:
@@ -191,7 +200,8 @@ def cli(ctx, max_sieve, config):
 @click.pass_context
 def sieve_cmd(ctx, limit):
     """Prime count and largest prime up to --limit."""
-    check_capacity(ctx, limit)
+    if limit >= 2:  # else the sieve's DomainError comes first
+        check_capacity(ctx, "limit", limit)
     table = numcore.sieve(limit)
     primes = table.primes()
     emit("sieve", {"limit": limit},
@@ -205,7 +215,8 @@ def sieve_cmd(ctx, limit):
 @click.pass_context
 def count_cmd(ctx, x, a, b):
     """pi(x), or pi_{a,b}(x) when --a/--b are given."""
-    check_capacity(ctx, x)
+    if x >= 1:  # else the count's DomainError comes first
+        check_capacity(ctx, "x", x)
     if a is None:
         emit("count", {"x": x}, {"pi": numcore.prime_count(x)})
     else:
@@ -332,7 +343,8 @@ def runs_cmd(ctx, a, b, n_max):
 @click.pass_context
 def ek_cmd(ctx, x, interval):
     """Distinct-prime-factor statistic summary over 3 <= n <= x."""
-    check_capacity(ctx, x)
+    if x >= 3:  # else the summary's DomainError comes first
+        check_capacity(ctx, "x", x)
     summary = analysis.erdos_kac_samples(x, intervals=(interval,))
     iv = summary.intervals[0]
     emit("ek", {"x": x, "interval": list(interval)},
@@ -437,7 +449,7 @@ class Bound:
     name: str
     check: str  # analysis function; looked up per call, so rebinding it is seen
     option: str  # parameter name: --x, --n, --k or --m
-    sieve_need: Callable[[int], int]  # sieve limit the check needs at a value
+    sieve_need: Callable[[int], tuple[int, int]]  # (mult, exp): a sieve to mult * 2**exp
     min_value: int  # smallest value the check accepts
     step: Callable | None  # the sweep's step option, if any
     row: Callable[[object], dict]  # check result -> output row (Fractions kept)
@@ -445,13 +457,13 @@ class Bound:
 
 
 BOUNDS = (
-    Bound("density", "density_bound_check", "x", lambda x: x, 2, GEOMETRIC,
+    Bound("density", "density_bound_check", "x", lambda x: (x, 0), 2, GEOMETRIC,
           _density_row, "pi(x)/x against the bound 1/x + 4/sqrt(x) + 8/log4(x)."),
-    Bound("binom", "central_binom_bound", "n", lambda n: 2 * n, 2, STEP,
+    Bound("binom", "central_binom_bound", "n", lambda n: (n, 1), 2, STEP,
           _bound_row, "Check n^(pi(2n)-pi(n)) < 4^n."),
-    Bound("dyadic", "dyadic_gap_bound", "k", lambda k: 2**k, 2, None,
+    Bound("dyadic", "dyadic_gap_bound", "k", lambda k: (1, k), 2, None,
           _bound_row, "Check pi(2^k) - pi(2^(k-1)) < 2^k/(k-1)."),
-    Bound("pow4", "pi_power4_bound", "m", lambda m: 4**m, 1, None,
+    Bound("pow4", "pi_power4_bound", "m", lambda m: (1, 2 * m), 1, None,
           _bound_row, "Check pi(4^m) < 1 + 2^(m+1) + 2^(2m+1)/m."),
 )
 
@@ -462,8 +474,8 @@ def _bound_commands(b: Bound) -> None:
     @click.pass_context
     def single(ctx, **kw):
         value = kw[b.option]
-        if value >= b.min_value:
-            check_capacity(ctx, b.sieve_need(value))
+        if value >= b.min_value:  # else the check's DomainError comes first
+            check_capacity(ctx, b.option, value, b.sieve_need(value))
         result = getattr(analysis, b.check)(value)
         emit(b.name, kw, {k: as_jsonable(v) for k, v in b.row(result).items()})
 
@@ -471,8 +483,9 @@ def _bound_commands(b: Bound) -> None:
     @click.pass_context
     def sweep(ctx, fmt, **kw):
         lo, hi = parse_range(kw.pop(f"{b.option}_range"), f"--{b.option}")
-        check_capacity(ctx, b.sieve_need(hi))
-        table = numcore.sieve(b.sieve_need(hi)) if hi >= b.min_value else None
+        table = None
+        if lo >= b.min_value:  # else the first point's DomainError comes first
+            table = numcore.sieve(check_capacity(ctx, b.option, hi, b.sieve_need(hi)))
         # kw now holds only the step option, if the sweep has one.
         if "geometric" in kw:
             points = geometric_points(lo, hi, kw["geometric"])

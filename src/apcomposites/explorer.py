@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .errors import BracketError, DomainError
+from .errors import BracketError, CapacityError, DomainError
 from .numcore import is_prime
 
 __all__ = [
@@ -79,7 +79,7 @@ def prime_streak(C: int, scan_cap: int = 10**6) -> StreakResult:
         if not is_prime(v):
             return StreakResult(C, n, n, v)
         n += 1
-    raise DomainError(f"streak for C={C} exceeds scan cap {scan_cap}")
+    raise CapacityError(f"streak for C={C} exceeds scan cap {scan_cap}")
 
 
 @dataclass(frozen=True)

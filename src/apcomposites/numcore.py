@@ -94,7 +94,10 @@ class Factorization:
 class PrimeTable:
     """Immutable prime membership over [0, limit], with cached counts.
 
-    Built by :func:`sieve`; safe for unlimited concurrent readers.
+    Built by :func:`sieve`; safe for unlimited concurrent readers. Counts
+    read the mask in place: the prefix sums of its whole blocks of
+    _COUNT_BLOCK entries are built on the first count, and the partial
+    block up to x is counted directly.
     """
 
     _COUNT_BLOCK = 1 << 16
@@ -109,29 +112,18 @@ class PrimeTable:
     def membership(self) -> np.ndarray:
         return self._membership
 
-    def is_prime(self, k: int) -> bool:
-        if k < 0 or k > self.limit:
-            raise DomainError(f"{k} outside table range [0, {self.limit}]")
-        return bool(self._membership[k])
-
     def count(self, x: int) -> int:
         """pi(x) for 0 <= x <= limit."""
         if x < 0 or x > self.limit:
             raise DomainError(f"{x} outside table range [0, {self.limit}]")
+        block = self._COUNT_BLOCK
         if self._block_cumsum is None:
-            nblocks = (self.limit // self._COUNT_BLOCK) + 1
-            padded = np.zeros(nblocks * self._COUNT_BLOCK, dtype=bool)
-            padded[: self.limit + 1] = self._membership
-            per_block = padded.reshape(nblocks, self._COUNT_BLOCK).sum(axis=1)
-            self._block_cumsum = np.concatenate(
-                ([0], np.cumsum(per_block, dtype=np.int64))
-            )
-        blk = (x + 1) // self._COUNT_BLOCK
-        base = int(self._block_cumsum[blk])
-        rem = int(
-            np.count_nonzero(self._membership[blk * self._COUNT_BLOCK : x + 1])
-        )
-        return base + rem
+            nblocks = (self.limit + 1) // block
+            whole = self._membership[: nblocks * block].reshape(nblocks, block)
+            self._block_cumsum = np.concatenate(([0], np.cumsum(whole.sum(axis=1))))
+        blk = (x + 1) // block
+        rem = np.count_nonzero(self._membership[blk * block : x + 1])
+        return int(self._block_cumsum[blk]) + int(rem)
 
     def primes(self, upto: int | None = None) -> np.ndarray:
         hi = self.limit if upto is None else min(upto, self.limit)
@@ -253,34 +245,27 @@ def factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND) -> Factorization:
     return Factorization(value, tuple(factors))
 
 
-# Shared table for the counting helpers, grown geometrically on demand.
-_count_table: PrimeTable | None = None
-
-
-def _table_for(limit: int) -> PrimeTable:
-    global _count_table
-    if _count_table is None or _count_table.limit < limit:
-        _count_table = sieve(max(limit, 1 << 16))
-    return _count_table
-
-
 def prime_count(x: int, table: PrimeTable | None = None) -> int:
-    """pi(x): number of primes <= x."""
+    """pi(x): number of primes <= x, read off `table` (sieved to exactly x
+    when None); a table smaller than x is a DomainError."""
     if x < 1:
         raise DomainError("prime_count requires x >= 1")
     if x < 2:
         return 0
-    t = table if table is not None and table.limit >= x else _table_for(x)
-    return t.count(x)
+    return (table or sieve(x)).count(x)
+
 
 def prime_count_progression(
     p: Progression, x: int, table: PrimeTable | None = None
 ) -> int:
-    """pi_{a,b}(x): primes q <= x with q congruent to b mod |a|."""
+    """pi_{a,b}(x): primes q <= x with q congruent to b mod |a|, counted on
+    the strided view of `table` (sieved to exactly x when None) that holds
+    exactly those residues."""
     if x < 1:
         raise DomainError("prime_count_progression requires x >= 1")
     if x < 2:
         return 0
-    t = table if table is not None and table.limit >= x else _table_for(x)
-    primes = t.primes(x)
-    return int(np.count_nonzero(primes % abs(p.a) == p.residue))
+    t = table or sieve(x)
+    if x > t.limit:
+        raise DomainError(f"{x} outside table range [0, {t.limit}]")
+    return int(np.count_nonzero(t.membership[p.residue : x + 1 : abs(p.a)]))

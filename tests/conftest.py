@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 
@@ -30,3 +32,14 @@ def oracle_factorize(n: int) -> dict[int, int]:
 @pytest.fixture(scope="session")
 def oracle_primes_1000():
     return [n for n in range(2, 1001) if oracle_is_prime(n)]
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced while fn() runs; numpy reports its buffers to
+    tracemalloc, so this covers the arrays a call materialises."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

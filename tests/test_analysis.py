@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from apcomposites import analysis
 from apcomposites.analysis import (
     _omega_array,
     central_binom_bound,
@@ -18,7 +20,7 @@ from apcomposites.analysis import (
 )
 from apcomposites.errors import DomainError
 from apcomposites.numcore import Progression, sieve
-from conftest import oracle_is_prime
+from conftest import oracle_is_prime, traced_peak
 
 
 class TestCentralBinomBound:
@@ -63,6 +65,24 @@ class TestDyadicGapBound:
     def test_rejects_k1(self):
         with pytest.raises(DomainError):
             dyadic_gap_bound(1)
+
+
+@pytest.mark.parametrize("check, value, limit", [
+    (central_binom_bound, 1000, 2000),
+    (dyadic_gap_bound, 12, 4096),
+])
+def test_gap_checks_sieve_once(monkeypatch, check, value, limit):
+    # Without a table, both counts of the gap come from one sieve to the
+    # larger end.
+    limits = []
+
+    def recording_sieve(n):
+        limits.append(n)
+        return sieve(n)
+
+    monkeypatch.setattr(analysis, "sieve", recording_sieve)
+    check(value)
+    assert limits == [limit]
 
 
 class TestPiPower4Bound:
@@ -211,3 +231,35 @@ class TestErdosKac:
     def test_rejects_tiny_x(self):
         with pytest.raises(DomainError):
             erdos_kac_samples(2)
+
+    @staticmethod
+    def _float64_reference(x, intervals):
+        # The summary as computed over a float64 statistic per integer.
+        om = _omega_array(x)[3:].astype(np.float64)
+        llx = math.log(math.log(x))
+        stat = (om - llx) / math.sqrt(llx)
+        fractions = [
+            int(np.count_nonzero((stat >= lo) & (stat <= hi))) / (x - 2)
+            for lo, hi in intervals
+        ]
+        return float(om.sum() / (x - 2)), fractions
+
+    @pytest.mark.parametrize("x", [3, 100, 12_345, 10**5])
+    def test_summary_matches_float64_reference(self, x):
+        # Endpoints placed exactly on values (k - llx)/sqrt(llx) of the
+        # statistic, and just beside them, where rounding would show.
+        llx = math.log(math.log(x))
+        s = [(k - llx) / math.sqrt(llx) for k in range(8)]
+        intervals = [(-1.0, 1.0), (s[1], s[3]), (s[2], s[2]),
+                     (math.nextafter(s[1], 9), math.nextafter(s[3], -9)),
+                     (s[0], s[7]), (-5.0, s[2])]
+        summary = erdos_kac_samples(x, tuple(intervals))
+        mean_omega, fractions = self._float64_reference(x, intervals)
+        assert summary.mean_omega == mean_omega
+        assert [iv.sample_fraction for iv in summary.intervals] == fractions
+
+    def test_peak_memory(self):
+        # The int16 omega array, the sieve mask and the prime list; no
+        # float64 statistic per integer.
+        x = 500_000
+        assert traced_peak(lambda: erdos_kac_samples(x)) <= 5 * (x + 1)

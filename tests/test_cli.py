@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -111,6 +112,40 @@ class TestSweeps:
     def test_bad_range(self, runner):
         res = runner.invoke(cli, ["sweep", "dyadic", "--k", "5"])
         assert res.exit_code == 2
+
+
+class TestCapacityAndDomain:
+    @pytest.mark.parametrize("args, option", [
+        (["dyadic", "--k", "20000"], "--k 20000"),
+        (["dyadic", "--k", "1e12"], "--k 1000000000000"),
+        (["sweep", "pow4", "--m", "1..10000"], "--m 10000"),
+    ])
+    def test_huge_power_refused_by_exponent(self, runner, args, option):
+        # 2**k and 4**m are never built: the exponent is compared with the
+        # cap's bit length, and the message names the option and the cap.
+        start = time.perf_counter()
+        res = runner.invoke(cli, args)
+        assert time.perf_counter() - start < 1.0
+        assert (res.exit_code, res.stdout) == (3, "")
+        assert option in res.stderr and "--max-sieve is 50000000" in res.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["--max-sieve", "0", "ek", "--x", "2"],
+        ["--max-sieve", "0", "sweep", "density", "--x", "0..1"],
+        ["--max-sieve", "0", "sweep", "binom", "--n", "1..3"],
+        ["--max-sieve", "0", "sweep", "dyadic", "--k", "1..30"],
+        ["--max-sieve", "0", "sieve", "--limit", "1"],
+        ["--max-sieve", "-1", "count", "--x", "0"],
+    ])
+    def test_domain_before_capacity(self, runner, args):
+        res = runner.invoke(cli, args)
+        assert (res.exit_code, res.stdout) == (1, "")
+
+    def test_power_at_the_cap(self, runner):
+        assert runner.invoke(cli, ["--max-sieve", "1024", "dyadic", "--k", "10"]).exit_code == 0
+        assert runner.invoke(cli, ["--max-sieve", "1023", "dyadic", "--k", "10"]).exit_code == 3
+        assert runner.invoke(cli, ["--max-sieve", "1024", "pow4", "--m", "5"]).exit_code == 0
+        assert runner.invoke(cli, ["--max-sieve", "1023", "pow4", "--m", "5"]).exit_code == 3
 
 
 class TestDeterminism:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from apcomposites.errors import BracketError, DomainError
+from apcomposites.errors import BracketError, CapacityError, DomainError
 from apcomposites.explorer import (
     euler_lucky_search,
     fermat_real_root,
@@ -55,6 +55,11 @@ class TestPrimeStreak:
         res = prime_streak(1)
         assert res.length == 0
         assert res.first_failure_value == 1
+
+    def test_scan_cap_is_a_capacity_error(self):
+        # n^2 + n + 41 stays prime for n < 40, past a scan cap of 10.
+        with pytest.raises(CapacityError, match="scan cap 10"):
+            prime_streak(41, scan_cap=10)
 
     def test_41_is_record_below_1000(self):
         best = max(range(1, 1001), key=lambda C: prime_streak(C).length)

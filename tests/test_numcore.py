@@ -13,7 +13,7 @@ from apcomposites.numcore import (
     prime_count_progression,
     sieve,
 )
-from conftest import oracle_factorize, oracle_is_prime
+from conftest import oracle_factorize, oracle_is_prime, traced_peak
 
 
 class TestProgression:
@@ -52,12 +52,23 @@ class TestSieve:
     def test_matches_trial_division(self):
         table = sieve(2_000)
         for n in range(2, 2_001):
-            assert table.is_prime(n) == oracle_is_prime(n)
+            assert table.membership[n] == oracle_is_prime(n)
 
     def test_count_cache_consistent(self):
         table = sieve(300_000)
         for x in (2, 65535, 65536, 65537, 131072, 299999, 300000):
             assert table.count(x) == int(np.count_nonzero(table.membership[: x + 1]))
+
+    @pytest.mark.parametrize("limit", [65535, 65536, 131071])
+    def test_count_at_block_edges(self, limit):
+        # Whole blocks of 65536 entries are summed once; the rest is
+        # counted per call. Check every x next to a block edge.
+        table = sieve(limit)
+        block = 1 << 16
+        edges = {e + d for e in range(0, limit + 2, block) for d in (-2, -1, 0, 1)}
+        for x in sorted(edges | {limit - 1, limit}):
+            if 0 <= x <= limit:
+                assert table.count(x) == int(np.count_nonzero(table.membership[: x + 1]))
 
 
 class TestIsPrime:
@@ -124,6 +135,22 @@ class TestPrimeCount:
         with pytest.raises(DomainError):
             prime_count(0)
 
+    def test_table_too_small_rejected(self):
+        table = sieve(100)
+        assert prime_count(100, table) == 25
+        with pytest.raises(DomainError):
+            prime_count(101, table)
+        with pytest.raises(DomainError):
+            prime_count_progression(Progression(4, 3), 101, table)
+
+    def test_peak_memory_is_the_sieve(self):
+        # Only the x + 1 byte mask: no padded copy, no list of primes.
+        x = 2_000_000
+        assert traced_peak(lambda: prime_count(x)) <= 1.1 * (x + 1)
+        assert traced_peak(
+            lambda: prime_count_progression(Progression(4, 3), x)
+        ) <= 1.1 * (x + 1)
+
 
 class TestPrimeCountProgression:
     def test_examples(self):
@@ -143,3 +170,14 @@ class TestPrimeCountProgression:
         assert prime_count_progression(
             Progression(4, -1), 20
         ) == prime_count_progression(Progression(4, 3), 20)
+
+    def test_matches_residue_filter(self):
+        # Unreduced and negative offsets, and negative steps.
+        x = 5_000
+        table = sieve(x)
+        primes = table.primes()
+        for a in [s * m for m in range(1, 31) for s in (1, -1)]:
+            for b in (-2 * a - 1, -1, 0, 3, abs(a) + 5, 7 * abs(a) - 2):
+                p = Progression(a, b)
+                expected = int(np.count_nonzero(primes % abs(a) == p.residue))
+                assert prime_count_progression(p, x, table) == expected
