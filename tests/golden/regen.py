@@ -15,6 +15,7 @@ import json
 import shlex
 from pathlib import Path
 
+import click
 from click.testing import CliRunner
 
 from apcomposites.cli import cli
@@ -24,6 +25,17 @@ HERE = Path(__file__).resolve().parent
 
 def _argvs(*lines: str) -> list[list[str]]:
     return [shlex.split(line) for line in lines]
+
+
+def _help_pages(group: click.Group, path: tuple[str, ...] = ()) -> list[list[str]]:
+    """`--help` of the group and of every command path beneath it."""
+    argvs = [[*path, "--help"]]
+    for name, cmd in sorted(group.commands.items()):
+        if isinstance(cmd, click.Group):
+            argvs += _help_pages(cmd, (*path, name))
+        else:
+            argvs.append([*path, name, "--help"])
+    return argvs
 
 
 def _both_formats(*lines: str) -> list[list[str]]:
@@ -221,11 +233,16 @@ GROUPS = {
         "--max-sieve 100 witness unit --a 2 --b 1 --m 3",
         "--max-sieve abc sieve --limit 10",
     ),
+    "help": _help_pages(cli),
 }
 
 
+# Help pages wrap at the terminal width; pin it to that of a non-terminal.
+RUNNER = CliRunner(env={"COLUMNS": "80"})
+
+
 def run(argv: list[str]) -> dict:
-    res = CliRunner().invoke(cli, argv)
+    res = RUNNER.invoke(cli, argv)
     if res.exception is not None and not isinstance(res.exception, SystemExit):
         raise RuntimeError(f"{shlex.join(argv)!r} crashed: {res.exception!r}")
     return {"argv": argv, "exit_code": res.exit_code, "stdout": res.stdout}

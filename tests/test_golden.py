@@ -18,7 +18,8 @@ CASES = [case for path in sorted(GOLDEN_DIR.glob("*.json"))
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: " ".join(c["argv"]) or "<no args>")
 def test_golden(case):
-    res = CliRunner().invoke(cli, case["argv"], catch_exceptions=False)
+    # The terminal width regen.py pins for the help pages.
+    res = CliRunner(env={"COLUMNS": "80"}).invoke(cli, case["argv"], catch_exceptions=False)
     assert (res.exit_code, res.stdout) == (case["exit_code"], case["stdout"])
 
 
@@ -28,6 +29,8 @@ def _reject_constant(name):
 
 def test_golden_stdout_is_strict_json():
     for case in CASES:
+        if "--help" in case["argv"]:
+            continue
         csv = "csv" in case["argv"]
         for line in case["stdout"].splitlines():
             if csv and not line.startswith("# summary: "):
