@@ -18,7 +18,6 @@ from .errors import CapacityError, DomainError
 from .numcore import (
     PrimeTable,
     Progression,
-    factorize,
     prime_count,
     sieve,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "DensityPoint",
     "RunRecord",
     "RunScan",
-    "EKSample",
     "EKIntervalStat",
     "EKSummary",
     "central_binom_bound",
@@ -38,7 +36,6 @@ __all__ = [
     "progression_composite_density",
     "longest_prime_run",
     "run_length_threshold",
-    "ek_sample",
     "erdos_kac_samples",
     "gaussian_mass",
 ]
@@ -161,13 +158,15 @@ class RunScan:
 def run_length_threshold(p: Progression) -> int:
     """Index past which the unit-offset construction caps runs at a^2.
 
-    n* = a*(a*m0 + b) + m0 with m0 the least m making |a*m + b| > 1;
-    beyond n*, every window of a^2 indices contains a constructed
-    composite, so only runs starting at n > n* are subject to the bound.
+    n* = a*(a*m0 + b) + m0 with m0 >= 1 the least m making a*m + b > 1.
+    The composites (a^2+1)(a*m + b) sit at n = a*(a*m + b) + m for every
+    m >= m0, so beyond n* every window of a^2 + 1 indices holds one, and
+    only runs starting at n > n* are subject to the bound. (|a*m + b| > 1
+    is not enough: for b <= -3, a*m + b later passes through -1, 0, 1.)
     """
-    m0 = 1
-    while abs(p.a * m0 + p.b) <= 1:
-        m0 += 1
+    if p.a < 1:
+        raise DomainError("run_length_threshold requires a >= 1")
+    m0 = max(1, (1 - p.b) // p.a + 1)
     return p.a * (p.a * m0 + p.b) + m0
 
 
@@ -204,19 +203,6 @@ def longest_prime_run(
 
 
 @dataclass(frozen=True)
-class EKSample:
-    """Normalized distinct-prime-factor statistic for a single n."""
-
-    n: int
-    omega: int
-    statistic: float
-
-    def recompute(self) -> float:
-        ll = math.log(math.log(self.n))
-        return (self.omega - ll) / math.sqrt(ll)
-
-
-@dataclass(frozen=True)
 class EKIntervalStat:
     lo: float
     hi: float
@@ -237,14 +223,6 @@ def gaussian_mass(lo: float, hi: float) -> float:
     return 0.5 * (math.erf(hi / math.sqrt(2)) - math.erf(lo / math.sqrt(2)))
 
 
-def ek_sample(n: int) -> EKSample:
-    if n < 3:
-        raise DomainError("statistic needs n >= 3 (log log n must be positive)")
-    omega = factorize(n).omega
-    ll = math.log(math.log(n))
-    return EKSample(n, omega, (omega - ll) / math.sqrt(ll))
-
-
 def _omega_array(x: int) -> np.ndarray:
     """omega(n) for 0 <= n <= x by one strided pass per prime."""
     primes = np.flatnonzero(sieve(x).membership)
@@ -261,12 +239,16 @@ def erdos_kac_samples(
 
     Interval fractions normalize by log log x (the fixed-endpoint form
     of the limit theorem), which converges much faster at desk scale
-    than the per-sample log log n used in EKSample; both forms have the
-    same Gaussian limit. Everything is read off the exact histogram of
-    omega, so the result is independent of any internal partitioning.
+    than the per-sample log log n; both forms have the same Gaussian
+    limit. Everything is read off the exact histogram of omega, so the
+    result is independent of any internal partitioning. An interval with
+    lo > hi is a DomainError.
     """
     if x < 3:
         raise DomainError("erdos_kac requires x >= 3")
+    for lo, hi in intervals:
+        if lo > hi:
+            raise DomainError(f"interval [{lo}, {hi}] needs lo <= hi")
     om = _omega_array(x)[3:]
     hist = [int(np.count_nonzero(om == k)) for k in range(int(om.max()) + 1)]
     llx = math.log(math.log(x))

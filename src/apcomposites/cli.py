@@ -86,14 +86,20 @@ def at_least(low: int):
     return check
 
 
-def parse_range(value: str, name: str) -> tuple[int, int]:
+def int_range(ctx, param, value) -> tuple[int, int]:
+    """Option callback: 'start..stop' as two integers, start <= stop."""
     parts = value.split("..")
     if len(parts) != 2:
-        raise click.UsageError(f"{name} must be 'start..stop'")
-    lo, hi = (INT.convert(part, None, None) for part in parts)
+        raise click.BadParameter(f"{value!r} is not 'start..stop'", ctx, param)
+    lo, hi = (INT.convert(part, param, ctx) for part in parts)
     if lo > hi:
-        raise click.UsageError(f"{name}: start must be <= stop")
+        raise click.BadParameter("start must be <= stop", ctx, param)
     return lo, hi
+
+
+def range_option(name: str):
+    return click.option(name, required=True, callback=int_range,
+                        help="Range 'start..stop'.")
 
 
 def geometric_points(lo: int, hi: int, factor: int):
@@ -105,35 +111,40 @@ def geometric_points(lo: int, hi: int, factor: int):
         x *= factor
 
 
-def emit(command: str, params: dict, result) -> None:
+def emit(result, params: dict | None = None) -> None:
+    """One record of the running command; params default to its parsed
+    options, all but --format."""
+    ctx = click.get_current_context()
+    if params is None:
+        params = {k: v for k, v in ctx.params.items() if k != "fmt"}
     record = {
         "schema_version": SCHEMA_VERSION,
-        "command": command,
+        # The command path without the program's name.
+        "command": ctx.command_path.removeprefix(ctx.find_root().info_name).lstrip(),
         "params": params,
         "result": result,
     }
-    click.echo(json.dumps(record, sort_keys=True))
+    click.echo(json.dumps(record, sort_keys=True, default=as_jsonable))
 
 
 def as_jsonable(obj):
+    """json.dumps hook: the JSON form of a value json cannot write itself.
+    json recurses into lists, tuples and dicts, and into what this returns."""
     if isinstance(obj, Fraction):
         return {"num": obj.numerator, "den": obj.denominator,
                 "float": float(obj)}
     if isinstance(obj, Factorization):
-        return {"type": "factorization", "value": obj.value,
-                "factors": [[p, e] for p, e in obj.factors]}
+        return {"type": "factorization", "value": obj.value, "factors": obj.factors}
     if isinstance(obj, DivisorPair):
         return {"type": "divisor_pair", "value": obj.value,
                 "d": obj.d, "cofactor": obj.cofactor}
     if isinstance(obj, CompositeWitness):
         return {"a": obj.progression.a, "b": obj.progression.b, "n": obj.n,
-                "value": obj.value, "tag": obj.construction_tag,
-                "proof": as_jsonable(obj.proof)}
+                "value": obj.value, "tag": obj.construction_tag, "proof": obj.proof}
     if isinstance(obj, KCompositeWitness):
         return {"a": obj.progression.a, "b": obj.progression.b, "n": obj.n,
-                "value": obj.value, "k": obj.k, "mode": obj.mode,
-                "proof": as_jsonable(obj.proof)}
-    return obj
+                "value": obj.value, "k": obj.k, "mode": obj.mode, "proof": obj.proof}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def check_capacity(ctx, option: str, value: int, need: tuple[int, int] | None = None) -> int:
@@ -203,9 +214,10 @@ def sieve_cmd(ctx, limit):
     if limit >= 2:  # else the sieve's DomainError comes first
         check_capacity(ctx, "limit", limit)
     table = numcore.sieve(limit)
-    primes = table.primes()
-    emit("sieve", {"limit": limit},
-         {"count": int(len(primes)), "largest": int(primes[-1])})
+    largest = limit
+    while not table.membership[largest]:
+        largest -= 1
+    emit({"count": table.count(limit), "largest": largest})
 
 
 @cli.command("count")
@@ -215,14 +227,16 @@ def sieve_cmd(ctx, limit):
 @click.pass_context
 def count_cmd(ctx, x, a, b):
     """pi(x), or pi_{a,b}(x) when --a/--b are given."""
+    if a is None and b is not None:
+        raise click.UsageError("--b needs --a")
     if x >= 1:  # else the count's DomainError comes first
         check_capacity(ctx, "x", x)
     if a is None:
-        emit("count", {"x": x}, {"pi": numcore.prime_count(x)})
+        emit({"pi": numcore.prime_count(x)}, {"x": x})
     else:
         prog = Progression(a, b or 0)
-        emit("count", {"x": x, "a": a, "b": prog.b},
-             {"pi_ab": numcore.prime_count_progression(prog, x)})
+        emit({"pi_ab": numcore.prime_count_progression(prog, x)},
+             {"x": x, "a": a, "b": prog.b})
 
 
 @cli.group("witness")
@@ -236,8 +250,7 @@ def _witness_command(name: str, builder: str) -> None:
     @click.option("--b", type=INT, required=True)
     @click.option("--m", type=INT, required=True)
     def cmd(a, b, m):
-        w = getattr(constructions, builder)(Progression(a, b), m)
-        emit(f"witness {name}", {"a": a, "b": b, "m": m}, as_jsonable(w))
+        emit(getattr(constructions, builder)(Progression(a, b), m))
 
 
 _witness_command("multiple", "witness_multiple_of_b")
@@ -246,31 +259,28 @@ _witness_command("unit", "witness_unit_b")
 
 @witness_group.command("power")
 @click.option("--a", type=INT, required=True)
-@click.option("--sign", type=click.Choice(["+1", "-1", "1"]), required=True)
+@click.option("--sign", type=click.Choice(["+1", "-1", "1"]), required=True,
+              callback=lambda ctx, param, value: int(value))
 @click.option("--k", type=INT, required=True)
 def witness_power_cmd(a, sign, k):
-    w = constructions.witness_power(a, int(sign), k)
-    emit("witness power", {"a": a, "sign": int(sign), "k": k}, as_jsonable(w))
+    emit(constructions.witness_power(a, sign, k))
 
 
 @cli.command("factorial")
 @click.option("--m", type=INT, required=True)
 def factorial_cmd(m):
     """Witnesses for the consecutive composites m!+2 ... m!+m."""
-    ws = constructions.factorial_consecutive(m)
-    emit("factorial", {"m": m}, [as_jsonable(w) for w in ws])
+    emit(constructions.factorial_consecutive(m))
 
 
 @cli.command("consecutive")
 @click.option("--a", type=INT, required=True)
 @click.option("--b", type=INT, required=True)
-@click.option("--count", "n_consecutive", type=INT, required=True,
+@click.option("--count", type=INT, required=True,
               help="How many consecutive composite terms to find.")
-def consecutive_cmd(a, b, n_consecutive):
-    res = constructions.consecutive_in_progression(Progression(a, b), n_consecutive)
-    emit("consecutive", {"a": a, "b": b, "count": n_consecutive},
-         {"start_n": res.start_n,
-          "witnesses": [as_jsonable(w) for w in res.witnesses],
+def consecutive_cmd(a, b, count):
+    res = constructions.consecutive_in_progression(Progression(a, b), count)
+    emit({"start_n": res.start_n, "witnesses": res.witnesses,
           "factorial_m_bound": res.factorial_m_bound})
 
 
@@ -282,24 +292,25 @@ def consecutive_cmd(a, b, n_consecutive):
 @click.option("--mode", type=click.Choice(["distinct", "multiplicity"]),
               default="distinct")
 def kcomposite_cmd(a, b, k, count, mode):
-    ws = constructions.k_composite_witnesses(Progression(a, b), k, count, mode)
-    emit("kcomposite", {"a": a, "b": b, "k": k, "count": count, "mode": mode},
-         [as_jsonable(w) for w in ws])
+    emit(constructions.k_composite_witnesses(Progression(a, b), k, count, mode))
+
+
+def int_list(ctx, param, value) -> list[int]:
+    """Option callback: comma-separated integers."""
+    try:
+        return [int(c) for c in value.split(",")]
+    except ValueError:
+        raise click.BadParameter(f"{value!r} is not comma-separated integers", ctx, param)
 
 
 @cli.command("poly")
-@click.option("--coeffs", required=True,
+@click.option("--coeffs", required=True, callback=int_list,
               help="Comma-separated coefficients, constant term first.")
 @click.option("--count", type=INT, default=1)
 def poly_cmd(coeffs, count):
-    try:
-        cs = [int(c) for c in coeffs.split(",")]
-    except ValueError:
-        raise click.UsageError("--coeffs must be comma-separated integers")
-    recs = constructions.polynomial_composites(cs, count)
-    emit("poly", {"coeffs": cs, "count": count},
-         [{"k": r.k, "j": r.j, "index": r.index, "value": r.value,
-           "divisor": r.divisor} for r in recs])
+    emit([{"k": r.k, "j": r.j, "index": r.index, "value": r.value,
+           "divisor": r.divisor}
+          for r in constructions.polynomial_composites(coeffs, count)])
 
 
 @cli.command("twin3")
@@ -307,21 +318,7 @@ def poly_cmd(coeffs, count):
 @click.option("--k-max", type=INT, default=10**4)
 def twin3_cmd(count, k_max):
     res = constructions.three_composites_4n3(count, k_max)
-    emit("twin3", {"count": count, "k_max": k_max},
-         {"witnesses": [as_jsonable(w) for w in res.witnesses],
-          "shortfall": res.shortfall})
-
-
-def _run_payload(scan) -> dict:
-    return {
-        "n_max": scan.n_max,
-        "max_length": scan.max_length,
-        "runs": [
-            {"start_n": r.start_n, "length": r.length,
-             "values": list(r.values), "truncated": r.truncated}
-            for r in scan.max_runs
-        ],
-    }
+    emit({"witnesses": res.witnesses, "shortfall": res.shortfall})
 
 
 @cli.command("runs")
@@ -333,7 +330,9 @@ def runs_cmd(ctx, a, b, n_max):
     """Longest runs of prime values among n in [1, n_max]."""
     scan = analysis.longest_prime_run(
         Progression(a, b), n_max, sieve_cap=ctx.obj["max_sieve"])
-    emit("runs", {"a": a, "b": b, "n_max": n_max}, _run_payload(scan))
+    emit({"n_max": scan.n_max, "max_length": scan.max_length,
+          "runs": [{"start_n": r.start_n, "length": r.length, "values": r.values,
+                    "truncated": r.truncated} for r in scan.max_runs]})
 
 
 @cli.command("ek")
@@ -343,22 +342,19 @@ def runs_cmd(ctx, a, b, n_max):
 @click.pass_context
 def ek_cmd(ctx, x, interval):
     """Distinct-prime-factor statistic summary over 3 <= n <= x."""
-    if x >= 3:  # else the summary's DomainError comes first
+    if x >= 3 and interval[0] <= interval[1]:  # else a DomainError comes first
         check_capacity(ctx, "x", x)
     summary = analysis.erdos_kac_samples(x, intervals=(interval,))
     iv = summary.intervals[0]
-    emit("ek", {"x": x, "interval": list(interval)},
-         {"sample_count": summary.sample_count,
-          "mean_omega": summary.mean_omega,
-          "sample_fraction": iv.sample_fraction,
-          "gaussian_mass": iv.gaussian_mass})
+    emit({"sample_count": summary.sample_count, "mean_omega": summary.mean_omega,
+          "sample_fraction": iv.sample_fraction, "gaussian_mass": iv.gaussian_mass})
 
 
 @cli.command("lucky")
-@click.option("--max", "c_max", type=INT, required=True)
-def lucky_cmd(c_max):
+@click.option("--max", type=INT, required=True)
+def lucky_cmd(max):
     """Constants C <= max with n^2 - n + C prime for all 1 <= n <= C-1."""
-    emit("lucky", {"max": c_max}, {"lucky": explorer.euler_lucky_search(c_max)})
+    emit({"lucky": explorer.euler_lucky_search(max)})
 
 
 @cli.command("streak")
@@ -366,8 +362,7 @@ def lucky_cmd(c_max):
 def streak_cmd(c):
     """Initial run of n >= 0 with n^2 + n + C prime."""
     res = explorer.prime_streak(c)
-    emit("streak", {"c": c},
-         {"length": res.length, "first_failure_n": res.first_failure_n,
+    emit({"length": res.length, "first_failure_n": res.first_failure_n,
           "first_failure_value": res.first_failure_value})
 
 
@@ -381,10 +376,7 @@ def streak_cmd(c):
 def fermatreal_cmd(x, y, z, bracket, tol):
     """Bisect x^t + y^t - z^t to the stated tolerance."""
     r = explorer.fermat_real_root(x, y, z, bracket, tol)
-    emit("fermatreal",
-         {"x": x, "y": y, "z": z, "bracket": list(bracket), "tol": tol},
-         {"s": r.s, "residual": r.residual,
-          "refined_bracket": list(r.refined_bracket),
+    emit({"s": r.s, "residual": r.residual, "refined_bracket": r.refined_bracket,
           "iterations": r.iterations})
 
 
@@ -399,18 +391,15 @@ def ratscan_cmd(x, y, z, bracket, q_max, tol):
     """Rationals p/q in the bracket that nearly solve x^t + y^t = z^t."""
     root = explorer.fermat_real_root(x, y, z, bracket)
     hits = explorer.rational_scan(root, q_max, tol)
-    emit("ratscan",
-         {"x": x, "y": y, "z": z, "bracket": list(bracket),
-          "q_max": q_max, "tol": tol},
-         {"hits": [{"p": h.numerator, "q": h.denominator} for h in hits]})
+    emit({"hits": [{"p": h.numerator, "q": h.denominator} for h in hits]})
 
 
-def emit_sweep(command: str, params: dict, rows: list[dict],
-               summary: dict, fmt: str) -> None:
-    if fmt == "records":
+def emit_sweep(rows: list[dict], summary: dict) -> None:
+    """The rows and summary of the running sweep, in its --format."""
+    if click.get_current_context().params["fmt"] == "records":
         for row in rows:
-            emit(command, params, row)
-        emit(command, params, {"summary": summary})
+            emit(row)
+        emit({"summary": summary})
         return
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
@@ -476,13 +465,12 @@ def _bound_commands(b: Bound) -> None:
         value = kw[b.option]
         if value >= b.min_value:  # else the check's DomainError comes first
             check_capacity(ctx, b.option, value, b.sieve_need(value))
-        result = getattr(analysis, b.check)(value)
-        emit(b.name, kw, {k: as_jsonable(v) for k, v in b.row(result).items()})
+        emit(b.row(getattr(analysis, b.check)(value)))
 
     @FORMAT
     @click.pass_context
     def sweep(ctx, fmt, **kw):
-        lo, hi = parse_range(kw.pop(f"{b.option}_range"), f"--{b.option}")
+        lo, hi = kw.pop(b.option)
         table = None
         if lo >= b.min_value:  # else the first point's DomainError comes first
             table = numcore.sieve(check_capacity(ctx, b.option, hi, b.sieve_need(hi)))
@@ -494,14 +482,11 @@ def _bound_commands(b: Bound) -> None:
         check = getattr(analysis, b.check)
         rows = [{k: float(v) if isinstance(v, Fraction) else v
                  for k, v in b.row(check(p, table)).items()} for p in points]
-        summary = {"all_holds": all(r["holds"] for r in rows), "rows": len(rows)}
-        emit_sweep(f"sweep {b.name}", {b.option: [lo, hi], **kw}, rows, summary, fmt)
+        emit_sweep(rows, {"all_holds": all(r["holds"] for r in rows), "rows": len(rows)})
 
     if b.step:
         sweep = b.step(sweep)
-    range_option = click.option(f"--{b.option}", f"{b.option}_range", required=True,
-                                help="Range 'start..stop'.")
-    sweep_group.command(b.name)(range_option(sweep))
+    sweep_group.command(b.name)(range_option(f"--{b.option}")(sweep))
 
 
 for _bound in BOUNDS:
@@ -509,13 +494,13 @@ for _bound in BOUNDS:
 
 
 @sweep_group.command("runs")
-@click.option("--a", "a_range", required=True, help="Range 'start..stop'.")
+@range_option("--a")
 @click.option("--b", type=INT, required=True)
 @click.option("--n-max", type=INT, required=True)
 @FORMAT
 @click.pass_context
-def sweep_runs_cmd(ctx, a_range, b, n_max, fmt):
-    lo, hi = parse_range(a_range, "--a")
+def sweep_runs_cmd(ctx, a, b, n_max, fmt):
+    lo, hi = a
     rows = []
     for a in range(lo, hi + 1):
         p = Progression(a, b)
@@ -524,32 +509,26 @@ def sweep_runs_cmd(ctx, a_range, b, n_max, fmt):
                      "a_squared": a * a,
                      "within_bound": scan.max_length <= a * a
                      or scan.best.start_n <= analysis.run_length_threshold(p)})
-    summary = {"all_within_bound": all(r["within_bound"] for r in rows),
-               "rows": len(rows)}
-    emit_sweep("sweep runs", {"a": [lo, hi], "b": b, "n_max": n_max},
-               rows, summary, fmt)
+    emit_sweep(rows, {"all_within_bound": all(r["within_bound"] for r in rows),
+                      "rows": len(rows)})
 
 
 @sweep_group.command("pdensity")
 @click.option("--a", type=INT, required=True)
 @click.option("--b", type=INT, required=True)
-@click.option("--x", "x_range", required=True, help="Range 'start..stop'.")
+@range_option("--x")
 @GEOMETRIC
 @FORMAT
 @click.pass_context
-def sweep_pdensity_cmd(ctx, a, b, x_range, geometric, fmt):
+def sweep_pdensity_cmd(ctx, a, b, x, geometric, fmt):
     """Composite density of |a*n+b| over n <= x, swept in x."""
-    lo, hi = parse_range(x_range, "--x")
     rows = []
-    for x in geometric_points(lo, hi, geometric):
+    for point in geometric_points(*x, geometric):
         frac = analysis.progression_composite_density(
-            Progression(a, b), x, sieve_cap=ctx.obj["max_sieve"])
-        rows.append({"x": x, "density": float(frac),
+            Progression(a, b), point, sieve_cap=ctx.obj["max_sieve"])
+        rows.append({"x": point, "density": float(frac),
                      "num": frac.numerator, "den": frac.denominator})
-    summary = {"rows": len(rows), "final_density": rows[-1]["density"]}
-    emit_sweep("sweep pdensity", {"a": a, "b": b, "x": [lo, hi],
-                                  "geometric": geometric},
-               rows, summary, fmt)
+    emit_sweep(rows, {"rows": len(rows), "final_density": rows[-1]["density"]})
 
 
 def main():

@@ -125,10 +125,6 @@ class PrimeTable:
         rem = np.count_nonzero(self._membership[blk * block : x + 1])
         return int(self._block_cumsum[blk]) + int(rem)
 
-    def primes(self, upto: int | None = None) -> np.ndarray:
-        hi = self.limit if upto is None else min(upto, self.limit)
-        return np.flatnonzero(self._membership[: hi + 1]).astype(np.int64)
-
 
 def _simple_sieve(limit: int) -> np.ndarray:
     mask = np.ones(limit + 1, dtype=bool)

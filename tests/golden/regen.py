@@ -129,6 +129,7 @@ GROUPS = {
         "sweep runs --a 3..4 --b -1 --n-max 500",
         "sweep pdensity --a 3 --b 2 --x 1..1e5 --geometric 10",
         "sweep pdensity --a 1 --b 0 --x 5..500 --geometric 2",
+        "sweep runs --a 1..3 --b -7 --n-max 20",
     ),
     # Documented refusals: 1 domain, 2 usage.
     "refusals": _argvs(
@@ -192,6 +193,8 @@ GROUPS = {
         "sweep pow4 --m 3..1",
         "sweep runs --a 1..2 --n-max 10",
         "sweep pdensity --a 3 --b 2 --x 1..10 --geometric 0",
+        "ek --x 1000 --interval 1,-1",
+        "count --x 100 --b 3",
     ),
     # Capacity (exit 3) against --max-sieve, and the domain checked first.
     "capacity": _argvs(

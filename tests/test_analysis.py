@@ -10,7 +10,6 @@ from apcomposites.analysis import (
     central_binom_bound,
     density_bound_check,
     dyadic_gap_bound,
-    ek_sample,
     erdos_kac_samples,
     gaussian_mass,
     longest_prime_run,
@@ -19,7 +18,7 @@ from apcomposites.analysis import (
     run_length_threshold,
 )
 from apcomposites.errors import DomainError
-from apcomposites.numcore import Progression, sieve
+from apcomposites.numcore import Progression, factorize, sieve
 from conftest import oracle_is_prime, traced_peak
 
 
@@ -191,33 +190,30 @@ class TestLongestPrimeRun:
         assert run_length_threshold(Progression(1, 0)) == 4
 
     def test_bound_past_threshold(self):
-        for a in range(1, 7):
-            for b in range(a):
-                if math.gcd(a, b) != 1:
-                    continue
+        # Negative offsets included: for b <= -3, a*m + b passes through
+        # -1, 0 and 1 after |a*m + b| first exceeds 1.
+        for a in range(1, 9):
+            for b in range(-40, 41):
                 p = Progression(a, b)
-                scan = longest_prime_run(p, 10**4)
+                scan = longest_prime_run(p, 20_000)
                 thresh = run_length_threshold(p)
                 # Bound applies to runs starting past the construction
                 # threshold; early runs may exceed it (2,3 and 3,5,7).
-                if scan.best is not None and scan.best.start_n > thresh:
-                    assert scan.max_length <= a * a
+                if scan.max_length > a * a:
+                    assert all(r.start_n <= thresh for r in scan.max_runs), (a, b)
+
+    def test_threshold_needs_positive_step(self):
+        with pytest.raises(DomainError):
+            run_length_threshold(Progression(-2, 1))
 
 
 class TestErdosKac:
-    def test_single_sample_n12(self):
-        s = ek_sample(12)
-        assert s.omega == 2  # 12 = 2^2 * 3
-        ll = math.log(math.log(12))
-        assert s.statistic == pytest.approx((2 - ll) / math.sqrt(ll))
-        assert abs(s.statistic - s.recompute()) < 1e-12
-
     def test_omega_pass_matches_single(self):
         # The bulk omega pass behind erdos_kac_samples, against per-n
         # factorization.
         om = _omega_array(30)
         for n in range(3, 31):
-            assert om[n] == ek_sample(n).omega
+            assert om[n] == factorize(n).omega
 
     def test_gaussian_mass(self):
         assert gaussian_mass(-1, 1) == pytest.approx(0.6827, abs=1e-4)
@@ -231,6 +227,10 @@ class TestErdosKac:
     def test_rejects_tiny_x(self):
         with pytest.raises(DomainError):
             erdos_kac_samples(2)
+
+    def test_rejects_reversed_interval(self):
+        with pytest.raises(DomainError):
+            erdos_kac_samples(1000, ((-1.0, 1.0), (1.0, -1.0)))
 
     @staticmethod
     def _float64_reference(x, intervals):

@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from apcomposites.cli import cli
+from conftest import traced_peak
 
 
 @pytest.fixture
@@ -50,6 +51,13 @@ class TestBasicCommands:
     def test_sieve(self, runner):
         res = invoke(runner, ["sieve", "--limit", "100"])
         assert records(res.output)[0]["result"] == {"count": 25, "largest": 97}
+
+    def test_sieve_peak_memory(self, runner):
+        # The mask alone: the count and the largest prime are read off it,
+        # with no list of the primes.
+        limit = 10**7
+        peak = traced_peak(lambda: invoke(runner, ["sieve", "--limit", str(limit)]))
+        assert peak <= 1.1 * (limit + 1)
 
     def test_count_progression(self, runner):
         res = invoke(runner, ["count", "--x", "20", "--a", "4", "--b", "3"])
@@ -131,6 +139,7 @@ class TestCapacityAndDomain:
 
     @pytest.mark.parametrize("args", [
         ["--max-sieve", "0", "ek", "--x", "2"],
+        ["--max-sieve", "0", "ek", "--x", "1000", "--interval", "1,-1"],
         ["--max-sieve", "0", "sweep", "density", "--x", "0..1"],
         ["--max-sieve", "0", "sweep", "binom", "--n", "1..3"],
         ["--max-sieve", "0", "sweep", "dyadic", "--k", "1..30"],

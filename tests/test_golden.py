@@ -59,7 +59,6 @@ def test_every_operation_reached():
         numcore.is_prime,  # surfaced implicitly by every witness proof
         numcore.factorize,
         explorer.lucky_check,  # euler_lucky_search covers it
-        analysis.ek_sample,  # ek summary covers the statistic
         analysis.gaussian_mass,
         analysis.run_length_threshold,
     }

@@ -32,10 +32,10 @@ class TestProgression:
 
 class TestSieve:
     def test_small(self):
-        assert list(sieve(10).primes()) == [2, 3, 5, 7]
+        assert list(np.flatnonzero(sieve(10).membership)) == [2, 3, 5, 7]
 
     def test_smallest(self):
-        assert list(sieve(2).primes()) == [2]
+        assert list(np.flatnonzero(sieve(2).membership)) == [2]
 
     def test_count_100(self):
         assert sieve(100).count(100) == 25
@@ -175,7 +175,7 @@ class TestPrimeCountProgression:
         # Unreduced and negative offsets, and negative steps.
         x = 5_000
         table = sieve(x)
-        primes = table.primes()
+        primes = np.flatnonzero(table.membership)
         for a in [s * m for m in range(1, 31) for s in (1, -1)]:
             for b in (-2 * a - 1, -1, 0, 3, abs(a) + 5, 7 * abs(a) - 2):
                 p = Progression(a, b)
