@@ -97,7 +97,16 @@ def int_range(ctx, param, value) -> tuple[int, int]:
     return lo, hi
 
 
+def int_list(ctx, param, value) -> list[int]:
+    """Option callback: comma-separated integers."""
+    try:
+        return [int(c) for c in value.split(",")]
+    except ValueError:
+        raise click.BadParameter(f"{value!r} is not comma-separated integers", ctx, param)
+
+
 def range_option(name: str):
+    """A required 'start..stop' option, parsed by int_range."""
     return click.option(name, required=True, callback=int_range,
                         help="Range 'start..stop'.")
 
@@ -293,14 +302,6 @@ def consecutive_cmd(a, b, count):
               default="distinct")
 def kcomposite_cmd(a, b, k, count, mode):
     emit(constructions.k_composite_witnesses(Progression(a, b), k, count, mode))
-
-
-def int_list(ctx, param, value) -> list[int]:
-    """Option callback: comma-separated integers."""
-    try:
-        return [int(c) for c in value.split(",")]
-    except ValueError:
-        raise click.BadParameter(f"{value!r} is not comma-separated integers", ctx, param)
 
 
 @cli.command("poly")
