@@ -4,6 +4,7 @@ distinct-prime-factor statistic.
 
 The inequality checks are proven theorems: a single failure at any
 admissible input is an implementation bug, and tests treat it as such.
+As in numcore, numpy is imported only inside the functions that use it.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import CapacityError, DomainError
 from .numcore import (
@@ -106,6 +105,8 @@ def density_bound_check(x: int, table: PrimeTable | None = None) -> DensityPoint
 
 
 def _term_values(p: Progression, n_max: int) -> np.ndarray:
+    import numpy as np
+
     return np.abs(np.arange(p.a + p.b, p.a * n_max + p.b + 1, p.a))
 
 
@@ -121,6 +122,8 @@ def progression_composite_density(
     p: Progression, x: int, sieve_cap: int = DEFAULT_SIEVE_CAP
 ) -> Fraction:
     """Exact fraction of n in [1, x] with |a*n + b| composite."""
+    import numpy as np
+
     if p.a < 1:
         raise DomainError("progression_composite_density requires a >= 1")
     if x < 1:
@@ -174,6 +177,8 @@ def longest_prime_run(
     p: Progression, n_max: int, sieve_cap: int = DEFAULT_SIEVE_CAP
 ) -> RunScan:
     """Scan n in [1, n_max] for maximal runs of prime values."""
+    import numpy as np
+
     if p.a < 1:
         raise DomainError("longest_prime_run requires a >= 1")
     if n_max < 1:
@@ -191,14 +196,12 @@ def longest_prime_run(
         return RunScan(p, n_max, 0, None, ())
     lengths = ends - starts
     max_len = int(lengths.max())
-    records = []
-    for s, e in zip(starts, ends):
-        if e - s != max_len:
-            continue
-        vals = tuple(int(p.term(n)) for n in range(int(s), int(e)))
-        records.append(
-            RunRecord(p, int(s), int(e - s), vals, truncated=bool(e == n_max + 1))
-        )
+    longest = np.flatnonzero(lengths == max_len)
+    records = [
+        RunRecord(p, s, max_len, tuple(p.term(n) for n in range(s, e)),
+                  truncated=e == n_max + 1)
+        for s, e in zip(starts[longest].tolist(), ends[longest].tolist())
+    ]
     return RunScan(p, n_max, max_len, records[0], tuple(records))
 
 
@@ -225,6 +228,8 @@ def gaussian_mass(lo: float, hi: float) -> float:
 
 def _omega_array(x: int) -> np.ndarray:
     """omega(n) for 0 <= n <= x by one strided pass per prime."""
+    import numpy as np
+
     primes = np.flatnonzero(sieve(x).membership)
     om = np.zeros(x + 1, dtype=np.int16)
     for prime in primes:
@@ -244,6 +249,8 @@ def erdos_kac_samples(
     result is independent of any internal partitioning. An interval with
     lo > hi is a DomainError.
     """
+    import numpy as np
+
     if x < 3:
         raise DomainError("erdos_kac requires x >= 3")
     for lo, hi in intervals:

@@ -293,6 +293,9 @@ def _extend_witness(
     """One induction step: multiply by a prime s*a^2 + 1 via
 
         a*(s*a*(a*m+b) + m) + b = (s*a^2 + 1)*(a*m + b).
+
+    The new proof is the old one with q merged in, not a fresh
+    factorization; verify() re-checks it.
     """
     a = w.progression.a
     floor = w.proof.gpf if mode == "distinct" else 1
@@ -307,9 +310,10 @@ def _extend_witness(
     n = s * a * w.value + w.n
     value = q * w.value
     assert w.progression.term(n) == value
-    return KCompositeWitness(
-        w.progression, n, value, factorize(value), w.k + 1, mode
-    )
+    exponents = dict(w.proof.factors)
+    exponents[q] = exponents.get(q, 0) + 1
+    proof = Factorization(value, tuple(sorted(exponents.items())))
+    return KCompositeWitness(w.progression, n, value, proof, w.k + 1, mode)
 
 
 def k_composite_witnesses(

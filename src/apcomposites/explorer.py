@@ -1,7 +1,9 @@
 """Prime-producing quadratics and the real-exponent Fermat equation.
 
 Root finding runs at 50 decimal digits of working precision via mpmath,
-so residual claims down to 1e-12 are honest.
+so residual claims down to 1e-12 are honest. mpmath is imported only
+inside the functions that use it, so the integer searches here do not
+pay for loading it.
 """
 
 from __future__ import annotations
@@ -9,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath as mp
 
 from .errors import BracketError, CapacityError, DomainError
 from .numcore import is_prime
@@ -95,6 +95,8 @@ class RootResult:
 
 
 def _fermat_f(x: int, y: int, z: int):
+    import mpmath as mp
+
     def f(t):
         return mp.power(x, t) + mp.power(y, t) - mp.power(z, t)
 
@@ -112,6 +114,8 @@ def fermat_real_root(
 
     Iteration count is the deterministic ceil(log2((hi-lo)/tol)).
     """
+    import mpmath as mp
+
     if min(x, y, z) < 1:
         raise DomainError("x, y, z must be positive integers")
     if tol <= 0:
@@ -168,6 +172,8 @@ def rational_scan(
     Empty output is numerical evidence that the root is not a small
     rational.
     """
+    import mpmath as mp
+
     if q_max < 1:
         raise DomainError("q_max must be >= 1")
     x, y, z = root.triple

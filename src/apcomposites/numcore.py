@@ -5,13 +5,17 @@ integers uses Miller-Rabin with a fixed witness set that is proven
 deterministic for n < 3.3e24, so no answer is probabilistic in the
 supported range. Bulk membership queries go through a segmented
 Eratosthenes sieve.
+
+numpy is imported inside the functions that build or read arrays, so
+importing this module, and every command that needs only integer
+arithmetic, does not pay for loading it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-import numpy as np
 
 from .errors import CapacityError, DomainError
 
@@ -114,6 +118,8 @@ class PrimeTable:
 
     def count(self, x: int) -> int:
         """pi(x) for 0 <= x <= limit."""
+        import numpy as np
+
         if x < 0 or x > self.limit:
             raise DomainError(f"{x} outside table range [0, {self.limit}]")
         block = self._COUNT_BLOCK
@@ -126,13 +132,13 @@ class PrimeTable:
         return int(self._block_cumsum[blk]) + int(rem)
 
 
-def _simple_sieve(limit: int) -> np.ndarray:
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
+def _small_primes(limit: int) -> list[int]:
+    """Primes <= limit, ascending, from a bytearray sieve (no numpy)."""
+    mask = bytearray(2) + bytearray([1]) * (limit - 1)
     for p in range(2, math.isqrt(limit) + 1):
         if mask[p]:
-            mask[p * p :: p] = False
-    return mask
+            mask[p * p :: p] = bytes((limit - p * p) // p + 1)
+    return list(itertools.compress(range(limit + 1), mask))
 
 
 def sieve(limit: int, segment_size: int = DEFAULT_SEGMENT) -> PrimeTable:
@@ -141,15 +147,14 @@ def sieve(limit: int, segment_size: int = DEFAULT_SEGMENT) -> PrimeTable:
     Marking is done one segment at a time so the working set per pass is
     O(segment_size); the result table is independent of segmentation.
     """
+    import numpy as np
+
     if limit < 2:
         raise DomainError("sieve limit must be >= 2")
     if segment_size < 2:
         raise DomainError("segment size must be >= 2")
 
-    root = math.isqrt(limit)
-    base_mask = _simple_sieve(max(root, 2))
-    base_primes = np.flatnonzero(base_mask)
-
+    base_primes = _small_primes(math.isqrt(limit))
     membership = np.ones(limit + 1, dtype=bool)
     membership[:2] = False
 
@@ -158,7 +163,6 @@ def sieve(limit: int, segment_size: int = DEFAULT_SEGMENT) -> PrimeTable:
         high = min(low + segment_size, limit + 1)  # exclusive
         seg = membership[low:high]
         for p in base_primes:
-            p = int(p)
             start = max(p * p, ((low + p - 1) // p) * p)
             if start >= high:
                 continue
@@ -205,7 +209,7 @@ def _trial_primes_upto(bound: int) -> list[int]:
     global _trial_primes, _trial_limit
     if bound > _trial_limit:
         new_limit = max(bound, 2 * _trial_limit, 1 << 16)
-        _trial_primes = [int(p) for p in np.flatnonzero(_simple_sieve(new_limit))]
+        _trial_primes = _small_primes(new_limit)
         _trial_limit = new_limit
     return _trial_primes
 
@@ -257,6 +261,8 @@ def prime_count_progression(
     """pi_{a,b}(x): primes q <= x with q congruent to b mod |a|, counted on
     the strided view of `table` (sieved to exactly x when None) that holds
     exactly those residues."""
+    import numpy as np
+
     if x < 1:
         raise DomainError("prime_count_progression requires x >= 1")
     if x < 2:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -195,6 +197,26 @@ class TestKComposites:
                 assert count == k
                 assert w.verify()
                 assert w.progression.term(w.n) == w.value
+
+    @pytest.mark.parametrize("mode", ["distinct", "multiplicity"])
+    def test_proof_is_the_factorization(self, mode):
+        # The recursion builds each proof from the previous one plus the
+        # new prime; it must equal a fresh factorization of the value.
+        for a in range(1, 11):
+            for b in range(-10, 11):
+                if math.gcd(a, b) != 1:
+                    continue
+                for k in range(1, 6):
+                    for w in k_composite_witnesses(Progression(a, b), k, 2, mode):
+                        assert w.proof == factorize(w.value)
+                        assert w.verify()
+
+    def test_factors_past_the_trial_bound(self):
+        # Both new primes exceed factorize's trial bound of 1e6, so a
+        # fresh factorization of the value is a CapacityError.
+        (w,) = k_composite_witnesses(Progression(1000, 1), 3, 1)
+        assert w.proof.factors == ((3001, 1), (22000001, 1), (24000001, 1))
+        assert w.verify()
 
 
 class TestPolynomialComposites:

@@ -1,8 +1,11 @@
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apcomposites import numcore
 from apcomposites.errors import DomainError
 from apcomposites.numcore import (
     Factorization,
@@ -11,6 +14,7 @@ from apcomposites.numcore import (
     is_prime,
     prime_count,
     prime_count_progression,
+    _small_primes,
     sieve,
 )
 from conftest import oracle_factorize, oracle_is_prime, traced_peak
@@ -71,6 +75,23 @@ class TestSieve:
                 assert table.count(x) == int(np.count_nonzero(table.membership[: x + 1]))
 
 
+class TestSmallPrimes:
+    @pytest.fixture(scope="class")
+    def oracle_primes(self):
+        return [n for n in range(65538) if oracle_is_prime(n)]
+
+    def test_every_limit_to_400(self, oracle_primes):
+        for limit in range(401):
+            expected = oracle_primes[: bisect.bisect_right(oracle_primes, limit)]
+            assert _small_primes(limit) == expected
+
+    def test_prime_squares_and_word_edge(self, oracle_primes):
+        squares = [p * p for p in oracle_primes if p * p <= 65537]
+        for limit in squares + [65535, 65536, 65537]:
+            expected = oracle_primes[: bisect.bisect_right(oracle_primes, limit)]
+            assert _small_primes(limit) == expected
+
+
 class TestIsPrime:
     def test_examples(self):
         assert is_prime(2)
@@ -108,6 +129,16 @@ class TestFactorize:
         f = factorize(n)
         assert f.verify()
         assert dict(f.factors) == oracle_factorize(n)
+
+    def test_trial_table_grows(self, monkeypatch):
+        # From an empty table: the first n needs primes just past 1 << 16,
+        # the second needs them up to ~1e6.
+        monkeypatch.setattr(numcore, "_trial_primes", [])
+        monkeypatch.setattr(numcore, "_trial_limit", 0)
+        for n in (65537 * 65539, 999_983 * 1_000_003):
+            f = factorize(n)
+            assert dict(f.factors) == oracle_factorize(n)
+        assert numcore._trial_limit > 1 << 16
 
     def test_derived_counts(self):
         f = factorize(2**5 * 3 * 49)

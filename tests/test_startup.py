@@ -1,0 +1,57 @@
+"""Which of the heavy libraries each kind of command loads.
+
+numpy and mpmath are imported inside the kernels that use them, so the
+package import, --help and the integer-only commands load neither, and
+each command loads only the library its kernel needs. Every case runs in
+a fresh interpreter, since sys.modules of the test process already holds
+both.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+PROBE = """
+import json, runpy, sys
+
+argv = sys.argv[1:]
+if argv == ["import"]:
+    import apcomposites
+else:
+    sys.argv = ["apcomposites", *argv]
+    try:
+        runpy.run_module("apcomposites.cli", run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code in (None, 0), exc.code
+print(json.dumps(sorted({"numpy", "mpmath"} & set(sys.modules))))
+"""
+
+CASES = [
+    (["import"], []),
+    (["--help"], []),
+    (["witness", "multiple", "--a", "3", "--b", "2", "--m", "5"], []),
+    (["factorial", "--m", "20"], []),
+    (["kcomposite", "--a", "4", "--b", "1", "--k", "3", "--count", "5"], []),
+    (["consecutive", "--a", "2", "--b", "1", "--count", "5"], []),
+    (["poly", "--coeffs", "1,1,1", "--count", "3"], []),
+    (["twin3", "--count", "3"], []),
+    (["lucky", "--max", "100"], []),
+    (["streak", "--c", "41"], []),
+    (["fermatreal", "--x", "4", "--y", "5", "--z", "6"], ["mpmath"]),
+    (["count", "--x", "100"], ["numpy"]),
+]
+
+
+@pytest.mark.parametrize("argv, loaded", CASES, ids=[" ".join(c[0]) for c in CASES])
+def test_loads_only_what_the_kernel_needs(argv, loaded):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == loaded
