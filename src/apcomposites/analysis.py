@@ -17,6 +17,7 @@ from .errors import CapacityError, DomainError
 from .numcore import (
     PrimeTable,
     Progression,
+    _small_primes,
     prime_count,
     sieve,
 )
@@ -40,6 +41,9 @@ __all__ = [
 ]
 
 DEFAULT_SIEVE_CAP = 50_000_000
+# Integers per segment of the omega pass; the fastest of 2**16, 2**18 and
+# 2**20 at x = 1e7.
+_OMEGA_SEGMENT = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -104,34 +108,54 @@ def density_bound_check(x: int, table: PrimeTable | None = None) -> DensityPoint
     return DensityPoint(x, pi_x, ratio, bound, float(ratio) < bound)
 
 
-def _term_values(p: Progression, n_max: int) -> np.ndarray:
-    import numpy as np
+def _indices(p: Progression, values, n_max: int) -> list[int]:
+    """The n in [1, n_max] with a*n + b in `values`, for a >= 1."""
+    return [n for v in values
+            if (v - p.b) % p.a == 0 and 1 <= (n := (v - p.b) // p.a) <= n_max]
 
-    return np.abs(np.arange(p.a + p.b, p.a * n_max + p.b + 1, p.a))
 
+def _prime_term_mask(p: Progression, n_max: int, name: str, sieve_cap: int) -> bytearray:
+    """mask[n] = 1 exactly for the n in [1, n_max] with |a*n + b| prime, a >= 1;
+    mask[0] and the pad byte mask[n_max + 1] are 0.
 
-def _value_table(p: Progression, n_max: int, sieve_cap: int) -> PrimeTable:
-    vmax = int(max(abs(p.term(1)), abs(p.term(n_max)))) + 1
-    vmax = max(vmax, 2)
-    if vmax > sieve_cap:
-        raise CapacityError(f"needs sieve to {vmax}, cap is {sieve_cap}")
-    return sieve(vmax)
+    Sieved in index space, with no table of values: for a base prime
+    q <= sqrt(max |term|), the terms it divides are the class
+    n = -b/a (mod q) when q does not divide a, every term when q divides
+    a and b (the mask then starts cleared), and none otherwise. The terms
+    equal to +-q are restored afterwards, and those with |term| <= 1
+    cleared. The refusal when the largest |term| exceeds sieve_cap names
+    n_max as the caller's parameter `name`.
+    """
+    top = max(abs(p.term(1)), abs(p.term(n_max)))
+    if top > sieve_cap:
+        raise CapacityError(f"{name} {n_max} needs |{p.a}*n + {p.b}| up to {top}, "
+                            f"the sieve cap is {sieve_cap}")
+    base = _small_primes(math.isqrt(top))
+    coprime = all(p.a % q or p.b % q for q in base)
+    mask = bytearray([coprime]) * (n_max + 2)
+    mask[0] = mask[-1] = 0
+    for q in base:
+        if p.a % q:
+            first = -p.b * pow(p.a, -1, q) % q or q
+            mask[first : n_max + 1 : q] = bytearray(len(range(first, n_max + 1, q)))
+    for n in _indices(p, [s * q for q in base for s in (1, -1)], n_max):
+        mask[n] = 1
+    for n in _indices(p, (-1, 0, 1), n_max):
+        mask[n] = 0
+    return mask
 
 
 def progression_composite_density(
     p: Progression, x: int, sieve_cap: int = DEFAULT_SIEVE_CAP
 ) -> Fraction:
-    """Exact fraction of n in [1, x] with |a*n + b| composite."""
-    import numpy as np
-
+    """Exact fraction of n in [1, x] with |a*n + b| composite: neither
+    prime nor at most 1."""
     if p.a < 1:
         raise DomainError("progression_composite_density requires a >= 1")
     if x < 1:
         raise DomainError("x must be >= 1")
-    table = _value_table(p, x, sieve_cap)
-    v = _term_values(p, x)
-    composite = (v > 1) & ~table.membership[v]
-    return Fraction(int(np.count_nonzero(composite)), x)
+    primes = _prime_term_mask(p, x, "x", sieve_cap).count(1)
+    return Fraction(x - primes - len(_indices(p, (-1, 0, 1), x)), x)
 
 
 @dataclass(frozen=True)
@@ -151,11 +175,28 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class RunScan:
+    """The maximal runs of the greatest length, by their first indices
+    (ascending); their records are built only when read."""
+
     progression: Progression
     n_max: int
     max_length: int
-    best: RunRecord | None
-    max_runs: tuple[RunRecord, ...]
+    starts: tuple[int, ...]
+
+    def _record(self, start: int) -> RunRecord:
+        end = start + self.max_length
+        p = self.progression
+        return RunRecord(p, start, self.max_length,
+                         tuple(p.term(n) for n in range(start, end)),
+                         truncated=end == self.n_max + 1)
+
+    @property
+    def best(self) -> RunRecord | None:
+        return self._record(self.starts[0]) if self.starts else None
+
+    @property
+    def max_runs(self) -> tuple[RunRecord, ...]:
+        return tuple(self._record(s) for s in self.starts)
 
 
 def run_length_threshold(p: Progression) -> int:
@@ -177,32 +218,23 @@ def longest_prime_run(
     p: Progression, n_max: int, sieve_cap: int = DEFAULT_SIEVE_CAP
 ) -> RunScan:
     """Scan n in [1, n_max] for maximal runs of prime values."""
-    import numpy as np
-
     if p.a < 1:
         raise DomainError("longest_prime_run requires a >= 1")
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
-    table = _value_table(p, n_max, sieve_cap)
-    v = _term_values(p, n_max)
-    prime_mask = table.membership[v]
-
-    padded = np.concatenate(([False], prime_mask, [False]))
-    diffs = np.diff(padded.astype(np.int8))
-    starts = np.flatnonzero(diffs == 1) + 1  # 1-based n
-    ends = np.flatnonzero(diffs == -1) + 1  # exclusive
-
-    if len(starts) == 0:
-        return RunScan(p, n_max, 0, None, ())
-    lengths = ends - starts
-    max_len = int(lengths.max())
-    longest = np.flatnonzero(lengths == max_len)
-    records = [
-        RunRecord(p, s, max_len, tuple(p.term(n) for n in range(s, e)),
-                  truncated=e == n_max + 1)
-        for s, e in zip(starts[longest].tolist(), ends[longest].tolist())
-    ]
-    return RunScan(p, n_max, max_len, records[0], tuple(records))
+    mask = _prime_term_mask(p, n_max, "n_max", sieve_cap)
+    # The first run of length L + 1 starts no earlier than the first of L.
+    length = at = 0
+    while (found := mask.find(b"\x01" * (length + 1), at)) >= 0:
+        length, at = length + 1, found
+    # mask[0] and the pad byte are 0, so every maximal run is 0 1^L 0.
+    run = b"\x00" + b"\x01" * length + b"\x00"
+    starts = []
+    at = mask.find(run) if length else -1
+    while at >= 0:
+        starts.append(at + 1)
+        at = mask.find(run, at + length + 1)
+    return RunScan(p, n_max, length, tuple(starts))
 
 
 @dataclass(frozen=True)
@@ -226,15 +258,33 @@ def gaussian_mass(lo: float, hi: float) -> float:
     return 0.5 * (math.erf(hi / math.sqrt(2)) - math.erf(lo / math.sqrt(2)))
 
 
-def _omega_array(x: int) -> np.ndarray:
-    """omega(n) for 0 <= n <= x by one strided pass per prime."""
+def _omega_histogram(x: int, segment: int = _OMEGA_SEGMENT) -> list[int]:
+    """hist[k] = #{3 <= n <= x : omega(n) = k}, one segment of integers at
+    a time (x < 2**63, so omega(n) <= 15).
+
+    Each segment strides only the primes q <= sqrt(x): omega counts them,
+    and every power of q dividing n is multiplied into its smooth part. An
+    n <= x has at most one prime factor above sqrt(x), to the first power,
+    so it has one exactly when it exceeds its smooth part.
+    """
     import numpy as np
 
-    primes = np.flatnonzero(sieve(x).membership)
-    om = np.zeros(x + 1, dtype=np.int16)
-    for prime in primes:
-        om[prime::prime] += 1
-    return om
+    dtype = np.int32 if x < 2**31 else np.int64
+    primes = _small_primes(math.isqrt(x))
+    hist = np.zeros(16, dtype=np.int64)
+    for lo in range(3, x + 1, segment):
+        hi = min(lo + segment, x + 1)
+        omega = np.zeros(hi - lo, dtype=np.int8)
+        smooth = np.ones(hi - lo, dtype=dtype)
+        for q in primes:
+            omega[-lo % q :: q] += 1
+            power = q
+            while power < hi:
+                smooth[-lo % power :: power] *= q
+                power *= q
+        omega += np.arange(lo, hi, dtype=dtype) > smooth
+        hist += np.bincount(omega, minlength=len(hist))
+    return hist.tolist()
 
 
 def erdos_kac_samples(
@@ -249,15 +299,12 @@ def erdos_kac_samples(
     result is independent of any internal partitioning. An interval with
     lo > hi is a DomainError.
     """
-    import numpy as np
-
     if x < 3:
         raise DomainError("erdos_kac requires x >= 3")
     for lo, hi in intervals:
         if lo > hi:
             raise DomainError(f"interval [{lo}, {hi}] needs lo <= hi")
-    om = _omega_array(x)[3:]
-    hist = [int(np.count_nonzero(om == k)) for k in range(int(om.max()) + 1)]
+    hist = _omega_histogram(x)
     llx = math.log(math.log(x))
 
     count = x - 2

@@ -29,6 +29,20 @@ def oracle_factorize(n: int) -> dict[int, int]:
     return out
 
 
+def oracle_omega_array(x: int):
+    """omega(n) for 0 <= n <= x, by one strided numpy pass per prime of a
+    whole-range sieve: the value-space pass the library used to make."""
+    import numpy as np
+
+    from apcomposites.numcore import sieve
+
+    primes = np.flatnonzero(sieve(x).membership)
+    om = np.zeros(x + 1, dtype=np.int16)
+    for prime in primes:
+        om[prime::prime] += 1
+    return om
+
+
 @pytest.fixture(scope="session")
 def oracle_primes_1000():
     return [n for n in range(2, 1001) if oracle_is_prime(n)]

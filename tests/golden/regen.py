@@ -218,6 +218,8 @@ GROUPS = {
         "--max-sieve 0 pow4 --m 0",
         "--max-sieve 1000 runs --a 6 --b 1 --n-max 1000",
         "--max-sieve 1000 runs --a 6 --b 1 --n-max 100",
+        "--max-sieve 100 runs --a 1 --b 0 --n-max 100",
+        "--max-sieve 100 runs --a 1 --b 0 --n-max 101",
         "--max-sieve 1000 ek --x 1e4",
         "--max-sieve 1000 ek --x 1000",
         "--max-sieve 0 ek --x 2",
@@ -231,7 +233,11 @@ GROUPS = {
         "--max-sieve 100 sweep pow4 --m 1..5",
         "--max-sieve 1024 sweep pow4 --m 1..5",
         "--max-sieve 100 sweep runs --a 1..6 --b 1 --n-max 100",
+        "--max-sieve 100 sweep runs --a 1..2 --b 0 --n-max 50",
+        "--max-sieve 100 sweep runs --a 1..2 --b 0 --n-max 51",
         "--max-sieve 100 sweep pdensity --a 3 --b 2 --x 1..1000",
+        "--max-sieve 100 sweep pdensity --a 1 --b 0 --x 1..100",
+        "--max-sieve 100 sweep pdensity --a 1 --b 0 --x 1..101 --geometric 101",
         "--max-sieve 1e5 sweep pdensity --a 3 --b 2 --x 1..1e5",
         "--max-sieve 100 witness unit --a 2 --b 1 --m 3",
         "--max-sieve abc sieve --limit 10",

@@ -6,7 +6,8 @@ import pytest
 
 from apcomposites import analysis
 from apcomposites.analysis import (
-    _omega_array,
+    _omega_histogram,
+    _prime_term_mask,
     central_binom_bound,
     density_bound_check,
     dyadic_gap_bound,
@@ -17,9 +18,9 @@ from apcomposites.analysis import (
     progression_composite_density,
     run_length_threshold,
 )
-from apcomposites.errors import DomainError
+from apcomposites.errors import CapacityError, DomainError
 from apcomposites.numcore import Progression, factorize, sieve
-from conftest import oracle_is_prime, traced_peak
+from conftest import oracle_is_prime, oracle_omega_array, traced_peak
 
 
 class TestCentralBinomBound:
@@ -155,6 +156,45 @@ class TestProgressionCompositeDensity:
         assert progression_composite_density(p, x) == Fraction(expected, x)
 
 
+class TestPrimeTermMask:
+    A_MAX, N_MAX = 14, 10**4
+
+    @pytest.fixture(scope="class")
+    def membership(self):
+        # Covers every |a*n + b| of the cases below.
+        return sieve(self.A_MAX * self.N_MAX + 3 * self.A_MAX).membership
+
+    @pytest.mark.parametrize("a", range(1, A_MAX + 1))
+    def test_matches_value_sieve(self, membership, a):
+        # b = 0, gcd(a, b) > 1, and b <= -a, where terms are negative or
+        # pass through -1, 0 and 1, are all among these offsets.
+        for b in range(-3 * a, 3 * a + 1):
+            p = Progression(a, b)
+            for n_max in (1, 2, 3, self.N_MAX):
+                mask = _prime_term_mask(p, n_max, "n_max", 10**9)
+                terms = np.abs(a * np.arange(1, n_max + 1) + b)
+                assert len(mask) == n_max + 2 and mask[0] == mask[-1] == 0
+                assert list(mask[1:-1]) == membership[terms].tolist(), (a, b, n_max)
+
+    @pytest.mark.parametrize("a, b, n_max", [(1, 0, 100), (3, -5, 30), (5, 10, 20)])
+    def test_cap_is_the_largest_term(self, a, b, n_max):
+        # Accepted with the cap at max |a*n + b|, refused one below it, and
+        # the refusal names the parameter, the largest term and the cap.
+        p = Progression(a, b)
+        top = max(abs(p.term(1)), abs(p.term(n_max)))
+        _prime_term_mask(p, n_max, "n_max", top)
+        with pytest.raises(CapacityError, match=f"n_max {n_max} needs .* up to {top}, "
+                                                f"the sieve cap is {top - 1}"):
+            _prime_term_mask(p, n_max, "n_max", top - 1)
+
+    @pytest.mark.parametrize("scan", [longest_prime_run, progression_composite_density])
+    def test_peak_memory(self, scan):
+        # The byte mask over the indices, plus one stride of zeros (a fifth
+        # of it for a = 12); the value-space version took ~20 bytes an index.
+        n_max = 2_000_000
+        assert traced_peak(lambda: scan(Progression(12, 1), n_max)) <= 2 * n_max
+
+
 class TestLongestPrimeRun:
     def test_odd_progression(self):
         scan = longest_prime_run(Progression(2, 1), 10**5)
@@ -209,11 +249,20 @@ class TestLongestPrimeRun:
 
 class TestErdosKac:
     def test_omega_pass_matches_single(self):
-        # The bulk omega pass behind erdos_kac_samples, against per-n
-        # factorization.
-        om = _omega_array(30)
+        # The test oracle's bulk omega pass, against per-n factorization.
+        om = oracle_omega_array(30)
         for n in range(3, 31):
             assert om[n] == factorize(n).omega
+
+    @pytest.mark.parametrize("x, segment", [
+        *((x, segment) for x in (3, 4, 1000, 4097) for segment in (1, 7, 97, 2**18)),
+        (30_030, 97), (600_000, 2**18), (600_001, 7919),
+    ])
+    def test_histogram_independent_of_segmentation(self, x, segment):
+        # Segments that do and do not divide the prime powers; the large
+        # prime factor of an n is seen only through its smooth part.
+        expected = np.bincount(oracle_omega_array(x)[3:], minlength=16).tolist()
+        assert _omega_histogram(x, segment) == expected
 
     def test_gaussian_mass(self):
         assert gaussian_mass(-1, 1) == pytest.approx(0.6827, abs=1e-4)
@@ -235,7 +284,7 @@ class TestErdosKac:
     @staticmethod
     def _float64_reference(x, intervals):
         # The summary as computed over a float64 statistic per integer.
-        om = _omega_array(x)[3:].astype(np.float64)
+        om = oracle_omega_array(x)[3:].astype(np.float64)
         llx = math.log(math.log(x))
         stat = (om - llx) / math.sqrt(llx)
         fractions = [
@@ -259,7 +308,9 @@ class TestErdosKac:
         assert [iv.sample_fraction for iv in summary.intervals] == fractions
 
     def test_peak_memory(self):
-        # The int16 omega array, the sieve mask and the prime list; no
-        # float64 statistic per integer.
-        x = 500_000
-        assert traced_peak(lambda: erdos_kac_samples(x)) <= 5 * (x + 1)
+        # One segment's arrays at a time, whatever x is: int32 values and
+        # smooth parts, the int8 omega and bincount's int64 copy of it, 17
+        # bytes for each of 2**18 integers. A whole-range omega array
+        # passes at 5e5 and fails at 4e6.
+        for x in (500_000, 4_000_000):
+            assert traced_peak(lambda: erdos_kac_samples(x)) <= 4 << 20, x

@@ -156,6 +156,17 @@ class TestCapacityAndDomain:
         assert runner.invoke(cli, ["--max-sieve", "1024", "pow4", "--m", "5"]).exit_code == 0
         assert runner.invoke(cli, ["--max-sieve", "1023", "pow4", "--m", "5"]).exit_code == 3
 
+    @pytest.mark.parametrize("args, param", [
+        (["runs", "--a", "1", "--b", "0", "--n-max", "101"], "n_max 101"),
+        (["sweep", "runs", "--a", "1..2", "--b", "0", "--n-max", "51"], "n_max 51"),
+        (["sweep", "pdensity", "--a", "1", "--b", "0", "--x", "101..101"], "x 101"),
+    ])
+    def test_term_scan_refusal_names_parameter_and_cap(self, runner, args, param):
+        # Refused only past max |a*n + b| = --max-sieve, as golden capacity.json pins.
+        res = runner.invoke(cli, ["--max-sieve", "100", *args])
+        assert (res.exit_code, res.stdout) == (3, "")
+        assert param in res.stderr and "the sieve cap is 100" in res.stderr
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("args", [

@@ -43,8 +43,12 @@ CASES = [
     (["twin3", "--count", "3"], []),
     (["lucky", "--max", "100"], []),
     (["streak", "--c", "41"], []),
+    (["runs", "--a", "6", "--b", "1", "--n-max", "1000"], []),
+    (["sweep", "runs", "--a", "1..3", "--b", "1", "--n-max", "1000"], []),
+    (["sweep", "pdensity", "--a", "3", "--b", "2", "--x", "1..1000"], []),
     (["fermatreal", "--x", "4", "--y", "5", "--z", "6"], ["mpmath"]),
     (["count", "--x", "100"], ["numpy"]),
+    (["ek", "--x", "1000"], ["numpy"]),
 ]
 
 
