@@ -44,6 +44,7 @@ from .numcore import (
     is_prime,
     prime_count,
     prime_count_progression,
+    prime_counts,
     sieve,
 )
 

@@ -15,11 +15,12 @@ from fractions import Fraction
 
 from .errors import CapacityError, DomainError
 from .numcore import (
-    PrimeTable,
+    PiTable,
     Progression,
+    _indices,
+    _prime_segments,
     _small_primes,
-    prime_count,
-    sieve,
+    prime_counts,
 )
 
 __all__ = [
@@ -57,32 +58,47 @@ class BoundCheck:
     detail: tuple[tuple[str, float], ...] = ()
 
 
-def central_binom_bound(n: int, table: PrimeTable | None = None) -> BoundCheck:
+# The pi values each check of the chain reads at its parameter. A check
+# given no table counts them in one prime_counts pass; a sweep passes the
+# table of one pass over the points of all its checks.
+PI_POINTS = {
+    "central_binom_bound": lambda n: (n, 2 * n),
+    "dyadic_gap_bound": lambda k: (2 ** (k - 1), 2**k),
+    "pi_power4_bound": lambda m: (4**m,),
+    "density_bound_check": lambda x: (x,),
+}
+
+
+def _counts(check: str, value: int, table: PiTable | None) -> PiTable:
+    return table or prime_counts(PI_POINTS[check](value))
+
+
+def central_binom_bound(n: int, table: PiTable | None = None) -> BoundCheck:
     """n^(pi(2n) - pi(n)) < 4^n, compared in log space."""
     if n < 2:
         raise DomainError("central_binom_bound requires n >= 2")
-    table = table or sieve(2 * n)
-    gap = prime_count(2 * n, table) - prime_count(n, table)
+    pi = _counts("central_binom_bound", n, table)
+    gap = pi.count(2 * n) - pi.count(n)
     lhs = gap * math.log(n)
     rhs = n * math.log(4)
     return BoundCheck(n, lhs, rhs, lhs < rhs, (("gap", float(gap)),))
 
 
-def dyadic_gap_bound(k: int, table: PrimeTable | None = None) -> BoundCheck:
+def dyadic_gap_bound(k: int, table: PiTable | None = None) -> BoundCheck:
     """pi(2^k) - pi(2^(k-1)) < 2^k / (k-1)."""
     if k < 2:
         raise DomainError("dyadic_gap_bound requires k >= 2")
-    table = table or sieve(2**k)
-    gap = prime_count(2**k, table) - prime_count(2 ** (k - 1), table)
+    pi = _counts("dyadic_gap_bound", k, table)
+    gap = pi.count(2**k) - pi.count(2 ** (k - 1))
     bound = 2**k / (k - 1)
     return BoundCheck(k, float(gap), bound, gap < bound)
 
 
-def pi_power4_bound(m: int, table: PrimeTable | None = None) -> BoundCheck:
+def pi_power4_bound(m: int, table: PiTable | None = None) -> BoundCheck:
     """pi(4^m) < 1 + 2^(m+1) + 2^(2m+1)/m."""
     if m < 1:
         raise DomainError("pi_power4_bound requires m >= 1")
-    pi_4m = prime_count(4**m, table)
+    pi_4m = _counts("pi_power4_bound", m, table).count(4**m)
     bound = 1 + 2 ** (m + 1) + 2 ** (2 * m + 1) / m
     return BoundCheck(m, float(pi_4m), bound, pi_4m < bound)
 
@@ -98,50 +114,29 @@ class DensityPoint:
     holds: bool
 
 
-def density_bound_check(x: int, table: PrimeTable | None = None) -> DensityPoint:
+def density_bound_check(x: int, table: PiTable | None = None) -> DensityPoint:
     if x < 2:
         raise DomainError("density_bound_check requires x >= 2 (log4 x must be positive)")
-    pi_x = prime_count(x, table)
+    pi_x = _counts("density_bound_check", x, table).count(x)
     ratio = Fraction(pi_x, x)
     log4x = math.log(x) / math.log(4)
     bound = 1 / x + 4 / math.sqrt(x) + 8 / log4x
     return DensityPoint(x, pi_x, ratio, bound, float(ratio) < bound)
 
 
-def _indices(p: Progression, values, n_max: int) -> list[int]:
-    """The n in [1, n_max] with a*n + b in `values`, for a >= 1."""
-    return [n for v in values
-            if (v - p.b) % p.a == 0 and 1 <= (n := (v - p.b) // p.a) <= n_max]
-
-
 def _prime_term_mask(p: Progression, n_max: int, name: str, sieve_cap: int) -> bytearray:
     """mask[n] = 1 exactly for the n in [1, n_max] with |a*n + b| prime, a >= 1;
-    mask[0] and the pad byte mask[n_max + 1] are 0.
-
-    Sieved in index space, with no table of values: for a base prime
-    q <= sqrt(max |term|), the terms it divides are the class
-    n = -b/a (mod q) when q does not divide a, every term when q divides
-    a and b (the mask then starts cleared), and none otherwise. The terms
-    equal to +-q are restored afterwards, and those with |term| <= 1
-    cleared. The refusal when the largest |term| exceeds sieve_cap names
-    n_max as the caller's parameter `name`.
+    mask[0] and the pad byte mask[n_max + 1] are 0. The index-space sieve
+    of numcore as one segment over [0, n_max + 1]. The refusal when the
+    largest |term| exceeds sieve_cap names n_max as the caller's parameter
+    `name`.
     """
     top = max(abs(p.term(1)), abs(p.term(n_max)))
     if top > sieve_cap:
         raise CapacityError(f"{name} {n_max} needs |{p.a}*n + {p.b}| up to {top}, "
                             f"the sieve cap is {sieve_cap}")
-    base = _small_primes(math.isqrt(top))
-    coprime = all(p.a % q or p.b % q for q in base)
-    mask = bytearray([coprime]) * (n_max + 2)
+    ((_, mask),) = _prime_segments(p, 0, n_max + 1, n_max + 2)
     mask[0] = mask[-1] = 0
-    for q in base:
-        if p.a % q:
-            first = -p.b * pow(p.a, -1, q) % q or q
-            mask[first : n_max + 1 : q] = bytearray(len(range(first, n_max + 1, q)))
-    for n in _indices(p, [s * q for q in base for s in (1, -1)], n_max):
-        mask[n] = 1
-    for n in _indices(p, (-1, 0, 1), n_max):
-        mask[n] = 0
     return mask
 
 
@@ -155,7 +150,7 @@ def progression_composite_density(
     if x < 1:
         raise DomainError("x must be >= 1")
     primes = _prime_term_mask(p, x, "x", sieve_cap).count(1)
-    return Fraction(x - primes - len(_indices(p, (-1, 0, 1), x)), x)
+    return Fraction(x - primes - len(_indices(p, (-1, 0, 1), 1, x)), x)
 
 
 @dataclass(frozen=True)

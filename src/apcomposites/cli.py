@@ -156,11 +156,11 @@ def as_jsonable(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def check_capacity(ctx, option: str, value: int, need: tuple[int, int] | None = None) -> int:
-    """The sieve limit mult * 2**exp, need = (mult, exp) or else (value, 0),
-    that `--option value` needs, if within --max-sieve; callers check the
-    domain first. An exponent beyond the cap's bit length is refused as it
-    is, so 2**k is never built for a huge k."""
+def check_capacity(ctx, option: str, value: int, need: tuple[int, int] | None = None) -> None:
+    """Refuse `--option value` if the sieve limit mult * 2**exp it needs,
+    need = (mult, exp) or else (value, 0), is beyond --max-sieve; callers
+    check the domain first. An exponent beyond the cap's bit length is
+    refused as it is, so 2**k is never built for a huge k."""
     cap = ctx.obj["max_sieve"]
     mult, exp = need or (value, 0)
     limit = mult << exp if exp <= max(cap, 1).bit_length() else None
@@ -168,7 +168,6 @@ def check_capacity(ctx, option: str, value: int, need: tuple[int, int] | None = 
         shown = limit if limit is not None else f"at least 2**{exp}"
         raise CapacityError(
             f"--{option} {value} needs a sieve to {shown}, --max-sieve is {cap}")
-    return limit
 
 
 def config_max_sieve(path: str, default: int) -> int:
@@ -220,13 +219,16 @@ def cli(ctx, max_sieve, config):
 @click.pass_context
 def sieve_cmd(ctx, limit):
     """Prime count and largest prime up to --limit."""
-    if limit >= 2:  # else the sieve's DomainError comes first
-        check_capacity(ctx, "limit", limit)
-    table = numcore.sieve(limit)
-    largest = limit
-    while not table.membership[largest]:
-        largest -= 1
-    emit({"count": table.count(limit), "largest": largest})
+    if limit < 2:
+        raise DomainError("sieve limit must be >= 2")
+    check_capacity(ctx, "limit", limit)
+    # The odd numbers 2n + 1 <= limit, one segment at a time, and the prime 2.
+    count, largest = 1, 2
+    for start, mask in numcore._prime_segments(Progression(2, 1), 0, (limit - 1) // 2):
+        count += mask.count(1)
+        if (last := mask.rfind(1)) >= 0:
+            largest = 2 * (start + last) + 1
+    emit({"count": count, "largest": largest})
 
 
 @cli.command("count")
@@ -472,14 +474,18 @@ def _bound_commands(b: Bound) -> None:
     @click.pass_context
     def sweep(ctx, fmt, **kw):
         lo, hi = kw.pop(b.option)
-        table = None
-        if lo >= b.min_value:  # else the first point's DomainError comes first
-            table = numcore.sieve(check_capacity(ctx, b.option, hi, b.sieve_need(hi)))
         # kw now holds only the step option, if the sweep has one.
         if "geometric" in kw:
             points = geometric_points(lo, hi, kw["geometric"])
         else:
             points = range(lo, hi + 1, kw.get("step", 1))
+        table = None
+        if lo >= b.min_value:  # else the first point's DomainError comes first
+            check_capacity(ctx, b.option, hi, b.sieve_need(hi))
+            points = list(points)
+            # One counting pass over the pi values every point's check reads.
+            pi_points = analysis.PI_POINTS[b.check]
+            table = numcore.prime_counts(x for p in points for x in pi_points(p))
         check = getattr(analysis, b.check)
         rows = [{k: float(v) if isinstance(v, Fraction) else v
                  for k, v in b.row(check(p, table)).items()} for p in points]

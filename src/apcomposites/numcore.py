@@ -3,19 +3,26 @@
 Everything here is exact integer arithmetic. Primality for arbitrary
 integers uses Miller-Rabin with a fixed witness set that is proven
 deterministic for n < 3.3e24, so no answer is probabilistic in the
-supported range. Bulk membership queries go through a segmented
-Eratosthenes sieve.
+supported range.
 
-numpy is imported inside the functions that build or read arrays, so
-importing this module, and every command that needs only integer
-arithmetic, does not pay for loading it.
+Prime counts come from one index-space sieve, `_prime_segments`: it
+marks the n with |a*n + b| prime in bytearrays of about 2**18 indices,
+one segment at a time, so a count holds one segment, not [0, x].
+`prime_count` sieves the odd numbers 2n + 1, `prime_count_progression`
+only its residue class, and `prime_counts` records pi at many points in
+one pass. `sieve` builds the whole membership table, in numpy, for
+callers that want membership; numpy is imported inside it and
+`PrimeTable.count`, so importing this module, and every command that
+counts or needs only integer arithmetic, does not pay for loading it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from typing import Protocol
 
 from .errors import CapacityError, DomainError
 
@@ -23,11 +30,14 @@ __all__ = [
     "Progression",
     "Factorization",
     "PrimeTable",
+    "PrimeCounts",
+    "PiTable",
     "sieve",
     "is_prime",
     "factorize",
     "prime_count",
     "prime_count_progression",
+    "prime_counts",
 ]
 
 # Deterministic Miller-Rabin witnesses for n < 3.317e24 (Sorenson-Webster).
@@ -37,6 +47,8 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 DEFAULT_TRIAL_BOUND = 1_000_000
 DEFAULT_SEGMENT = 1 << 20
+# Indices per segment of the index-space sieve: a 256 KB mask.
+_SEGMENT = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -130,6 +142,29 @@ class PrimeTable:
         blk = (x + 1) // block
         rem = np.count_nonzero(self._membership[blk * block : x + 1])
         return int(self._block_cumsum[blk]) + int(rem)
+
+
+class PrimeCounts:
+    """pi(x) at the points one prime_counts pass recorded; any other x is
+    a DomainError."""
+
+    def __init__(self, counts: dict[int, int]):
+        self._counts = counts
+        self.limit = max(counts)
+
+    def count(self, x: int) -> int:
+        if x not in self._counts:
+            raise DomainError(f"pi({x}) was not recorded")
+        return self._counts[x]
+
+
+class PiTable(Protocol):
+    """What the counting functions read: pi(x) = count(x) for the x a table
+    holds, up to its limit. PrimeTable and PrimeCounts are both one."""
+
+    limit: int
+
+    def count(self, x: int) -> int: ...
 
 
 def _small_primes(limit: int) -> list[int]:
@@ -245,29 +280,80 @@ def factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND) -> Factorization:
     return Factorization(value, tuple(factors))
 
 
-def prime_count(x: int, table: PrimeTable | None = None) -> int:
-    """pi(x): number of primes <= x, read off `table` (sieved to exactly x
-    when None); a table smaller than x is a DomainError."""
+def _indices(p: Progression, values, lo: int, hi: int) -> list[int]:
+    """The n in [lo, hi] with a*n + b in `values`, for a >= 1."""
+    return [n for v in values
+            if (v - p.b) % p.a == 0 and lo <= (n := (v - p.b) // p.a) <= hi]
+
+
+def _prime_segments(
+    p: Progression, lo: int, hi: int, segment: int = _SEGMENT
+) -> Iterator[tuple[int, bytearray]]:
+    """(start, mask) over the indices lo <= n <= hi of a*n + b, a >= 1, in
+    order and at most `segment` at a time: mask[i] = 1 exactly when
+    |a*(start + i) + b| is prime.
+
+    Sieved in index space, with no table of values: for a base prime
+    q <= sqrt(max |term|), the terms it divides are the class
+    n = -b/a (mod q) when q does not divide a, every term when q divides
+    a and b (each mask then starts cleared), and none otherwise. The terms
+    equal to +-q are restored afterwards, and those with |term| <= 1
+    cleared.
+    """
+    if hi < lo:
+        return
+    base = _small_primes(math.isqrt(max(abs(p.term(lo)), abs(p.term(hi)))))
+    coprime = all(p.a % q or p.b % q for q in base)
+    classes = [(q, -p.b * pow(p.a, -1, q) % q) for q in base if coprime and p.a % q]
+    fixes = sorted([(n, 1) for n in _indices(p, [s * q for q in base for s in (1, -1)], lo, hi)]
+                   + [(n, 0) for n in _indices(p, (-1, 0, 1), lo, hi)], reverse=True)
+    for start in range(lo, hi + 1, segment):
+        size = min(segment, hi + 1 - start)
+        mask = bytearray([coprime]) * size
+        for q, r in classes:
+            first = (r - start) % q
+            if first < size:
+                # A bytearray right-hand side is not copied.
+                mask[first::q] = bytearray((size - 1 - first) // q + 1)
+        while fixes and fixes[-1][0] < start + size:
+            n, bit = fixes.pop()
+            mask[n - start] = bit
+        yield start, mask
+
+
+def prime_counts(points: Iterable[int], *, _segment: int = _SEGMENT) -> PrimeCounts:
+    """pi(x) at every x in `points` (any order, repeats allowed; pi(x) = 0
+    for x < 2), from one pass of the odd numbers 2n + 1 up to the largest."""
+    want = sorted(set(points))
+    if not want:
+        raise DomainError("prime_counts needs at least one point")
+    counts = dict.fromkeys(want, 0)
+    todo = [x for x in want if x >= 2]
+    pi, i = 1, 0  # the prime 2, then the odd primes counted so far
+    if todo:
+        for start, mask in _prime_segments(Progression(2, 1), 0, (todo[-1] - 1) // 2, _segment):
+            at = 0  # mask[:at] is counted in pi
+            while i < len(todo) and (end := (todo[i] - 1) // 2 - start + 1) <= len(mask):
+                pi += mask.count(1, at, end)
+                counts[todo[i]], at, i = pi, end, i + 1
+            pi += mask.count(1, at)
+    return PrimeCounts(counts)
+
+
+def prime_count(x: int, table: PiTable | None = None) -> int:
+    """pi(x): number of primes <= x, read off `table` when given (one that
+    does not hold x is a DomainError), else counted segment by segment."""
     if x < 1:
         raise DomainError("prime_count requires x >= 1")
-    if x < 2:
-        return 0
-    return (table or sieve(x)).count(x)
+    return (table or prime_counts((x,))).count(x)
 
 
-def prime_count_progression(
-    p: Progression, x: int, table: PrimeTable | None = None
-) -> int:
-    """pi_{a,b}(x): primes q <= x with q congruent to b mod |a|, counted on
-    the strided view of `table` (sieved to exactly x when None) that holds
-    exactly those residues."""
-    import numpy as np
-
+def prime_count_progression(p: Progression, x: int, *, _segment: int = _SEGMENT) -> int:
+    """pi_{a,b}(x): primes q <= x with q congruent to b mod |a|, counted
+    segment by segment over the indices of |a|*n + (b mod |a|), 1/|a| of
+    the integers up to x."""
     if x < 1:
         raise DomainError("prime_count_progression requires x >= 1")
-    if x < 2:
-        return 0
-    t = table or sieve(x)
-    if x > t.limit:
-        raise DomainError(f"{x} outside table range [0, {t.limit}]")
-    return int(np.count_nonzero(t.membership[p.residue : x + 1 : abs(p.a)]))
+    a, r = abs(p.a), p.residue
+    return sum(mask.count(1) for _, mask in
+               _prime_segments(Progression(a, r), 0, (x - r) // a, _segment))

@@ -19,7 +19,7 @@ from apcomposites.analysis import (
     run_length_threshold,
 )
 from apcomposites.errors import CapacityError, DomainError
-from apcomposites.numcore import Progression, factorize, sieve
+from apcomposites.numcore import Progression, factorize, prime_counts, sieve
 from conftest import oracle_is_prime, oracle_omega_array, traced_peak
 
 
@@ -72,17 +72,33 @@ class TestDyadicGapBound:
     (dyadic_gap_bound, 12, 4096),
 ])
 def test_gap_checks_sieve_once(monkeypatch, check, value, limit):
-    # Without a table, both counts of the gap come from one sieve to the
-    # larger end.
-    limits = []
+    # Without a table, both counts of the gap come from one counting pass
+    # over its two ends, limit / 2 and limit.
+    passes = []
 
-    def recording_sieve(n):
-        limits.append(n)
-        return sieve(n)
+    def recording_prime_counts(xs):
+        xs = list(xs)
+        passes.append(set(xs))
+        return prime_counts(xs)
 
-    monkeypatch.setattr(analysis, "sieve", recording_sieve)
+    monkeypatch.setattr(analysis, "prime_counts", recording_prime_counts)
     check(value)
-    assert limits == [limit]
+    assert passes == [{limit // 2, limit}]
+
+
+@pytest.mark.parametrize("check, value", [
+    (central_binom_bound, 500), (dyadic_gap_bound, 11),
+    (pi_power4_bound, 5), (density_bound_check, 12345),
+])
+def test_checks_read_only_their_points(check, value):
+    # The same result from a whole table, from a pass over exactly the
+    # points the check declares, and from no table; a pass that lacks one
+    # of those points is refused.
+    points = analysis.PI_POINTS[check.__name__](value)
+    expected = check(value, sieve(max(points)))
+    assert check(value, prime_counts(points)) == expected == check(value)
+    with pytest.raises(DomainError):
+        check(value, prime_counts([p + 1 for p in points]))
 
 
 class TestPiPower4Bound:

@@ -58,6 +58,7 @@ def test_every_operation_reached():
     helpers = {
         numcore.is_prime,  # surfaced implicitly by every witness proof
         numcore.factorize,
+        numcore.sieve,  # the library's membership table; commands only count
         explorer.lucky_check,  # euler_lucky_search covers it
         analysis.gaussian_mass,
         analysis.run_length_threshold,

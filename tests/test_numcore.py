@@ -1,4 +1,5 @@
 import bisect
+import random
 
 import numpy as np
 import pytest
@@ -9,11 +10,14 @@ from apcomposites import numcore
 from apcomposites.errors import DomainError
 from apcomposites.numcore import (
     Factorization,
+    PrimeCounts,
     Progression,
     factorize,
     is_prime,
     prime_count,
     prime_count_progression,
+    prime_counts,
+    _prime_segments,
     _small_primes,
     sieve,
 )
@@ -171,16 +175,96 @@ class TestPrimeCount:
         assert prime_count(100, table) == 25
         with pytest.raises(DomainError):
             prime_count(101, table)
-        with pytest.raises(DomainError):
-            prime_count_progression(Progression(4, 3), 101, table)
+
+    def test_powers_of_ten(self):
+        # OEIS A006880, typed in: independent of every sieve here.
+        expected = [4, 25, 168, 1229, 9592, 78498, 664579]
+        assert [prime_count(10**k) for k in range(1, 8)] == expected
+        counts = prime_counts(10**k for k in range(1, 8))
+        assert [counts.count(10**k) for k in range(1, 8)] == expected
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(7)
+        segment = 1 << 18
+        # Index n of 2n + 1 starts segment k at n = k * segment.
+        edges = [2 * k * segment + 1 + d for k in range(1, 4) for d in (-2, -1, 0, 1, 2)]
+        points = [rng.randint(1, 2_000_000) for _ in range(200)] + edges
+        counts = prime_counts(points)
+        for x in points:
+            assert counts.count(x) == int(sympy.primepi(x)), x
+        for x in edges:
+            assert prime_count(x) == int(sympy.primepi(x)), x
 
     def test_peak_memory_is_the_sieve(self):
-        # Only the x + 1 byte mask: no padded copy, no list of primes.
-        x = 2_000_000
-        assert traced_peak(lambda: prime_count(x)) <= 1.1 * (x + 1)
-        assert traced_peak(
-            lambda: prime_count_progression(Progression(4, 3), x)
-        ) <= 1.1 * (x + 1)
+        # One segment of 2**18 indices, the zeros of one stride and the base
+        # primes, whatever x is: no [0, x] mask.
+        for x in (2_000_000, 20_000_000):
+            assert traced_peak(lambda: prime_count(x)) <= 1 << 20, x
+            assert traced_peak(
+                lambda: prime_count_progression(Progression(4, 3), x)
+            ) <= 1 << 20, x
+
+
+class TestPrimeCounts:
+    def test_unsorted_points_with_repeats(self):
+        points = [1000, 10, 2, 1000, 3, 100, 10, 4]
+        counts = prime_counts(points)
+        assert [counts.count(x) for x in points] == [168, 4, 1, 168, 2, 25, 4, 2]
+        assert counts.limit == 1000
+
+    def test_points_below_two(self):
+        counts = prime_counts([1, 0, -5, 2])
+        assert [counts.count(x) for x in (-5, 0, 1, 2)] == [0, 0, 0, 1]
+        assert prime_counts([1]).count(1) == 0
+
+    def test_unrecorded_point_rejected(self):
+        counts = prime_counts([10, 100])
+        assert isinstance(counts, PrimeCounts)
+        for x in (11, 99, 101):
+            with pytest.raises(DomainError, match=f"pi\\({x}\\)"):
+                counts.count(x)
+
+    def test_no_points_rejected(self):
+        with pytest.raises(DomainError):
+            prime_counts([])
+
+    def test_matches_table(self):
+        table = sieve(20_000)
+        points = list(range(0, 20_001, 37)) + [20_000]
+        counts = prime_counts(points)
+        for x in points:
+            assert counts.count(x) == table.count(x)
+
+
+class TestPrimeSegments:
+    """The index-space sieve under every count: masks over the n of a*n + b."""
+
+    @pytest.mark.parametrize("a, b", [(1, 0), (2, 1), (3, -20), (6, 1), (7, 14), (12, -1)])
+    @pytest.mark.parametrize("lo, hi", [(0, 500), (7, 300), (5, 5), (0, 0)])
+    def test_matches_trial_division(self, a, b, lo, hi):
+        p = Progression(a, b)
+        expected = [int(oracle_is_prime(abs(p.term(n)))) for n in range(lo, hi + 1)]
+        for segment in (1, 7, 97, 1 << 18):
+            segments = list(_prime_segments(p, lo, hi, segment))
+            assert [start for start, _ in segments] == list(range(lo, hi + 1, segment))
+            assert [bit for _, mask in segments for bit in mask] == expected, segment
+
+    def test_empty_range(self):
+        assert list(_prime_segments(Progression(2, 1), 5, 4)) == []
+
+    @pytest.mark.parametrize("segment", [1, 7, 97, 1 << 18])
+    def test_counts_independent_of_segmentation(self, segment):
+        points = [2, 3, 97, 98, 4999, 5000]
+        counts = prime_counts(points, _segment=segment)
+        assert [counts.count(x) for x in points] == [1, 2, 25, 25, 669, 669]
+        # Segment sizes that divide a (7 | 7, 7 | 14, 97 | 97) and that do not.
+        for a in (1, 6, 7, 14, 97):
+            for b in (0, 1, 5, a - 1):
+                p = Progression(a, b)
+                expected = sum(1 for q in range(5001) if oracle_is_prime(q)
+                               and q % a == b % a)
+                assert prime_count_progression(p, 5000, _segment=segment) == expected, p
 
 
 class TestPrimeCountProgression:
@@ -205,10 +289,20 @@ class TestPrimeCountProgression:
     def test_matches_residue_filter(self):
         # Unreduced and negative offsets, and negative steps.
         x = 5_000
-        table = sieve(x)
-        primes = np.flatnonzero(table.membership)
+        primes = np.flatnonzero(sieve(x).membership)
         for a in [s * m for m in range(1, 31) for s in (1, -1)]:
             for b in (-2 * a - 1, -1, 0, 3, abs(a) + 5, 7 * abs(a) - 2):
                 p = Progression(a, b)
                 expected = int(np.count_nonzero(primes % abs(a) == p.residue))
-                assert prime_count_progression(p, x, table) == expected
+                assert prime_count_progression(p, x) == expected
+
+    def test_every_class_start(self, oracle_primes_1000):
+        # b in -2a..2a covers gcd(a, b) > 1 and b = 0 or 1 mod a: the classes
+        # whose first term is a prime q, 0 or 1. x below, at and past b.
+        for a in [s * m for m in range(1, 31) for s in (1, -1)]:
+            for b in range(-2 * abs(a), 2 * abs(a) + 1):
+                p = Progression(a, b)
+                for x in (1, 2, abs(b) + 1, 1000):
+                    expected = sum(1 for q in oracle_primes_1000
+                                   if q <= x and q % abs(a) == b % abs(a))
+                    assert prime_count_progression(p, x) == expected, (a, b, x)

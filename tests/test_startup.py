@@ -1,8 +1,9 @@
 """Which of the heavy libraries each kind of command loads.
 
 numpy and mpmath are imported inside the kernels that use them, so the
-package import, --help and the integer-only commands load neither, and
-each command loads only the library its kernel needs. Every case runs in
+package import, --help, the counting commands and the integer-only
+commands load neither, and each command loads only the library its
+kernel needs. Every case runs in
 a fresh interpreter, since sys.modules of the test process already holds
 both.
 """
@@ -47,7 +48,17 @@ CASES = [
     (["sweep", "runs", "--a", "1..3", "--b", "1", "--n-max", "1000"], []),
     (["sweep", "pdensity", "--a", "3", "--b", "2", "--x", "1..1000"], []),
     (["fermatreal", "--x", "4", "--y", "5", "--z", "6"], ["mpmath"]),
-    (["count", "--x", "100"], ["numpy"]),
+    (["count", "--x", "100"], []),
+    (["count", "--x", "100", "--a", "4", "--b", "3"], []),
+    (["sieve", "--limit", "1000"], []),
+    (["density", "--x", "1000"], []),
+    (["binom", "--n", "100"], []),
+    (["dyadic", "--k", "10"], []),
+    (["pow4", "--m", "3"], []),
+    (["sweep", "density", "--x", "10..1e4"], []),
+    (["sweep", "binom", "--n", "2..1000", "--step", "7"], []),
+    (["sweep", "dyadic", "--k", "2..12"], []),
+    (["sweep", "pow4", "--m", "1..5"], []),
     (["ek", "--x", "1000"], ["numpy"]),
 ]
 
