@@ -17,26 +17,32 @@ from apcomposites import (
     fermat_real_root,
     longest_prime_run,
     pi_power4_bound,
+    prime_counts,
     prime_streak,
     progression_composite_density,
     rational_scan,
-    sieve,
 )
+from apcomposites.analysis import PI_POINTS
 
-table = sieve(10**7)
+BINOM_N, DYADIC_K, POW4_M = (5, 100, 10**4), (2, 10, 22), (1, 5, 11)
+# One counting pass over every pi value the four checks below read.
+checks = {"central_binom_bound": BINOM_N, "dyadic_gap_bound": DYADIC_K,
+          "pi_power4_bound": POW4_M, "density_bound_check": [10**j for j in range(1, 8)]}
+table = prime_counts(x for check, values in checks.items()
+                     for v in values for x in PI_POINTS[check](v))
 
 print("Central binomial link: n^(pi(2n)-pi(n)) < 4^n  (log-space)")
-for n in (5, 100, 10**4):
+for n in BINOM_N:
     bc = central_binom_bound(n, table)
     print(f"  n={n:6d}: {bc.lhs:12.2f} < {bc.rhs:12.2f}  holds={bc.holds}")
 
 print("\nDyadic gaps: pi(2^k) - pi(2^(k-1)) < 2^k/(k-1)")
-for k in (2, 10, 22):
+for k in DYADIC_K:
     bc = dyadic_gap_bound(k, table)
     print(f"  k={k:2d}: gap={int(bc.lhs):6d} < {bc.rhs:10.1f}")
 
 print("\nTelescoped: pi(4^m) < 1 + 2^(m+1) + 2^(2m+1)/m")
-for m in (1, 5, 11):
+for m in POW4_M:
     bc = pi_power4_bound(m, table)
     print(f"  m={m:2d}: pi(4^m)={int(bc.lhs):7d} < {bc.rhs:12.1f}")
 

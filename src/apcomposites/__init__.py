@@ -45,7 +45,6 @@ from .numcore import (
     prime_count,
     prime_count_progression,
     prime_counts,
-    sieve,
 )
 
 __version__ = "0.1.0"

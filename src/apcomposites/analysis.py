@@ -4,7 +4,7 @@ distinct-prime-factor statistic.
 
 The inequality checks are proven theorems: a single failure at any
 admissible input is an implementation bug, and tests treat it as such.
-As in numcore, numpy is imported only inside the functions that use it.
+numpy is imported only inside the functions that use it.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import CapacityError, DomainError
 from .numcore import (
-    PiTable,
+    PrimeTable,
     Progression,
     _indices,
     _prime_segments,
@@ -69,11 +69,11 @@ PI_POINTS = {
 }
 
 
-def _counts(check: str, value: int, table: PiTable | None) -> PiTable:
+def _counts(check: str, value: int, table: PrimeTable | None) -> PrimeTable:
     return table or prime_counts(PI_POINTS[check](value))
 
 
-def central_binom_bound(n: int, table: PiTable | None = None) -> BoundCheck:
+def central_binom_bound(n: int, table: PrimeTable | None = None) -> BoundCheck:
     """n^(pi(2n) - pi(n)) < 4^n, compared in log space."""
     if n < 2:
         raise DomainError("central_binom_bound requires n >= 2")
@@ -84,7 +84,7 @@ def central_binom_bound(n: int, table: PiTable | None = None) -> BoundCheck:
     return BoundCheck(n, lhs, rhs, lhs < rhs, (("gap", float(gap)),))
 
 
-def dyadic_gap_bound(k: int, table: PiTable | None = None) -> BoundCheck:
+def dyadic_gap_bound(k: int, table: PrimeTable | None = None) -> BoundCheck:
     """pi(2^k) - pi(2^(k-1)) < 2^k / (k-1)."""
     if k < 2:
         raise DomainError("dyadic_gap_bound requires k >= 2")
@@ -94,7 +94,7 @@ def dyadic_gap_bound(k: int, table: PiTable | None = None) -> BoundCheck:
     return BoundCheck(k, float(gap), bound, gap < bound)
 
 
-def pi_power4_bound(m: int, table: PiTable | None = None) -> BoundCheck:
+def pi_power4_bound(m: int, table: PrimeTable | None = None) -> BoundCheck:
     """pi(4^m) < 1 + 2^(m+1) + 2^(2m+1)/m."""
     if m < 1:
         raise DomainError("pi_power4_bound requires m >= 1")
@@ -114,7 +114,7 @@ class DensityPoint:
     holds: bool
 
 
-def density_bound_check(x: int, table: PiTable | None = None) -> DensityPoint:
+def density_bound_check(x: int, table: PrimeTable | None = None) -> DensityPoint:
     if x < 2:
         raise DomainError("density_bound_check requires x >= 2 (log4 x must be positive)")
     pi_x = _counts("density_bound_check", x, table).count(x)

@@ -30,7 +30,6 @@ from .errors import CapacityError, DomainError
 from .numcore import Factorization, Progression
 
 SCHEMA_VERSION = 1
-DEFAULT_MAX_SIEVE = 50_000_000
 
 
 class IntParam(click.ParamType):
@@ -206,7 +205,7 @@ def cli(ctx, max_sieve, config):
     """Composite witnesses, prime-density bounds, and related explorations
     for arithmetic progressions a*n + b."""
     ctx.ensure_object(dict)
-    cap = DEFAULT_MAX_SIEVE
+    cap = analysis.DEFAULT_SIEVE_CAP
     if config is not None:
         cap = config_max_sieve(config, cap)
     if max_sieve is not None:
@@ -240,12 +239,12 @@ def count_cmd(ctx, x, a, b):
     """pi(x), or pi_{a,b}(x) when --a/--b are given."""
     if a is None and b is not None:
         raise click.UsageError("--b needs --a")
+    prog = None if a is None else Progression(a, b or 0)  # refuses a = 0 before capacity
     if x >= 1:  # else the count's DomainError comes first
         check_capacity(ctx, "x", x)
-    if a is None:
+    if prog is None:
         emit({"pi": numcore.prime_count(x)}, {"x": x})
     else:
-        prog = Progression(a, b or 0)
         emit({"pi_ab": numcore.prime_count_progression(prog, x)},
              {"x": x, "a": a, "b": prog.b})
 

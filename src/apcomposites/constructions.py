@@ -40,6 +40,10 @@ __all__ = [
 # Full factorization is attempted below this; above it, witnesses carry
 # a divisor pair instead (trial division would be too slow).
 FACTORIZATION_CAP = 10**12
+# Indices scanned for a run of composites, and for a prime term, an
+# admissible s or a k with f(k) > 1, before a CapacityError.
+CONSECUTIVE_SCAN_CAP = 10**7
+SEARCH_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -120,12 +124,11 @@ class PolyCompositeRecord:
         )
 
 
-def _prove_composite(value: int, hint_divisor: int | None = None,
-                     cap: int = FACTORIZATION_CAP) -> Factorization | DivisorPair:
+def _prove_composite(value: int, hint_divisor: int | None = None) -> Factorization | DivisorPair:
     v = abs(value)
     if v <= 1:
         raise DegenerateInputError(f"|{value}| <= 1 is neither prime nor composite")
-    if v <= cap:
+    if v <= FACTORIZATION_CAP:
         f = factorize(v)
         if f.big_omega < 2:
             raise DegenerateInputError(f"{value} is prime, not composite")
@@ -209,9 +212,7 @@ def witness_power(a: int, sign: int, k: int) -> CompositeWitness:
     return CompositeWitness(prog, n, value, proof, "power")
 
 
-def factorial_consecutive(
-    m: int, cap: int = FACTORIZATION_CAP
-) -> list[CompositeWitness]:
+def factorial_consecutive(m: int) -> list[CompositeWitness]:
     """Witnesses for the m-1 consecutive composites m!+2, ..., m!+m.
 
     j divides m!+j for 2 <= j <= m. Values past the cap carry the
@@ -224,7 +225,7 @@ def factorial_consecutive(
     out = []
     for j in range(2, m + 1):
         value = fact + j
-        proof = _prove_composite(value, hint_divisor=j, cap=cap)
+        proof = _prove_composite(value, hint_divisor=j)
         out.append(CompositeWitness(prog, value, value, proof, "factorial"))
     return out
 
@@ -240,9 +241,7 @@ class ConsecutiveResult:
     factorial_m_bound: int
 
 
-def consecutive_in_progression(
-    p: Progression, N: int, scan_cap: int = 10**7
-) -> ConsecutiveResult:
+def consecutive_in_progression(p: Progression, N: int) -> ConsecutiveResult:
     """Least start index n0 with N consecutive composite terms.
 
     Terms with |value| <= 1 are neither prime nor composite and break a run.
@@ -253,7 +252,7 @@ def consecutive_in_progression(
         raise DomainError("consecutive_in_progression requires a >= 1")
     run_start = None
     run_len = 0
-    for n in range(1, scan_cap + 1):
+    for n in range(1, CONSECUTIVE_SCAN_CAP + 1):
         v = abs(p.term(n))
         if v > 1 and not is_prime(v):
             if run_len == 0:
@@ -272,24 +271,22 @@ def consecutive_in_progression(
         else:
             run_len = 0
     raise CapacityError(
-        f"no run of {N} composites found for n <= {scan_cap} "
+        f"no run of {N} composites found for n <= {CONSECUTIVE_SCAN_CAP} "
         f"(longest partial run: {run_len})"
     )
 
 
-def _next_prime_term(p: Progression, m_start: int, m_cap: int) -> tuple[int, int]:
+def _next_prime_term(p: Progression, m_start: int) -> tuple[int, int]:
     m = m_start
-    while m <= m_cap:
+    while m <= SEARCH_CAP:
         v = p.term(m)
         if v > 1 and is_prime(v):
             return m, v
         m += 1
-    raise CapacityError(f"no prime term a*m+b found for m in [{m_start}, {m_cap}]")
+    raise CapacityError(f"no prime term a*m+b found for m in [{m_start}, {SEARCH_CAP}]")
 
 
-def _extend_witness(
-    w: KCompositeWitness, mode: str, s_cap: int
-) -> KCompositeWitness:
+def _extend_witness(w: KCompositeWitness, mode: str) -> KCompositeWitness:
     """One induction step: multiply by a prime s*a^2 + 1 via
 
         a*(s*a*(a*m+b) + m) + b = (s*a^2 + 1)*(a*m + b).
@@ -300,13 +297,13 @@ def _extend_witness(
     a = w.progression.a
     floor = w.proof.gpf if mode == "distinct" else 1
     s = 1
-    while s <= s_cap:
+    while s <= SEARCH_CAP:
         q = s * a * a + 1
         if q > floor and is_prime(q):
             break
         s += 1
     else:
-        raise CapacityError(f"no admissible s <= {s_cap} with s*{a}^2+1 prime")
+        raise CapacityError(f"no admissible s <= {SEARCH_CAP} with s*{a}^2+1 prime")
     n = s * a * w.value + w.n
     value = q * w.value
     assert w.progression.term(n) == value
@@ -317,12 +314,7 @@ def _extend_witness(
 
 
 def k_composite_witnesses(
-    p: Progression,
-    k: int,
-    count: int,
-    mode: str = "distinct",
-    m_cap: int = 10**6,
-    s_cap: int = 10**6,
+    p: Progression, k: int, count: int, mode: str = "distinct"
 ) -> list[KCompositeWitness]:
     """`count` distinct progression terms with exactly k prime factors.
 
@@ -340,7 +332,7 @@ def k_composite_witnesses(
     bases: list[KCompositeWitness] = []
     m = 1
     while len(bases) < count:
-        m, v = _next_prime_term(p, m, m_cap)
+        m, v = _next_prime_term(p, m)
         bases.append(KCompositeWitness(p, m, v, factorize(v), 1, mode))
         m += 1
 
@@ -349,7 +341,7 @@ def k_composite_witnesses(
     out = []
     for w in bases:
         for _ in range(k - 1):
-            w = _extend_witness(w, mode, s_cap)
+            w = _extend_witness(w, mode)
         out.append(w)
     return out
 
@@ -361,9 +353,7 @@ def _poly_eval(coeffs: Sequence[int], x: int) -> int:
     return acc
 
 
-def polynomial_composites(
-    coeffs: Sequence[int], count: int, k_scan_cap: int = 10**6
-) -> list[PolyCompositeRecord]:
+def polynomial_composites(coeffs: Sequence[int], count: int) -> list[PolyCompositeRecord]:
     """Composite values of an integer polynomial f (coefficients ascending,
     coeffs[i] is the x^i coefficient).
 
@@ -383,8 +373,8 @@ def polynomial_composites(
     k = 0
     while _poly_eval(coeffs, k) <= 1:
         k += 1
-        if k > k_scan_cap:
-            raise CapacityError(f"no k <= {k_scan_cap} with f(k) > 1")
+        if k > SEARCH_CAP:
+            raise CapacityError(f"no k <= {SEARCH_CAP} with f(k) > 1")
     d = _poly_eval(coeffs, k)
 
     out = []

@@ -10,10 +10,7 @@ marks the n with |a*n + b| prime in bytearrays of about 2**18 indices,
 one segment at a time, so a count holds one segment, not [0, x].
 `prime_count` sieves the odd numbers 2n + 1, `prime_count_progression`
 only its residue class, and `prime_counts` records pi at many points in
-one pass. `sieve` builds the whole membership table, in numpy, for
-callers that want membership; numpy is imported inside it and
-`PrimeTable.count`, so importing this module, and every command that
-counts or needs only integer arithmetic, does not pay for loading it.
+one pass, as a `PrimeTable`. Nothing here loads numpy.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ import itertools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from typing import Protocol
 
 from .errors import CapacityError, DomainError
 
@@ -30,9 +26,6 @@ __all__ = [
     "Progression",
     "Factorization",
     "PrimeTable",
-    "PrimeCounts",
-    "PiTable",
-    "sieve",
     "is_prime",
     "factorize",
     "prime_count",
@@ -45,8 +38,7 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
-DEFAULT_TRIAL_BOUND = 1_000_000
-DEFAULT_SEGMENT = 1 << 20
+TRIAL_BOUND = 1_000_000
 # Indices per segment of the index-space sieve: a 256 KB mask.
 _SEGMENT = 1 << 18
 
@@ -108,63 +100,16 @@ class Factorization:
 
 
 class PrimeTable:
-    """Immutable prime membership over [0, limit], with cached counts.
-
-    Built by :func:`sieve`; safe for unlimited concurrent readers. Counts
-    read the mask in place: the prefix sums of its whole blocks of
-    _COUNT_BLOCK entries are built on the first count, and the partial
-    block up to x is counted directly.
-    """
-
-    _COUNT_BLOCK = 1 << 16
-
-    def __init__(self, limit: int, membership: np.ndarray):
-        self.limit = limit
-        self._membership = membership
-        self._membership.setflags(write=False)
-        self._block_cumsum: np.ndarray | None = None
-
-    @property
-    def membership(self) -> np.ndarray:
-        return self._membership
-
-    def count(self, x: int) -> int:
-        """pi(x) for 0 <= x <= limit."""
-        import numpy as np
-
-        if x < 0 or x > self.limit:
-            raise DomainError(f"{x} outside table range [0, {self.limit}]")
-        block = self._COUNT_BLOCK
-        if self._block_cumsum is None:
-            nblocks = (self.limit + 1) // block
-            whole = self._membership[: nblocks * block].reshape(nblocks, block)
-            self._block_cumsum = np.concatenate(([0], np.cumsum(whole.sum(axis=1))))
-        blk = (x + 1) // block
-        rem = np.count_nonzero(self._membership[blk * block : x + 1])
-        return int(self._block_cumsum[blk]) + int(rem)
-
-
-class PrimeCounts:
     """pi(x) at the points one prime_counts pass recorded; any other x is
     a DomainError."""
 
     def __init__(self, counts: dict[int, int]):
         self._counts = counts
-        self.limit = max(counts)
 
     def count(self, x: int) -> int:
         if x not in self._counts:
             raise DomainError(f"pi({x}) was not recorded")
         return self._counts[x]
-
-
-class PiTable(Protocol):
-    """What the counting functions read: pi(x) = count(x) for the x a table
-    holds, up to its limit. PrimeTable and PrimeCounts are both one."""
-
-    limit: int
-
-    def count(self, x: int) -> int: ...
 
 
 def _small_primes(limit: int) -> list[int]:
@@ -174,37 +119,6 @@ def _small_primes(limit: int) -> list[int]:
         if mask[p]:
             mask[p * p :: p] = bytes((limit - p * p) // p + 1)
     return list(itertools.compress(range(limit + 1), mask))
-
-
-def sieve(limit: int, segment_size: int = DEFAULT_SEGMENT) -> PrimeTable:
-    """Segmented sieve of Eratosthenes up to `limit` inclusive.
-
-    Marking is done one segment at a time so the working set per pass is
-    O(segment_size); the result table is independent of segmentation.
-    """
-    import numpy as np
-
-    if limit < 2:
-        raise DomainError("sieve limit must be >= 2")
-    if segment_size < 2:
-        raise DomainError("segment size must be >= 2")
-
-    base_primes = _small_primes(math.isqrt(limit))
-    membership = np.ones(limit + 1, dtype=bool)
-    membership[:2] = False
-
-    low = 2
-    while low <= limit:
-        high = min(low + segment_size, limit + 1)  # exclusive
-        seg = membership[low:high]
-        for p in base_primes:
-            start = max(p * p, ((low + p - 1) // p) * p)
-            if start >= high:
-                continue
-            seg[start - low :: p] = False
-        low = high
-
-    return PrimeTable(limit, membership)
 
 
 def is_prime(n: int) -> bool:
@@ -249,10 +163,10 @@ def _trial_primes_upto(bound: int) -> list[int]:
     return _trial_primes
 
 
-def factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND) -> Factorization:
+def factorize(n: int) -> Factorization:
     """Full factorization by trial division over sieved primes.
 
-    Any cofactor surviving trial division up to min(sqrt(n), trial_bound)
+    Any cofactor surviving trial division up to min(sqrt(n), TRIAL_BOUND)
     must itself be prime (certified deterministically), otherwise the
     input is beyond capacity.
     """
@@ -260,7 +174,7 @@ def factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND) -> Factorization:
         raise DomainError("factorize requires n >= 2")
     value = n
     factors: list[tuple[int, int]] = []
-    bound = min(math.isqrt(n), trial_bound)
+    bound = min(math.isqrt(n), TRIAL_BOUND)
     for p in _trial_primes_upto(bound + 1):
         if p * p > n:
             break
@@ -275,7 +189,7 @@ def factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND) -> Factorization:
             factors.append((n, 1))
         else:
             raise CapacityError(
-                f"composite cofactor {n} has no prime factor <= {trial_bound}"
+                f"composite cofactor {n} has no prime factor <= {TRIAL_BOUND}"
             )
     return Factorization(value, tuple(factors))
 
@@ -321,7 +235,7 @@ def _prime_segments(
         yield start, mask
 
 
-def prime_counts(points: Iterable[int], *, _segment: int = _SEGMENT) -> PrimeCounts:
+def prime_counts(points: Iterable[int], *, _segment: int = _SEGMENT) -> PrimeTable:
     """pi(x) at every x in `points` (any order, repeats allowed; pi(x) = 0
     for x < 2), from one pass of the odd numbers 2n + 1 up to the largest."""
     want = sorted(set(points))
@@ -337,15 +251,14 @@ def prime_counts(points: Iterable[int], *, _segment: int = _SEGMENT) -> PrimeCou
                 pi += mask.count(1, at, end)
                 counts[todo[i]], at, i = pi, end, i + 1
             pi += mask.count(1, at)
-    return PrimeCounts(counts)
+    return PrimeTable(counts)
 
 
-def prime_count(x: int, table: PiTable | None = None) -> int:
-    """pi(x): number of primes <= x, read off `table` when given (one that
-    does not hold x is a DomainError), else counted segment by segment."""
+def prime_count(x: int) -> int:
+    """pi(x): number of primes <= x, counted segment by segment."""
     if x < 1:
         raise DomainError("prime_count requires x >= 1")
-    return (table or prime_counts((x,))).count(x)
+    return prime_counts((x,)).count(x)
 
 
 def prime_count_progression(p: Progression, x: int, *, _segment: int = _SEGMENT) -> int:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import pytest
@@ -29,16 +30,26 @@ def oracle_factorize(n: int) -> dict[int, int]:
     return out
 
 
-def oracle_omega_array(x: int):
-    """omega(n) for 0 <= n <= x, by one strided numpy pass per prime of a
-    whole-range sieve: the value-space pass the library used to make."""
+def oracle_prime_mask(limit: int):
+    """mask[n] is True exactly for the primes n <= limit: a whole-range
+    numpy sieve of Eratosthenes, with its own base primes."""
     import numpy as np
 
-    from apcomposites.numcore import sieve
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return mask
 
-    primes = np.flatnonzero(sieve(x).membership)
+
+def oracle_omega_array(x: int):
+    """omega(n) for 0 <= n <= x, by one strided numpy pass per prime of
+    the reference mask: the value-space pass the library used to make."""
+    import numpy as np
+
     om = np.zeros(x + 1, dtype=np.int16)
-    for prime in primes:
+    for prime in np.flatnonzero(oracle_prime_mask(x)):
         om[prime::prime] += 1
     return om
 

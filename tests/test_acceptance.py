@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from apcomposites.analysis import (
+    PI_POINTS,
     central_binom_bound,
     density_bound_check,
     dyadic_gap_bound,
@@ -32,7 +33,7 @@ from apcomposites.explorer import (
     prime_streak,
     rational_scan,
 )
-from apcomposites.numcore import Progression, factorize, is_prime, sieve
+from apcomposites.numcore import Progression, factorize, is_prime, prime_counts
 from conftest import oracle_factorize, oracle_is_prime
 
 
@@ -41,16 +42,24 @@ def report(criterion: str, ok: bool):
     assert ok
 
 
+DENSITY_X = [10**j for j in range(1, 8)]
+BINOM_N, DYADIC_K, POW4_M = range(2, 10**4 + 1), range(2, 23), range(1, 12)
+
+
 @pytest.fixture(scope="module")
 def big_table():
-    return sieve(10**7)
+    # One counting pass over every pi value criteria 1 and 2 read.
+    checks = {"density_bound_check": DENSITY_X, "central_binom_bound": BINOM_N,
+              "dyadic_gap_bound": DYADIC_K, "pi_power4_bound": POW4_M}
+    return prime_counts(x for check, values in checks.items()
+                        for v in values for x in PI_POINTS[check](v))
 
 
 def test_criterion_1_density_bound_sweep(big_table):
     t0 = time.monotonic()
     failures = [
         x
-        for x in (10**j for j in range(1, 8))
+        for x in DENSITY_X
         if not density_bound_check(x, big_table).holds
     ]
     elapsed = time.monotonic() - t0
@@ -62,12 +71,9 @@ def test_criterion_1_density_bound_sweep(big_table):
 
 
 def test_criterion_2_inequality_chain(big_table):
-    bad_binom = [n for n in range(2, 10**4 + 1)
-                 if not central_binom_bound(n, big_table).holds]
-    bad_dyadic = [k for k in range(2, 23)
-                  if not dyadic_gap_bound(k, big_table).holds]
-    bad_pow4 = [m for m in range(1, 12)
-                if not pi_power4_bound(m, big_table).holds]
+    bad_binom = [n for n in BINOM_N if not central_binom_bound(n, big_table).holds]
+    bad_dyadic = [k for k in DYADIC_K if not dyadic_gap_bound(k, big_table).holds]
+    bad_pow4 = [m for m in POW4_M if not pi_power4_bound(m, big_table).holds]
     report(
         "2. binom n in [2,1e4], dyadic k in [2,22], pow4 m in [1,11]: "
         "zero failures",

@@ -19,8 +19,8 @@ from apcomposites.analysis import (
     run_length_threshold,
 )
 from apcomposites.errors import CapacityError, DomainError
-from apcomposites.numcore import Progression, factorize, prime_counts, sieve
-from conftest import oracle_is_prime, oracle_omega_array, traced_peak
+from apcomposites.numcore import PrimeTable, Progression, factorize, prime_counts
+from conftest import oracle_is_prime, oracle_omega_array, oracle_prime_mask, traced_peak
 
 
 class TestCentralBinomBound:
@@ -43,9 +43,10 @@ class TestCentralBinomBound:
 
     def test_log_space_matches_direct_small(self):
         # Direct integer comparison is feasible for small n.
-        table = sieve(200)
+        pi = np.cumsum(oracle_prime_mask(200))
+        table = prime_counts(range(2, 200))
         for n in range(2, 100):
-            gap = table.count(2 * n) - table.count(n)
+            gap = int(pi[2 * n] - pi[n])
             assert (n**gap < 4**n) == central_binom_bound(n, table).holds
 
 
@@ -91,11 +92,12 @@ def test_gap_checks_sieve_once(monkeypatch, check, value, limit):
     (pi_power4_bound, 5), (density_bound_check, 12345),
 ])
 def test_checks_read_only_their_points(check, value):
-    # The same result from a whole table, from a pass over exactly the
-    # points the check declares, and from no table; a pass that lacks one
-    # of those points is refused.
+    # The same result from the reference counts, from a pass over exactly
+    # the points the check declares, and from no table; a pass that lacks
+    # one of those points is refused.
     points = analysis.PI_POINTS[check.__name__](value)
-    expected = check(value, sieve(max(points)))
+    pi = np.cumsum(oracle_prime_mask(max(points)))
+    expected = check(value, PrimeTable({x: int(pi[x]) for x in points}))
     assert check(value, prime_counts(points)) == expected == check(value)
     with pytest.raises(DomainError):
         check(value, prime_counts([p + 1 for p in points]))
@@ -178,7 +180,7 @@ class TestPrimeTermMask:
     @pytest.fixture(scope="class")
     def membership(self):
         # Covers every |a*n + b| of the cases below.
-        return sieve(self.A_MAX * self.N_MAX + 3 * self.A_MAX).membership
+        return oracle_prime_mask(self.A_MAX * self.N_MAX + 3 * self.A_MAX)
 
     @pytest.mark.parametrize("a", range(1, A_MAX + 1))
     def test_matches_value_sieve(self, membership, a):

@@ -145,6 +145,7 @@ class TestCapacityAndDomain:
         ["--max-sieve", "0", "sweep", "dyadic", "--k", "1..30"],
         ["--max-sieve", "0", "sieve", "--limit", "1"],
         ["--max-sieve", "-1", "count", "--x", "0"],
+        ["--max-sieve", "0", "count", "--x", "5", "--a", "0"],
     ])
     def test_domain_before_capacity(self, runner, args):
         res = runner.invoke(cli, args)

@@ -10,7 +10,7 @@ from apcomposites import numcore
 from apcomposites.errors import DomainError
 from apcomposites.numcore import (
     Factorization,
-    PrimeCounts,
+    PrimeTable,
     Progression,
     factorize,
     is_prime,
@@ -19,9 +19,8 @@ from apcomposites.numcore import (
     prime_counts,
     _prime_segments,
     _small_primes,
-    sieve,
 )
-from conftest import oracle_factorize, oracle_is_prime, traced_peak
+from conftest import oracle_factorize, oracle_is_prime, oracle_prime_mask, traced_peak
 
 
 class TestProgression:
@@ -39,44 +38,22 @@ class TestProgression:
 
 
 class TestSieve:
+    """The reference sieve the count tests compare against,
+    conftest.oracle_prime_mask, checked against trial division."""
+
     def test_small(self):
-        assert list(np.flatnonzero(sieve(10).membership)) == [2, 3, 5, 7]
+        assert list(np.flatnonzero(oracle_prime_mask(10))) == [2, 3, 5, 7]
 
     def test_smallest(self):
-        assert list(np.flatnonzero(sieve(2).membership)) == [2]
+        assert list(np.flatnonzero(oracle_prime_mask(2))) == [2]
 
     def test_count_100(self):
-        assert sieve(100).count(100) == 25
-
-    def test_limit_below_two_rejected(self):
-        with pytest.raises(DomainError):
-            sieve(1)
-
-    def test_independent_of_segmentation(self):
-        full = sieve(10_000, segment_size=1 << 20)
-        tiny = sieve(10_000, segment_size=97)
-        assert np.array_equal(full.membership, tiny.membership)
+        assert np.count_nonzero(oracle_prime_mask(100)) == 25
 
     def test_matches_trial_division(self):
-        table = sieve(2_000)
-        for n in range(2, 2_001):
-            assert table.membership[n] == oracle_is_prime(n)
-
-    def test_count_cache_consistent(self):
-        table = sieve(300_000)
-        for x in (2, 65535, 65536, 65537, 131072, 299999, 300000):
-            assert table.count(x) == int(np.count_nonzero(table.membership[: x + 1]))
-
-    @pytest.mark.parametrize("limit", [65535, 65536, 131071])
-    def test_count_at_block_edges(self, limit):
-        # Whole blocks of 65536 entries are summed once; the rest is
-        # counted per call. Check every x next to a block edge.
-        table = sieve(limit)
-        block = 1 << 16
-        edges = {e + d for e in range(0, limit + 2, block) for d in (-2, -1, 0, 1)}
-        for x in sorted(edges | {limit - 1, limit}):
-            if 0 <= x <= limit:
-                assert table.count(x) == int(np.count_nonzero(table.membership[: x + 1]))
+        mask = oracle_prime_mask(2_000)
+        for n in range(2_001):
+            assert mask[n] == oracle_is_prime(n)
 
 
 class TestSmallPrimes:
@@ -171,10 +148,12 @@ class TestPrimeCount:
             prime_count(0)
 
     def test_table_too_small_rejected(self):
-        table = sieve(100)
-        assert prime_count(100, table) == 25
-        with pytest.raises(DomainError):
-            prime_count(101, table)
+        # A table answers only up to the largest point of its pass.
+        table = prime_counts([100])
+        assert table.count(100) == 25
+        for x in (101, 1000):
+            with pytest.raises(DomainError):
+                table.count(x)
 
     def test_powers_of_ten(self):
         # OEIS A006880, typed in: independent of every sieve here.
@@ -211,7 +190,6 @@ class TestPrimeCounts:
         points = [1000, 10, 2, 1000, 3, 100, 10, 4]
         counts = prime_counts(points)
         assert [counts.count(x) for x in points] == [168, 4, 1, 168, 2, 25, 4, 2]
-        assert counts.limit == 1000
 
     def test_points_below_two(self):
         counts = prime_counts([1, 0, -5, 2])
@@ -220,7 +198,7 @@ class TestPrimeCounts:
 
     def test_unrecorded_point_rejected(self):
         counts = prime_counts([10, 100])
-        assert isinstance(counts, PrimeCounts)
+        assert isinstance(counts, PrimeTable)
         for x in (11, 99, 101):
             with pytest.raises(DomainError, match=f"pi\\({x}\\)"):
                 counts.count(x)
@@ -230,11 +208,11 @@ class TestPrimeCounts:
             prime_counts([])
 
     def test_matches_table(self):
-        table = sieve(20_000)
+        pi = np.cumsum(oracle_prime_mask(20_000))
         points = list(range(0, 20_001, 37)) + [20_000]
         counts = prime_counts(points)
         for x in points:
-            assert counts.count(x) == table.count(x)
+            assert counts.count(x) == pi[x]
 
 
 class TestPrimeSegments:
@@ -289,7 +267,7 @@ class TestPrimeCountProgression:
     def test_matches_residue_filter(self):
         # Unreduced and negative offsets, and negative steps.
         x = 5_000
-        primes = np.flatnonzero(sieve(x).membership)
+        primes = np.flatnonzero(oracle_prime_mask(x))
         for a in [s * m for m in range(1, 31) for s in (1, -1)]:
             for b in (-2 * a - 1, -1, 0, 3, abs(a) + 5, 7 * abs(a) - 2):
                 p = Progression(a, b)
