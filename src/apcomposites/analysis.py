@@ -4,12 +4,15 @@ distinct-prime-factor statistic.
 
 The inequality checks are proven theorems: a single failure at any
 admissible input is an implementation bug, and tests treat it as such.
-numpy is imported only inside the functions that use it.
+The progression scans read numcore's index-space sieve one segment at
+a time, and the omega pass strides its own segments, so no array spans
+the whole range. numpy is imported only inside the functions that use it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -124,20 +127,19 @@ def density_bound_check(x: int, table: PrimeTable | None = None) -> DensityPoint
     return DensityPoint(x, pi_x, ratio, bound, float(ratio) < bound)
 
 
-def _prime_term_mask(p: Progression, n_max: int, name: str, sieve_cap: int) -> bytearray:
-    """mask[n] = 1 exactly for the n in [1, n_max] with |a*n + b| prime, a >= 1;
-    mask[0] and the pad byte mask[n_max + 1] are 0. The index-space sieve
-    of numcore as one segment over [0, n_max + 1]. The refusal when the
-    largest |term| exceeds sieve_cap names n_max as the caller's parameter
-    `name`.
+def _prime_term_segments(
+    p: Progression, n_max: int, name: str, sieve_cap: int
+) -> Iterator[tuple[int, bytearray]]:
+    """The segments of numcore's index-space sieve over n in [1, n_max],
+    a >= 1. The refusal when the largest |term| exceeds sieve_cap comes
+    before any segment is sieved, and names n_max as the caller's
+    parameter `name`.
     """
     top = max(abs(p.term(1)), abs(p.term(n_max)))
     if top > sieve_cap:
         raise CapacityError(f"{name} {n_max} needs |{p.a}*n + {p.b}| up to {top}, "
                             f"the sieve cap is {sieve_cap}")
-    ((_, mask),) = _prime_segments(p, 0, n_max + 1, n_max + 2)
-    mask[0] = mask[-1] = 0
-    return mask
+    return _prime_segments(p, 1, n_max)
 
 
 def progression_composite_density(
@@ -149,7 +151,7 @@ def progression_composite_density(
         raise DomainError("progression_composite_density requires a >= 1")
     if x < 1:
         raise DomainError("x must be >= 1")
-    primes = _prime_term_mask(p, x, "x", sieve_cap).count(1)
+    primes = sum(mask.count(1) for _, mask in _prime_term_segments(p, x, "x", sieve_cap))
     return Fraction(x - primes - len(_indices(p, (-1, 0, 1), 1, x)), x)
 
 
@@ -212,23 +214,35 @@ def run_length_threshold(p: Progression) -> int:
 def longest_prime_run(
     p: Progression, n_max: int, sieve_cap: int = DEFAULT_SIEVE_CAP
 ) -> RunScan:
-    """Scan n in [1, n_max] for maximal runs of prime values."""
+    """Scan n in [1, n_max] for maximal runs of prime values, one sieve
+    segment at a time."""
     if p.a < 1:
         raise DomainError("longest_prime_run requires a >= 1")
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
-    mask = _prime_term_mask(p, n_max, "n_max", sieve_cap)
-    # The first run of length L + 1 starts no earlier than the first of L.
-    length = at = 0
-    while (found := mask.find(b"\x01" * (length + 1), at)) >= 0:
-        length, at = length + 1, found
-    # mask[0] and the pad byte are 0, so every maximal run is 0 1^L 0.
-    run = b"\x00" + b"\x01" * length + b"\x00"
-    starts = []
-    at = mask.find(run) if length else -1
-    while at >= 0:
-        starts.append(at + 1)
-        at = mask.find(run, at + length + 1)
+    length, starts = 0, []
+    # The 0 before the open run (n = 0 at first), then the segments since.
+    window = bytearray(1)
+    for start, mask in _prime_term_segments(p, n_max, "n_max", sieve_cap):
+        base = start - len(window)  # the n of window[0]
+        window += mask
+        if start + len(mask) > n_max:
+            window.append(0)  # n_max + 1 closes the last run
+        # window[:end] starts and ends with a 0, so every run in it is a
+        # maximal run 0 1^L 0.
+        end = window.rfind(0) + 1
+        # The first run of length L + 1 starts no earlier than the first of L.
+        longest, at = length, 0
+        while (found := window.find(b"\x01" * (longest + 1), at, end)) >= 0:
+            longest, at = longest + 1, found
+        if longest > length:
+            length, starts = longest, []
+        run = b"\x00" + b"\x01" * length + b"\x00"
+        at = window.find(run, 0, end) if length else -1
+        while at >= 0:
+            starts.append(base + at + 1)
+            at = window.find(run, at + length + 1, end)
+        window = window[end - 1 :]
     return RunScan(p, n_max, length, tuple(starts))
 
 
@@ -253,7 +267,7 @@ def gaussian_mass(lo: float, hi: float) -> float:
     return 0.5 * (math.erf(hi / math.sqrt(2)) - math.erf(lo / math.sqrt(2)))
 
 
-def _omega_histogram(x: int, segment: int = _OMEGA_SEGMENT) -> list[int]:
+def _omega_histogram(x: int) -> list[int]:
     """hist[k] = #{3 <= n <= x : omega(n) = k}, one segment of integers at
     a time (x < 2**63, so omega(n) <= 15).
 
@@ -267,8 +281,8 @@ def _omega_histogram(x: int, segment: int = _OMEGA_SEGMENT) -> list[int]:
     dtype = np.int32 if x < 2**31 else np.int64
     primes = _small_primes(math.isqrt(x))
     hist = np.zeros(16, dtype=np.int64)
-    for lo in range(3, x + 1, segment):
-        hi = min(lo + segment, x + 1)
+    for lo in range(3, x + 1, _OMEGA_SEGMENT):
+        hi = min(lo + _OMEGA_SEGMENT, x + 1)
         omega = np.zeros(hi - lo, dtype=np.int8)
         smooth = np.ones(hi - lo, dtype=dtype)
         for q in primes:

@@ -221,13 +221,9 @@ def sieve_cmd(ctx, limit):
     if limit < 2:
         raise DomainError("sieve limit must be >= 2")
     check_capacity(ctx, "limit", limit)
-    # The odd numbers 2n + 1 <= limit, one segment at a time, and the prime 2.
-    count, largest = 1, 2
-    for start, mask in numcore._prime_segments(Progression(2, 1), 0, (limit - 1) // 2):
-        count += mask.count(1)
-        if (last := mask.rfind(1)) >= 0:
-            largest = 2 * (start + last) + 1
-    emit({"count": count, "largest": largest})
+    # One prime gap below limit: at most 220 steps for limit <= 5e7.
+    largest = next(n for n in range(limit, 1, -1) if numcore.is_prime(n))
+    emit({"count": numcore.prime_count(limit), "largest": largest})
 
 
 @cli.command("count")

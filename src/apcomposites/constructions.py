@@ -153,9 +153,7 @@ def witness_multiple_of_b(p: Progression, m: int) -> CompositeWitness:
     n = p.b * m
     value = p.term(n)
     if abs(value) <= 1 or abs(p.a * m + 1) <= 1:
-        raise DegenerateInputError(
-            f"value {value} degenerate at m={m}; raise m", minimal_m=m + 1
-        )
+        raise DegenerateInputError(f"value {value} degenerate at m={m}; raise m")
     proof = _prove_composite(value, hint_divisor=abs(p.b))
     return CompositeWitness(p, n, value, proof, "multiple_of_b")
 
@@ -180,8 +178,7 @@ def witness_unit_b(p: Progression, m: int) -> CompositeWitness:
     if abs(inner) <= 1:
         raise DegenerateInputError(
             f"|a*m + b| = {abs(inner)} <= 1 at m={m}; minimal admissible m is "
-            f"{_minimal_unit_m(p)}",
-            minimal_m=_minimal_unit_m(p),
+            f"{_minimal_unit_m(p)}"
         )
     n = p.a * inner + m
     value = p.term(n)

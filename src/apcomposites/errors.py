@@ -21,18 +21,9 @@ class DegenerateInputError(DomainError):
     """Parameters produce a value in {-1, 0, 1}, which is neither prime
     nor composite."""
 
-    def __init__(self, message, minimal_m=None):
-        super().__init__(message)
-        self.minimal_m = minimal_m
-
 
 class BracketError(DomainError):
     """Root bracket endpoints do not straddle a sign change."""
-
-    def __init__(self, message, f_lo=None, f_hi=None):
-        super().__init__(message)
-        self.f_lo = f_lo
-        self.f_hi = f_hi
 
 
 class CapacityError(ApcompositesError):

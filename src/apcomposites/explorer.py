@@ -135,9 +135,7 @@ def fermat_real_root(
         if mp.sign(f_lo) == mp.sign(f_hi):
             raise BracketError(
                 f"f({lo}) = {float(f_lo)} and f({hi}) = {float(f_hi)} "
-                "have the same sign",
-                f_lo=float(f_lo),
-                f_hi=float(f_hi),
+                "have the same sign"
             )
         iterations = max(0, math.ceil(math.log2((hi - lo) / tol)))
         a, b = mp.mpf(lo), mp.mpf(hi)

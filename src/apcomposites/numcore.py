@@ -5,9 +5,10 @@ integers uses Miller-Rabin with a fixed witness set that is proven
 deterministic for n < 3.3e24, so no answer is probabilistic in the
 supported range.
 
-Prime counts come from one index-space sieve, `_prime_segments`: it
-marks the n with |a*n + b| prime in bytearrays of about 2**18 indices,
-one segment at a time, so a count holds one segment, not [0, x].
+Prime counts, and the progression scans of `analysis`, come from one
+index-space sieve, `_prime_segments`: it marks the n with |a*n + b|
+prime in bytearrays of about 2**18 indices, one segment at a time, so a
+count or a scan holds one segment, not [0, x].
 `prime_count` sieves the odd numbers 2n + 1, `prime_count_progression`
 only its residue class, and `prime_counts` records pi at many points in
 one pass, as a `PrimeTable`. Nothing here loads numpy.
@@ -200,12 +201,11 @@ def _indices(p: Progression, values, lo: int, hi: int) -> list[int]:
             if (v - p.b) % p.a == 0 and lo <= (n := (v - p.b) // p.a) <= hi]
 
 
-def _prime_segments(
-    p: Progression, lo: int, hi: int, segment: int = _SEGMENT
-) -> Iterator[tuple[int, bytearray]]:
+def _prime_segments(p: Progression, lo: int, hi: int) -> Iterator[tuple[int, bytearray]]:
     """(start, mask) over the indices lo <= n <= hi of a*n + b, a >= 1, in
-    order and at most `segment` at a time: mask[i] = 1 exactly when
-    |a*(start + i) + b| is prime.
+    order and at most `_SEGMENT` at a time: mask[i] = 1 exactly when
+    |a*(start + i) + b| is prime. Every caller reads the masks one by one,
+    so none holds more than a segment of the range.
 
     Sieved in index space, with no table of values: for a base prime
     q <= sqrt(max |term|), the terms it divides are the class
@@ -221,8 +221,8 @@ def _prime_segments(
     classes = [(q, -p.b * pow(p.a, -1, q) % q) for q in base if coprime and p.a % q]
     fixes = sorted([(n, 1) for n in _indices(p, [s * q for q in base for s in (1, -1)], lo, hi)]
                    + [(n, 0) for n in _indices(p, (-1, 0, 1), lo, hi)], reverse=True)
-    for start in range(lo, hi + 1, segment):
-        size = min(segment, hi + 1 - start)
+    for start in range(lo, hi + 1, _SEGMENT):
+        size = min(_SEGMENT, hi + 1 - start)
         mask = bytearray([coprime]) * size
         for q, r in classes:
             first = (r - start) % q
@@ -235,7 +235,7 @@ def _prime_segments(
         yield start, mask
 
 
-def prime_counts(points: Iterable[int], *, _segment: int = _SEGMENT) -> PrimeTable:
+def prime_counts(points: Iterable[int]) -> PrimeTable:
     """pi(x) at every x in `points` (any order, repeats allowed; pi(x) = 0
     for x < 2), from one pass of the odd numbers 2n + 1 up to the largest."""
     want = sorted(set(points))
@@ -245,7 +245,7 @@ def prime_counts(points: Iterable[int], *, _segment: int = _SEGMENT) -> PrimeTab
     todo = [x for x in want if x >= 2]
     pi, i = 1, 0  # the prime 2, then the odd primes counted so far
     if todo:
-        for start, mask in _prime_segments(Progression(2, 1), 0, (todo[-1] - 1) // 2, _segment):
+        for start, mask in _prime_segments(Progression(2, 1), 0, (todo[-1] - 1) // 2):
             at = 0  # mask[:at] is counted in pi
             while i < len(todo) and (end := (todo[i] - 1) // 2 - start + 1) <= len(mask):
                 pi += mask.count(1, at, end)
@@ -261,7 +261,7 @@ def prime_count(x: int) -> int:
     return prime_counts((x,)).count(x)
 
 
-def prime_count_progression(p: Progression, x: int, *, _segment: int = _SEGMENT) -> int:
+def prime_count_progression(p: Progression, x: int) -> int:
     """pi_{a,b}(x): primes q <= x with q congruent to b mod |a|, counted
     segment by segment over the indices of |a|*n + (b mod |a|), 1/|a| of
     the integers up to x."""
@@ -269,4 +269,4 @@ def prime_count_progression(p: Progression, x: int, *, _segment: int = _SEGMENT)
         raise DomainError("prime_count_progression requires x >= 1")
     a, r = abs(p.a), p.residue
     return sum(mask.count(1) for _, mask in
-               _prime_segments(Progression(a, r), 0, (x - r) // a, _segment))
+               _prime_segments(Progression(a, r), 0, (x - r) // a))

@@ -43,6 +43,18 @@ def oracle_prime_mask(limit: int):
     return mask
 
 
+def oracle_runs(bits) -> tuple[int, list[int]]:
+    """(L, starts) for a 0/1 array where bits[i] stands for n = i + 1: the
+    greatest length L of a run of 1s, and the n that begin the runs of
+    length L (none when L = 0)."""
+    import numpy as np
+
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], bits, [0])).astype(np.int8)))
+    starts, lengths = edges[::2] + 1, edges[1::2] - edges[::2]
+    length = int(lengths.max(initial=0))
+    return length, starts[lengths == length].tolist() if length else []
+
+
 def oracle_omega_array(x: int):
     """omega(n) for 0 <= n <= x, by one strided numpy pass per prime of
     the reference mask: the value-space pass the library used to make."""
@@ -57,6 +69,14 @@ def oracle_omega_array(x: int):
 @pytest.fixture(scope="session")
 def oracle_primes_1000():
     return [n for n in range(2, 1001) if oracle_is_prime(n)]
+
+
+@pytest.fixture(params=[1, 7, 97, 1 << 18])
+def segment(request, monkeypatch):
+    """numcore's sieve segment size for one test: sizes that do and do not
+    divide a progression's step, down to one index."""
+    monkeypatch.setattr("apcomposites.numcore._SEGMENT", request.param)
+    return request.param
 
 
 def traced_peak(fn) -> int:

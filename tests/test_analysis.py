@@ -7,7 +7,6 @@ import pytest
 from apcomposites import analysis
 from apcomposites.analysis import (
     _omega_histogram,
-    _prime_term_mask,
     central_binom_bound,
     density_bound_check,
     dyadic_gap_bound,
@@ -20,7 +19,13 @@ from apcomposites.analysis import (
 )
 from apcomposites.errors import CapacityError, DomainError
 from apcomposites.numcore import PrimeTable, Progression, factorize, prime_counts
-from conftest import oracle_is_prime, oracle_omega_array, oracle_prime_mask, traced_peak
+from conftest import (
+    oracle_is_prime,
+    oracle_omega_array,
+    oracle_prime_mask,
+    oracle_runs,
+    traced_peak,
+)
 
 
 class TestCentralBinomBound:
@@ -175,6 +180,9 @@ class TestProgressionCompositeDensity:
 
 
 class TestPrimeTermMask:
+    """The two scans over the prime terms of a*n + b, read one sieve
+    segment at a time, against the reference mask."""
+
     A_MAX, N_MAX = 14, 10**4
 
     @pytest.fixture(scope="class")
@@ -182,35 +190,54 @@ class TestPrimeTermMask:
         # Covers every |a*n + b| of the cases below.
         return oracle_prime_mask(self.A_MAX * self.N_MAX + 3 * self.A_MAX)
 
+    @staticmethod
+    def check(membership, p, n_max):
+        terms = np.abs(p.a * np.arange(1, n_max + 1) + p.b)
+        bits = membership[terms]
+        scan = longest_prime_run(p, n_max)
+        assert (scan.max_length, list(scan.starts)) == oracle_runs(bits), (p, n_max)
+        composite = n_max - np.count_nonzero(bits) - np.count_nonzero(terms <= 1)
+        assert progression_composite_density(p, n_max) == Fraction(composite, n_max), (p, n_max)
+
     @pytest.mark.parametrize("a", range(1, A_MAX + 1))
     def test_matches_value_sieve(self, membership, a):
         # b = 0, gcd(a, b) > 1, and b <= -a, where terms are negative or
         # pass through -1, 0 and 1, are all among these offsets.
         for b in range(-3 * a, 3 * a + 1):
-            p = Progression(a, b)
             for n_max in (1, 2, 3, self.N_MAX):
-                mask = _prime_term_mask(p, n_max, "n_max", 10**9)
-                terms = np.abs(a * np.arange(1, n_max + 1) + b)
-                assert len(mask) == n_max + 2 and mask[0] == mask[-1] == 0
-                assert list(mask[1:-1]) == membership[terms].tolist(), (a, b, n_max)
+                self.check(membership, Progression(a, b), n_max)
+
+    def test_independent_of_segmentation(self, membership, segment):
+        # Segment sizes that divide a (7 | 7, 7 | 14) and that do not; runs
+        # that cross segment edges and that end at n_max.
+        for a in (1, 2, 6, 7, 12, 14):
+            for b in (-3 * a, -a - 1, -1, 0, 1, 5, a - 1):
+                for n_max in (1, 2, 3, 96, 97, 98, 3000):
+                    self.check(membership, Progression(a, b), n_max)
 
     @pytest.mark.parametrize("a, b, n_max", [(1, 0, 100), (3, -5, 30), (5, 10, 20)])
-    def test_cap_is_the_largest_term(self, a, b, n_max):
+    def test_cap_is_the_largest_term(self, monkeypatch, a, b, n_max):
         # Accepted with the cap at max |a*n + b|, refused one below it, and
         # the refusal names the parameter, the largest term and the cap.
         p = Progression(a, b)
         top = max(abs(p.term(1)), abs(p.term(n_max)))
-        _prime_term_mask(p, n_max, "n_max", top)
-        with pytest.raises(CapacityError, match=f"n_max {n_max} needs .* up to {top}, "
-                                                f"the sieve cap is {top - 1}"):
-            _prime_term_mask(p, n_max, "n_max", top - 1)
+        for scan, name in ((longest_prime_run, "n_max"), (progression_composite_density, "x")):
+            scan(p, n_max, sieve_cap=top)
+            with pytest.raises(CapacityError, match=f"^{name} {n_max} needs .* up to {top}, "
+                                                    f"the sieve cap is {top - 1}$"):
+                scan(p, n_max, sieve_cap=top - 1)
+        # The refusal comes before any segment is sieved.
+        monkeypatch.setattr(analysis, "_prime_segments", None)
+        with pytest.raises(CapacityError):
+            longest_prime_run(p, n_max, sieve_cap=top - 1)
 
     @pytest.mark.parametrize("scan", [longest_prime_run, progression_composite_density])
     def test_peak_memory(self, scan):
-        # The byte mask over the indices, plus one stride of zeros (a fifth
-        # of it for a = 12); the value-space version took ~20 bytes an index.
-        n_max = 2_000_000
-        assert traced_peak(lambda: scan(Progression(12, 1), n_max)) <= 2 * n_max
+        # One segment of 2**18 indices (the run scan also holds its window),
+        # the zeros of one stride and the base primes, whatever n_max is: a
+        # byte per index would be 4 MB here.
+        n_max = 4_000_000
+        assert traced_peak(lambda: scan(Progression(12, 1), n_max)) <= 2 << 20
 
 
 class TestLongestPrimeRun:
@@ -276,11 +303,12 @@ class TestErdosKac:
         *((x, segment) for x in (3, 4, 1000, 4097) for segment in (1, 7, 97, 2**18)),
         (30_030, 97), (600_000, 2**18), (600_001, 7919),
     ])
-    def test_histogram_independent_of_segmentation(self, x, segment):
+    def test_histogram_independent_of_segmentation(self, monkeypatch, x, segment):
         # Segments that do and do not divide the prime powers; the large
         # prime factor of an n is seen only through its smooth part.
+        monkeypatch.setattr(analysis, "_OMEGA_SEGMENT", segment)
         expected = np.bincount(oracle_omega_array(x)[3:], minlength=16).tolist()
-        assert _omega_histogram(x, segment) == expected
+        assert _omega_histogram(x) == expected
 
     def test_gaussian_mass(self):
         assert gaussian_mass(-1, 1) == pytest.approx(0.6827, abs=1e-4)

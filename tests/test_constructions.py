@@ -65,9 +65,8 @@ class TestWitnessUnitB:
         assert (w.n, w.value) == (5, 6)
 
     def test_degenerate_reports_minimal_m(self):
-        with pytest.raises(DegenerateInputError) as exc:
+        with pytest.raises(DegenerateInputError, match="minimal admissible m is 2$"):
             witness_unit_b(Progression(2, -1), 1)
-        assert exc.value.minimal_m == 2
         w = witness_unit_b(Progression(2, -1), 2)
         assert (w.n, w.value) == (8, 15)
 

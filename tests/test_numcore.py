@@ -165,7 +165,7 @@ class TestPrimeCount:
     def test_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
         rng = random.Random(7)
-        segment = 1 << 18
+        segment = numcore._SEGMENT
         # Index n of 2n + 1 starts segment k at n = k * segment.
         edges = [2 * k * segment + 1 + d for k in range(1, 4) for d in (-2, -1, 0, 1, 2)]
         points = [rng.randint(1, 2_000_000) for _ in range(200)] + edges
@@ -220,21 +220,21 @@ class TestPrimeSegments:
 
     @pytest.mark.parametrize("a, b", [(1, 0), (2, 1), (3, -20), (6, 1), (7, 14), (12, -1)])
     @pytest.mark.parametrize("lo, hi", [(0, 500), (7, 300), (5, 5), (0, 0)])
-    def test_matches_trial_division(self, a, b, lo, hi):
+    def test_matches_trial_division(self, monkeypatch, a, b, lo, hi):
         p = Progression(a, b)
         expected = [int(oracle_is_prime(abs(p.term(n)))) for n in range(lo, hi + 1)]
         for segment in (1, 7, 97, 1 << 18):
-            segments = list(_prime_segments(p, lo, hi, segment))
+            monkeypatch.setattr(numcore, "_SEGMENT", segment)
+            segments = list(_prime_segments(p, lo, hi))
             assert [start for start, _ in segments] == list(range(lo, hi + 1, segment))
             assert [bit for _, mask in segments for bit in mask] == expected, segment
 
     def test_empty_range(self):
         assert list(_prime_segments(Progression(2, 1), 5, 4)) == []
 
-    @pytest.mark.parametrize("segment", [1, 7, 97, 1 << 18])
     def test_counts_independent_of_segmentation(self, segment):
         points = [2, 3, 97, 98, 4999, 5000]
-        counts = prime_counts(points, _segment=segment)
+        counts = prime_counts(points)
         assert [counts.count(x) for x in points] == [1, 2, 25, 25, 669, 669]
         # Segment sizes that divide a (7 | 7, 7 | 14, 97 | 97) and that do not.
         for a in (1, 6, 7, 14, 97):
@@ -242,7 +242,7 @@ class TestPrimeSegments:
                 p = Progression(a, b)
                 expected = sum(1 for q in range(5001) if oracle_is_prime(q)
                                and q % a == b % a)
-                assert prime_count_progression(p, 5000, _segment=segment) == expected, p
+                assert prime_count_progression(p, 5000) == expected, p
 
 
 class TestPrimeCountProgression:
