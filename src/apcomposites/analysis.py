@@ -5,8 +5,8 @@ distinct-prime-factor statistic.
 The inequality checks are proven theorems: a single failure at any
 admissible input is an implementation bug, and tests treat it as such.
 The progression scans read numcore's index-space sieve one segment at
-a time, and the omega pass strides its own segments, so no array spans
-the whole range. numpy is imported only inside the functions that use it.
+a time, and the omega pass strides bytearray segments of the same size,
+so no array spans the whole range. Nothing here loads numpy.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import numcore
 from .errors import CapacityError, DomainError
 from .numcore import (
     PrimeTable,
@@ -45,9 +46,8 @@ __all__ = [
 ]
 
 DEFAULT_SIEVE_CAP = 50_000_000
-# Integers per segment of the omega pass; the fastest of 2**16, 2**18 and
-# 2**20 at x = 1e7.
-_OMEGA_SEGMENT = 1 << 18
+# bytes.translate table adding 1 to every byte.
+_INC = bytes(range(1, 256)) + b"\0"
 
 
 @dataclass(frozen=True)
@@ -268,32 +268,34 @@ def gaussian_mass(lo: float, hi: float) -> float:
 
 
 def _omega_histogram(x: int) -> list[int]:
-    """hist[k] = #{3 <= n <= x : omega(n) = k}, one segment of integers at
-    a time (x < 2**63, so omega(n) <= 15).
+    """hist[k] = #{3 <= n <= x : omega(n) = k} (x < 2**63, so k <= 15).
 
-    Each segment strides only the primes q <= sqrt(x): omega counts them,
-    and every power of q dividing n is multiplied into its smooth part. An
-    n <= x has at most one prime factor above sqrt(x), to the first power,
-    so it has one exactly when it exceeds its smooth part.
+    Each segment of `numcore._SEGMENT` integers counts the primes
+    q <= r = isqrt(x) that divide each n. An n <= x has at most one prime
+    factor P > r, and then n = m*P with m <= r: for each m, the
+    pi(x // m) - pi(max(r, 2)) such n (the max leaves out n = 2 at x = 3)
+    move up one bucket from omega(m), every pi from one prime_counts pass.
     """
-    import numpy as np
-
-    dtype = np.int32 if x < 2**31 else np.int64
-    primes = _small_primes(math.isqrt(x))
-    hist = np.zeros(16, dtype=np.int64)
-    for lo in range(3, x + 1, _OMEGA_SEGMENT):
-        hi = min(lo + _OMEGA_SEGMENT, x + 1)
-        omega = np.zeros(hi - lo, dtype=np.int8)
-        smooth = np.ones(hi - lo, dtype=dtype)
+    r = math.isqrt(x)
+    primes = _small_primes(r)
+    hist = [0] * 16
+    for lo in range(3, x + 1, numcore._SEGMENT):
+        seg = bytearray(min(numcore._SEGMENT, x + 1 - lo))
         for q in primes:
-            omega[-lo % q :: q] += 1
-            power = q
-            while power < hi:
-                smooth[-lo % power :: power] *= q
-                power *= q
-        omega += np.arange(lo, hi, dtype=dtype) > smooth
-        hist += np.bincount(omega, minlength=len(hist))
-    return hist.tolist()
+            seg[-lo % q :: q] = seg[-lo % q :: q].translate(_INC)
+        counted = k = 0
+        while counted < len(seg):
+            hist[k] += (c := seg.count(k))
+            counted, k = counted + c, k + 1
+    small = bytearray(r + 1)  # omega(m) for m <= r
+    for q in primes:
+        small[q::q] = small[q::q].translate(_INC)
+    pi = prime_counts([max(r, 2), *(x // m for m in range(1, r + 1))])
+    for m in range(1, r + 1):
+        moved = pi.count(x // m) - pi.count(max(r, 2))
+        hist[small[m]] -= moved
+        hist[small[m] + 1] += moved
+    return hist
 
 
 def erdos_kac_samples(

@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 WORKING_DPS = 50
+STREAK_SCAN_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -69,17 +70,17 @@ class StreakResult:
     first_failure_value: int
 
 
-def prime_streak(C: int, scan_cap: int = 10**6) -> StreakResult:
+def prime_streak(C: int) -> StreakResult:
     """Length of the initial run of n >= 0 with n^2 + n + C prime."""
     if C < 1:
         raise DomainError("C must be >= 1")
     n = 0
-    while n <= scan_cap:
+    while n <= STREAK_SCAN_CAP:
         v = n * n + n + C
         if not is_prime(v):
             return StreakResult(C, n, n, v)
         n += 1
-    raise CapacityError(f"streak for C={C} exceeds scan cap {scan_cap}")
+    raise CapacityError(f"streak for C={C} exceeds scan cap {STREAK_SCAN_CAP}")
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,11 @@ supported range.
 
 Prime counts, and the progression scans of `analysis`, come from one
 index-space sieve, `_prime_segments`: it marks the n with |a*n + b|
-prime in bytearrays of about 2**18 indices, one segment at a time, so a
-count or a scan holds one segment, not [0, x].
-`prime_count` sieves the odd numbers 2n + 1, `prime_count_progression`
-only its residue class, and `prime_counts` records pi at many points in
-one pass, as a `PrimeTable`. Nothing here loads numpy.
+prime in bytearrays of `_SEGMENT` indices, one segment at a time, so a
+count or a scan holds one segment, not [0, x]. `prime_count` sieves the
+odd numbers 2n + 1, `prime_count_progression` only its residue class,
+and `prime_counts` records pi at many points in one pass, as a
+`PrimeTable`; it also gives the omega pass its large prime factors.
 """
 
 from __future__ import annotations

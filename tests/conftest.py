@@ -73,15 +73,16 @@ def oracle_primes_1000():
 
 @pytest.fixture(params=[1, 7, 97, 1 << 18])
 def segment(request, monkeypatch):
-    """numcore's sieve segment size for one test: sizes that do and do not
-    divide a progression's step, down to one index."""
+    """numcore's segment size, of the sieve and of the omega pass, for one
+    test: sizes that do and do not divide a progression's step, down to
+    one index."""
     monkeypatch.setattr("apcomposites.numcore._SEGMENT", request.param)
     return request.param
 
 
 def traced_peak(fn) -> int:
-    """Peak bytes traced while fn() runs; numpy reports its buffers to
-    tracemalloc, so this covers the arrays a call materialises."""
+    """Peak bytes traced while fn() runs; tracemalloc sees every
+    bytearray, list and int a call materialises."""
     tracemalloc.start()
     try:
         fn()

@@ -300,13 +300,16 @@ class TestErdosKac:
             assert om[n] == factorize(n).omega
 
     @pytest.mark.parametrize("x, segment", [
-        *((x, segment) for x in (3, 4, 1000, 4097) for segment in (1, 7, 97, 2**18)),
+        *((x, segment)
+          for x in (1000, *(r * r + d for r in (2, 3, 10, 64) for d in (-1, 0, 1)))
+          for segment in (1, 7, 97, 2**18)),
         (30_030, 97), (600_000, 2**18), (600_001, 7919),
-    ])
-    def test_histogram_independent_of_segmentation(self, monkeypatch, x, segment):
-        # Segments that do and do not divide the prime powers; the large
-        # prime factor of an n is seen only through its smooth part.
-        monkeypatch.setattr(analysis, "_OMEGA_SEGMENT", segment)
+    ], indirect=["segment"])
+    def test_histogram_independent_of_segmentation(self, x, segment):
+        # Segment sizes that do and do not divide the primes, and x beside
+        # r**2, where a prime moves between the strided primes and the one
+        # large prime factor; at x = 3 = 2**2 - 1 that step must leave out
+        # n = 2.
         expected = np.bincount(oracle_omega_array(x)[3:], minlength=16).tolist()
         assert _omega_histogram(x) == expected
 
@@ -354,9 +357,9 @@ class TestErdosKac:
         assert [iv.sample_fraction for iv in summary.intervals] == fractions
 
     def test_peak_memory(self):
-        # One segment's arrays at a time, whatever x is: int32 values and
-        # smooth parts, the int8 omega and bincount's int64 copy of it, 17
-        # bytes for each of 2**18 integers. A whole-range omega array
-        # passes at 5e5 and fails at 4e6.
+        # One bytearray segment of omega values at a time, whatever x is,
+        # with the slices each translate copies: about 2**18 bytes, then
+        # the prime_counts pass's one mask of 2**18 indices. A whole-range
+        # omega array fails at 4e6.
         for x in (500_000, 4_000_000):
-            assert traced_peak(lambda: erdos_kac_samples(x)) <= 4 << 20, x
+            assert traced_peak(lambda: erdos_kac_samples(x)) <= 3 << 19, x

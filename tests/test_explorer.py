@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from apcomposites import explorer
 from apcomposites.errors import BracketError, CapacityError, DomainError
 from apcomposites.explorer import (
     euler_lucky_search,
@@ -56,10 +57,11 @@ class TestPrimeStreak:
         assert res.length == 0
         assert res.first_failure_value == 1
 
-    def test_scan_cap_is_a_capacity_error(self):
+    def test_scan_cap_is_a_capacity_error(self, monkeypatch):
         # n^2 + n + 41 stays prime for n < 40, past a scan cap of 10.
-        with pytest.raises(CapacityError, match="scan cap 10"):
-            prime_streak(41, scan_cap=10)
+        monkeypatch.setattr(explorer, "STREAK_SCAN_CAP", 10)
+        with pytest.raises(CapacityError, match="scan cap 10$"):
+            prime_streak(41)
 
     def test_41_is_record_below_1000(self):
         best = max(range(1, 1001), key=lambda C: prime_streak(C).length)
