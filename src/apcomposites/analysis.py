@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import numcore
-from .errors import CapacityError, DomainError
+from .errors import DEFAULT_SIEVE_CAP, CapacityError, DomainError
 from .numcore import (
     PrimeTable,
     Progression,
@@ -45,7 +45,6 @@ __all__ = [
     "gaussian_mass",
 ]
 
-DEFAULT_SIEVE_CAP = 50_000_000
 # bytes.translate table adding 1 to every byte.
 _INC = bytes(range(1, 256)) + b"\0"
 
@@ -274,7 +273,8 @@ def _omega_histogram(x: int) -> list[int]:
     q <= r = isqrt(x) that divide each n. An n <= x has at most one prime
     factor P > r, and then n = m*P with m <= r: for each m, the
     pi(x // m) - pi(max(r, 2)) such n (the max leaves out n = 2 at x = 3)
-    move up one bucket from omega(m), every pi from one prime_counts pass.
+    move up one bucket from omega(m). These points are all x // i or at
+    most r, so one prime_counts call reads every pi off Lucy's table.
     """
     r = math.isqrt(x)
     primes = _small_primes(r)

@@ -9,6 +9,9 @@ in BOUNDS, which generates both `<name>` and `sweep <name>`.
 Exit codes: 0 ok, 1 domain/precondition error, 2 usage error (also a
 malformed --config or a non-finite or non-integral number), 3 capacity
 error; the root group maps the library's errors to them.
+
+Each command imports the library modules it runs when it runs, so
+`--help` loads none of them and `count` only numcore.
 """
 
 from __future__ import annotations
@@ -24,10 +27,7 @@ from typing import Callable
 
 import click
 
-from . import analysis, constructions, explorer, numcore
-from .constructions import CompositeWitness, DivisorPair, KCompositeWitness
-from .errors import CapacityError, DomainError
-from .numcore import Factorization, Progression
+from .errors import DEFAULT_SIEVE_CAP, CapacityError, DomainError
 
 SCHEMA_VERSION = 1
 
@@ -141,6 +141,10 @@ def as_jsonable(obj):
     if isinstance(obj, Fraction):
         return {"num": obj.numerator, "den": obj.denominator,
                 "float": float(obj)}
+    # A value of these types comes from modules the command has loaded.
+    from .constructions import CompositeWitness, DivisorPair, KCompositeWitness
+    from .numcore import Factorization
+
     if isinstance(obj, Factorization):
         return {"type": "factorization", "value": obj.value, "factors": obj.factors}
     if isinstance(obj, DivisorPair):
@@ -205,7 +209,7 @@ def cli(ctx, max_sieve, config):
     """Composite witnesses, prime-density bounds, and related explorations
     for arithmetic progressions a*n + b."""
     ctx.ensure_object(dict)
-    cap = analysis.DEFAULT_SIEVE_CAP
+    cap = DEFAULT_SIEVE_CAP
     if config is not None:
         cap = config_max_sieve(config, cap)
     if max_sieve is not None:
@@ -218,6 +222,8 @@ def cli(ctx, max_sieve, config):
 @click.pass_context
 def sieve_cmd(ctx, limit):
     """Prime count and largest prime up to --limit."""
+    from . import numcore
+
     if limit < 2:
         raise DomainError("sieve limit must be >= 2")
     check_capacity(ctx, "limit", limit)
@@ -233,9 +239,11 @@ def sieve_cmd(ctx, limit):
 @click.pass_context
 def count_cmd(ctx, x, a, b):
     """pi(x), or pi_{a,b}(x) when --a/--b are given."""
+    from . import numcore
+
     if a is None and b is not None:
         raise click.UsageError("--b needs --a")
-    prog = None if a is None else Progression(a, b or 0)  # refuses a = 0 before capacity
+    prog = None if a is None else numcore.Progression(a, b or 0)  # refuses a = 0 before capacity
     if x >= 1:  # else the count's DomainError comes first
         check_capacity(ctx, "x", x)
     if prog is None:
@@ -256,6 +264,9 @@ def _witness_command(name: str, builder: str) -> None:
     @click.option("--b", type=INT, required=True)
     @click.option("--m", type=INT, required=True)
     def cmd(a, b, m):
+        from . import constructions
+        from .numcore import Progression
+
         emit(getattr(constructions, builder)(Progression(a, b), m))
 
 
@@ -269,6 +280,8 @@ _witness_command("unit", "witness_unit_b")
               callback=lambda ctx, param, value: int(value))
 @click.option("--k", type=INT, required=True)
 def witness_power_cmd(a, sign, k):
+    from . import constructions
+
     emit(constructions.witness_power(a, sign, k))
 
 
@@ -276,6 +289,8 @@ def witness_power_cmd(a, sign, k):
 @click.option("--m", type=INT, required=True)
 def factorial_cmd(m):
     """Witnesses for the consecutive composites m!+2 ... m!+m."""
+    from . import constructions
+
     emit(constructions.factorial_consecutive(m))
 
 
@@ -285,6 +300,9 @@ def factorial_cmd(m):
 @click.option("--count", type=INT, required=True,
               help="How many consecutive composite terms to find.")
 def consecutive_cmd(a, b, count):
+    from . import constructions
+    from .numcore import Progression
+
     res = constructions.consecutive_in_progression(Progression(a, b), count)
     emit({"start_n": res.start_n, "witnesses": res.witnesses,
           "factorial_m_bound": res.factorial_m_bound})
@@ -298,6 +316,9 @@ def consecutive_cmd(a, b, count):
 @click.option("--mode", type=click.Choice(["distinct", "multiplicity"]),
               default="distinct")
 def kcomposite_cmd(a, b, k, count, mode):
+    from . import constructions
+    from .numcore import Progression
+
     emit(constructions.k_composite_witnesses(Progression(a, b), k, count, mode))
 
 
@@ -306,6 +327,8 @@ def kcomposite_cmd(a, b, k, count, mode):
               help="Comma-separated coefficients, constant term first.")
 @click.option("--count", type=INT, default=1)
 def poly_cmd(coeffs, count):
+    from . import constructions
+
     emit([{"k": r.k, "j": r.j, "index": r.index, "value": r.value,
            "divisor": r.divisor}
           for r in constructions.polynomial_composites(coeffs, count)])
@@ -315,6 +338,8 @@ def poly_cmd(coeffs, count):
 @click.option("--count", type=INT, required=True)
 @click.option("--k-max", type=INT, default=10**4)
 def twin3_cmd(count, k_max):
+    from . import constructions
+
     res = constructions.three_composites_4n3(count, k_max)
     emit({"witnesses": res.witnesses, "shortfall": res.shortfall})
 
@@ -326,6 +351,9 @@ def twin3_cmd(count, k_max):
 @click.pass_context
 def runs_cmd(ctx, a, b, n_max):
     """Longest runs of prime values among n in [1, n_max]."""
+    from . import analysis
+    from .numcore import Progression
+
     scan = analysis.longest_prime_run(
         Progression(a, b), n_max, sieve_cap=ctx.obj["max_sieve"])
     emit({"n_max": scan.n_max, "max_length": scan.max_length,
@@ -340,6 +368,8 @@ def runs_cmd(ctx, a, b, n_max):
 @click.pass_context
 def ek_cmd(ctx, x, interval):
     """Distinct-prime-factor statistic summary over 3 <= n <= x."""
+    from . import analysis
+
     if x >= 3 and interval[0] <= interval[1]:  # else a DomainError comes first
         check_capacity(ctx, "x", x)
     summary = analysis.erdos_kac_samples(x, intervals=(interval,))
@@ -352,6 +382,8 @@ def ek_cmd(ctx, x, interval):
 @click.option("--max", type=INT, required=True)
 def lucky_cmd(max):
     """Constants C <= max with n^2 - n + C prime for all 1 <= n <= C-1."""
+    from . import explorer
+
     emit({"lucky": explorer.euler_lucky_search(max)})
 
 
@@ -359,6 +391,8 @@ def lucky_cmd(max):
 @click.option("--c", type=INT, required=True)
 def streak_cmd(c):
     """Initial run of n >= 0 with n^2 + n + C prime."""
+    from . import explorer
+
     res = explorer.prime_streak(c)
     emit({"length": res.length, "first_failure_n": res.first_failure_n,
           "first_failure_value": res.first_failure_value})
@@ -373,6 +407,8 @@ def streak_cmd(c):
 @click.option("--tol", type=float, default=1e-12, callback=finite_float)
 def fermatreal_cmd(x, y, z, bracket, tol):
     """Bisect x^t + y^t - z^t to the stated tolerance."""
+    from . import explorer
+
     r = explorer.fermat_real_root(x, y, z, bracket, tol)
     emit({"s": r.s, "residual": r.residual, "refined_bracket": r.refined_bracket,
           "iterations": r.iterations})
@@ -387,6 +423,8 @@ def fermatreal_cmd(x, y, z, bracket, tol):
 @click.option("--tol", type=float, default=1e-9, callback=finite_float)
 def ratscan_cmd(x, y, z, bracket, q_max, tol):
     """Rationals p/q in the bracket that nearly solve x^t + y^t = z^t."""
+    from . import explorer
+
     root = explorer.fermat_real_root(x, y, z, bracket)
     hits = explorer.rational_scan(root, q_max, tol)
     emit({"hits": [{"p": h.numerator, "q": h.denominator} for h in hits]})
@@ -460,6 +498,8 @@ def _bound_commands(b: Bound) -> None:
     @click.option(f"--{b.option}", type=INT, required=True)
     @click.pass_context
     def single(ctx, **kw):
+        from . import analysis
+
         value = kw[b.option]
         if value >= b.min_value:  # else the check's DomainError comes first
             check_capacity(ctx, b.option, value, b.sieve_need(value))
@@ -468,6 +508,8 @@ def _bound_commands(b: Bound) -> None:
     @FORMAT
     @click.pass_context
     def sweep(ctx, fmt, **kw):
+        from . import analysis, numcore
+
         lo, hi = kw.pop(b.option)
         # kw now holds only the step option, if the sweep has one.
         if "geometric" in kw:
@@ -502,6 +544,9 @@ for _bound in BOUNDS:
 @FORMAT
 @click.pass_context
 def sweep_runs_cmd(ctx, a, b, n_max, fmt):
+    from . import analysis
+    from .numcore import Progression
+
     lo, hi = a
     rows = []
     for a in range(lo, hi + 1):
@@ -524,6 +569,9 @@ def sweep_runs_cmd(ctx, a, b, n_max, fmt):
 @click.pass_context
 def sweep_pdensity_cmd(ctx, a, b, x, geometric, fmt):
     """Composite density of |a*n+b| over n <= x, swept in x."""
+    from . import analysis
+    from .numcore import Progression
+
     rows = []
     for point in geometric_points(*x, geometric):
         frac = analysis.progression_composite_density(

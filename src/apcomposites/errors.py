@@ -1,8 +1,13 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the default cap
+whose excess is a CapacityError.
 
 Exit-code mapping used by the CLI: DomainError (and subclasses) -> 1,
 usage errors -> 2 (handled by the argument parser), CapacityError -> 3.
 """
+
+# Largest sieve limit (or progression term) a scan or the CLI accepts by
+# default; the CLI's --max-sieve overrides it.
+DEFAULT_SIEVE_CAP = 50_000_000
 
 
 class ApcompositesError(Exception):

@@ -5,13 +5,15 @@ integers uses Miller-Rabin with a fixed witness set that is proven
 deterministic for n < 3.3e24, so no answer is probabilistic in the
 supported range.
 
-Prime counts, and the progression scans of `analysis`, come from one
-index-space sieve, `_prime_segments`: it marks the n with |a*n + b|
-prime in bytearrays of `_SEGMENT` indices, one segment at a time, so a
-count or a scan holds one segment, not [0, x]. `prime_count` sieves the
-odd numbers 2n + 1, `prime_count_progression` only its residue class,
-and `prime_counts` records pi at many points in one pass, as a
-`PrimeTable`; it also gives the omega pass its large prime factors.
+pi(x) at x and at the points x // i comes from Lucy_Hedgehog's dynamic
+program, `_lucy`, in O(x^(3/4)) time and O(sqrt(x)) memory; `prime_counts`
+takes it whenever its points allow and returns pi at all of them as one
+`PrimeTable`. Every other count, and the progression scans of `analysis`,
+come from one index-space sieve, `_prime_segments`: it marks the n with
+|a*n + b| prime in bytearrays of `_SEGMENT` indices, one segment at a
+time, so a count or a scan holds one segment, not [0, x].
+`prime_counts` then sieves the odd numbers 2n + 1, and
+`prime_count_progression` only its residue class.
 """
 
 from __future__ import annotations
@@ -235,27 +237,80 @@ def _prime_segments(p: Progression, lo: int, hi: int) -> Iterator[tuple[int, byt
         yield start, mask
 
 
+def _lucy(x: int) -> tuple[list[int], list[int]]:
+    """Lucy_Hedgehog's dynamic program, in O(x^(3/4)) time and O(sqrt(x))
+    memory: (small, large) with small[v] = pi(v) for v <= r = isqrt(x) and
+    large[i] = pi(x // i) for 1 <= i <= r, x >= 2.
+
+    S(v) counts the n in [2, v] that are prime or have no prime factor
+    below the current p: v - 1 at first, pi(v) once p passes sqrt(v).
+    Sieving a prime p removes the p*m <= v with m >= p and no prime
+    factor of m below p: S(v) -= S(v // p) - pi(p - 1) for v >= p*p, read
+    from the values before p. Every v // p of a point x // i is
+    x // (i*p), which is again a point: large[i*p] for i*p <= r, and
+    small[(x // i) // p] otherwise.
+    """
+    r = math.isqrt(x)
+    small = [0, *range(r)]
+    quotients = [0, *(x // i for i in range(1, r + 1))]
+    large = [v - 1 for v in quotients]
+    for p in range(2, r + 1):
+        below = small[p - 1]  # pi(p - 1)
+        if small[p] == below:
+            continue  # p is composite
+        last = min(r, x // (p * p))  # large[i] with x // i >= p*p
+        mid = min(last, r // p)  # those whose i*p is still <= r
+        large[1 : mid + 1] = [s - t + below for s, t in
+                              zip(large[1 : mid + 1], large[p : mid * p + 1 : p])]
+        large[mid + 1 : last + 1] = [s - small[v // p] + below for s, v in
+                                     zip(large[mid + 1 : last + 1],
+                                         quotients[mid + 1 : last + 1])]
+        if p * p <= r:
+            small[p * p :] = [s - small[v // p] + below for v, s in
+                              zip(range(p * p, r + 1), small[p * p :])]
+    return small, large
+
+
+def _segment_counts(todo: list[int]) -> Iterator[tuple[int, int]]:
+    """(x, pi(x)) for the ascending x >= 2 in `todo`, from one pass of
+    the odd numbers 2n + 1 up to the largest, one segment at a time."""
+    pi, i = 1, 0  # the prime 2, then the odd primes counted so far
+    for start, mask in _prime_segments(Progression(2, 1), 0, (todo[-1] - 1) // 2):
+        at = 0  # mask[:at] is counted in pi
+        while i < len(todo) and (end := (todo[i] - 1) // 2 - start + 1) <= len(mask):
+            pi += mask.count(1, at, end)
+            yield todo[i], pi
+            at, i = end, i + 1
+        pi += mask.count(1, at)
+
+
 def prime_counts(points: Iterable[int]) -> PrimeTable:
     """pi(x) at every x in `points` (any order, repeats allowed; pi(x) = 0
-    for x < 2), from one pass of the odd numbers 2n + 1 up to the largest."""
+    for x < 2).
+
+    With X the largest point, the table comes from `_lucy(X)` when every
+    point is at most isqrt(X) or of the form X // i: a single x, the n and
+    2n of one binomial check, powers of 2 or 4, a geometric sweep, the
+    x // m of the omega pass. Any other set of points is counted by
+    `_segment_counts`, in one sieve pass up to X.
+    """
     want = sorted(set(points))
     if not want:
         raise DomainError("prime_counts needs at least one point")
     counts = dict.fromkeys(want, 0)
     todo = [x for x in want if x >= 2]
-    pi, i = 1, 0  # the prime 2, then the odd primes counted so far
     if todo:
-        for start, mask in _prime_segments(Progression(2, 1), 0, (todo[-1] - 1) // 2):
-            at = 0  # mask[:at] is counted in pi
-            while i < len(todo) and (end := (todo[i] - 1) // 2 - start + 1) <= len(mask):
-                pi += mask.count(1, at, end)
-                counts[todo[i]], at, i = pi, end, i + 1
-            pi += mask.count(1, at)
+        top, r = todo[-1], math.isqrt(todo[-1])
+        if all(x <= r or top // (top // x) == x for x in todo):
+            small, large = _lucy(top)
+            counts.update((x, small[x] if x <= r else large[top // x]) for x in todo)
+        else:
+            counts.update(_segment_counts(todo))
     return PrimeTable(counts)
 
 
 def prime_count(x: int) -> int:
-    """pi(x): number of primes <= x, counted segment by segment."""
+    """pi(x): number of primes <= x, by `_lucy` in O(x^(3/4)) time."""
     if x < 1:
         raise DomainError("prime_count requires x >= 1")
     return prime_counts((x,)).count(x)

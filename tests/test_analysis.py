@@ -359,7 +359,7 @@ class TestErdosKac:
     def test_peak_memory(self):
         # One bytearray segment of omega values at a time, whatever x is,
         # with the slices each translate copies: about 2**18 bytes, then
-        # the prime_counts pass's one mask of 2**18 indices. A whole-range
-        # omega array fails at 4e6.
+        # Lucy's lists of sqrt(x) ints for the prime_counts call. A
+        # whole-range omega array fails at 4e6.
         for x in (500_000, 4_000_000):
             assert traced_peak(lambda: erdos_kac_samples(x)) <= 3 << 19, x

@@ -1,4 +1,5 @@
 import bisect
+import math
 import random
 
 import numpy as np
@@ -157,10 +158,10 @@ class TestPrimeCount:
 
     def test_powers_of_ten(self):
         # OEIS A006880, typed in: independent of every sieve here.
-        expected = [4, 25, 168, 1229, 9592, 78498, 664579]
-        assert [prime_count(10**k) for k in range(1, 8)] == expected
+        expected = [4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534]
+        assert [prime_count(10**k) for k in range(1, 10)] == expected
         counts = prime_counts(10**k for k in range(1, 8))
-        assert [counts.count(10**k) for k in range(1, 8)] == expected
+        assert [counts.count(10**k) for k in range(1, 8)] == expected[:7]
 
     def test_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -173,13 +174,18 @@ class TestPrimeCount:
         for x in points:
             assert counts.count(x) == int(sympy.primepi(x)), x
         for x in edges:
+            # _lucy(x) does not hold x - 1, so x ends a segment pass.
+            assert prime_counts((x - 1, x)).count(x) == int(sympy.primepi(x)), x
+        for x in points[:20]:
             assert prime_count(x) == int(sympy.primepi(x)), x
 
     def test_peak_memory_is_the_sieve(self):
-        # One segment of 2**18 indices, the zeros of one stride and the base
+        # Lucy's three lists of sqrt(x) ints; a segment pass holds one
+        # segment of 2**18 indices, the zeros of one stride and the base
         # primes, whatever x is: no [0, x] mask.
         for x in (2_000_000, 20_000_000):
             assert traced_peak(lambda: prime_count(x)) <= 1 << 20, x
+            assert traced_peak(lambda: prime_counts((x - 1, x))) <= 1 << 20, x
             assert traced_peak(
                 lambda: prime_count_progression(Progression(4, 3), x)
             ) <= 1 << 20, x
@@ -213,6 +219,41 @@ class TestPrimeCounts:
         counts = prime_counts(points)
         for x in points:
             assert counts.count(x) == pi[x]
+
+
+class TestLucy:
+    """Lucy's table against a segment pass, at every point it holds."""
+
+    @pytest.mark.parametrize("top", sorted({
+        2, 3, 4, 2**20, 10**6 + 7,
+        *(r * r + d for r in (2, 3, 10, 97, 1000) for d in (-1, 0, 1)),
+    }))
+    def test_matches_segment_pass(self, monkeypatch, top):
+        r = math.isqrt(top)
+        points = sorted({*range(1, r + 1), *(top // i for i in range(1, r + 1))})
+        lucy = numcore._lucy
+        calls = []
+        monkeypatch.setattr(numcore, "_lucy", lambda x: calls.append(x) or lucy(x))
+        table = prime_counts(points)
+        # Lucy's table does not hold top - 1 (unless it is below 2).
+        forced = prime_counts([*points, top - 1])
+        assert calls == [top] * (1 + (top == 2))
+        pi = np.cumsum(oracle_prime_mask(top))
+        for x in points:
+            assert table.count(x) == forced.count(x) == pi[x], x
+
+    def test_random_points_match_segment_pass(self):
+        rng = random.Random(11)
+        points = [rng.randint(2, 10**7) for _ in range(50)]
+        table = prime_counts(points)  # one segment pass for all of them
+        assert [prime_count(x) for x in points] == [table.count(x) for x in points]
+
+    @pytest.mark.parametrize("points", [[11, 20], [99, 100], [5, 13, 100], [3, 2000, 1001]])
+    def test_other_points_take_the_segment_pass(self, monkeypatch, points):
+        monkeypatch.setattr(numcore, "_lucy", None)
+        counts = prime_counts(points)
+        assert [counts.count(x) for x in points] == [
+            sum(map(oracle_is_prime, range(x + 1))) for x in points]
 
 
 class TestPrimeSegments:
