@@ -16,13 +16,10 @@ Each command imports the library modules it runs when it runs, so
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
+import sys
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
-from fractions import Fraction
 from typing import Callable
 
 import click
@@ -43,6 +40,8 @@ class IntParam(click.ParamType):
             return int(value)
         except ValueError:
             pass
+        from decimal import Decimal, InvalidOperation
+
         try:
             d = Decimal(value)
         except InvalidOperation:
@@ -138,7 +137,9 @@ def emit(result, params: dict | None = None) -> None:
 def as_jsonable(obj):
     """json.dumps hook: the JSON form of a value json cannot write itself.
     json recurses into lists, tuples and dicts, and into what this returns."""
-    if isinstance(obj, Fraction):
+    # A Fraction can exist only once its module is loaded.
+    fractions = sys.modules.get("fractions")
+    if fractions and isinstance(obj, fractions.Fraction):
         return {"num": obj.numerator, "den": obj.denominator,
                 "float": float(obj)}
     # A value of these types comes from modules the command has loaded.
@@ -437,6 +438,9 @@ def emit_sweep(rows: list[dict], summary: dict) -> None:
             emit(row)
         emit({"summary": summary})
         return
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
     writer.writeheader()
@@ -508,6 +512,8 @@ def _bound_commands(b: Bound) -> None:
     @FORMAT
     @click.pass_context
     def sweep(ctx, fmt, **kw):
+        from fractions import Fraction
+
         from . import analysis, numcore
 
         lo, hi = kw.pop(b.option)

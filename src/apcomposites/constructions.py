@@ -18,7 +18,15 @@ from .errors import (
     DomainError,
     WrongBranchError,
 )
-from .numcore import Factorization, Progression, factorize, is_prime
+from . import numcore
+from .numcore import (
+    Factorization,
+    Progression,
+    _indices,
+    _prime_segments,
+    factorize,
+    is_prime,
+)
 
 __all__ = [
     "DivisorPair",
@@ -239,38 +247,55 @@ class ConsecutiveResult:
 
 
 def consecutive_in_progression(p: Progression, N: int) -> ConsecutiveResult:
-    """Least start index n0 with N consecutive composite terms.
+    """Least start index n0 >= 1 with N consecutive composite terms.
 
     Terms with |value| <= 1 are neither prime nor composite and break a run.
+    The indices are read from the segment sieve, in windows that double
+    from one segment, so the base primes reach only the square root of
+    the terms read so far. The scan stops at CONSECUTIVE_SCAN_CAP and at
+    the first index whose |term| exceeds FACTORIZATION_CAP: a run that
+    reaches that index has a term with no proof of compositeness.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
     if p.a < 1:
         raise DomainError("consecutive_in_progression requires a >= 1")
-    run_start = None
-    run_len = 0
-    for n in range(1, CONSECUTIVE_SCAN_CAP + 1):
-        v = abs(p.term(n))
-        if v > 1 and not is_prime(v):
-            if run_len == 0:
-                run_start = n
-            run_len += 1
-            if run_len == N:
+    # The first n >= 1 with |a*n + b| > FACTORIZATION_CAP; when it is not
+    # n = 1, every later term exceeds the cap too.
+    n_big = 1 if abs(p.term(1)) > FACTORIZATION_CAP else (FACTORIZATION_CAP - p.b) // p.a + 1
+    hi = min(CONSECUTIVE_SCAN_CAP, n_big - 1)
+    if N > hi:  # refused before the run's pattern is built
+        raise _no_run(N, hi, "")
+    # In the masks, 1 marks a term that is not composite: a prime, or
+    # one of |value| <= 1. A run is N zeros.
+    run = bytes(N)
+    units = _indices(p, (-1, 0, 1), 1, hi)
+    window = bytearray()  # the last N - 1 indices read, then a segment
+    lo, size = 1, numcore._SEGMENT
+    while lo <= hi:
+        for start, mask in _prime_segments(p, lo, min(lo + size - 1, hi)):
+            for n in units:
+                if start <= n < start + len(mask):
+                    mask[n - start] = 1
+            base = start - len(window)  # the n of window[0]
+            window += mask
+            if (at := window.find(run)) >= 0:
+                n0 = base + at
                 witnesses = tuple(
-                    CompositeWitness(
-                        p, i, p.term(i), _prove_composite(p.term(i)), "consecutive"
-                    )
-                    for i in range(run_start, run_start + N)
+                    CompositeWitness(p, n, p.term(n), _prove_composite(p.term(n)),
+                                     "consecutive")
+                    for n in range(n0, n0 + N)
                 )
-                return ConsecutiveResult(
-                    p, N, run_start, witnesses, p.a * N + abs(p.b) + 2
-                )
-        else:
-            run_len = 0
-    raise CapacityError(
-        f"no run of {N} composites found for n <= {CONSECUTIVE_SCAN_CAP} "
-        f"(longest partial run: {run_len})"
-    )
+                return ConsecutiveResult(p, N, n0, witnesses, p.a * N + abs(p.b) + 2)
+            del window[: max(0, len(window) - (N - 1))]
+        lo, size = lo + size, 2 * size
+    raise _no_run(N, hi, f" (longest partial run: {len(window) - 1 - window.rfind(1)})")
+
+
+def _no_run(N: int, hi: int, detail: str) -> CapacityError:
+    past = ("" if hi == CONSECUTIVE_SCAN_CAP else
+            f"; past it |a*n + b| > {FACTORIZATION_CAP}, the factorization cap")
+    return CapacityError(f"no run of {N} composites found for n <= {hi}{detail}{past}")
 
 
 def _next_prime_term(p: Progression, m_start: int) -> tuple[int, int]:

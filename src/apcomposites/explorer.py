@@ -162,33 +162,78 @@ def fermat_real_root(
         )
 
 
+def _exact(v) -> tuple[int, int]:
+    """An mpf as the integer pair (num, den), den > 0, of its exact value."""
+    man, exp = v.man_exp  # the mantissa without its sign
+    man = -man if v < 0 else man
+    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+
+
+def _scan_window(f, root: RootResult, tol: float):
+    """Ends wl < wr, within the bracket, outside which |f| >= 2*tol on it.
+
+    f has a root only if z > max(x, y) or z < min(x, y), and then
+    g(t) = f(t)/z^t = (x/z)^t + (y/z)^t - 1 is strictly monotone. Once
+    f(wl) and f(wr) have opposite signs, its one zero lies between them,
+    so for t in [lo, wl], |f(t)| = z^t |g(t)| >= z^lo |g(wl)| =
+    |f(wl)| z^(lo - wl), and for t in [wr, hi], |f(t)| >= z^wr |g(wr)| =
+    |f(wr)|, as z >= 1. The window is [a - d, b + d] around the refined
+    bracket [a, b], clipped to the bracket, with d = tol doubled until
+    both bounds reach 2*tol or the window covers the bracket.
+    """
+    import mpmath as mp
+
+    x, y, z = root.triple
+    lo, hi = (mp.mpf(v) for v in root.bracket)
+    if min(x, y) <= z <= max(x, y):
+        return lo, hi  # f > 0 throughout: no monotone g to bound it by
+    a, b = root.refined_bracket
+    d = mp.mpf(tol)
+    while True:
+        wl, wr = max(a - d, lo), min(b + d, hi)
+        if wl == lo and wr == hi:
+            return lo, hi
+        if wl < wr:
+            f_l, f_r = f(wl), f(wr)
+            if (f_l * f_r < 0
+                    and (wl == lo or abs(f_l) * mp.power(z, lo - wl) >= 2 * tol)
+                    and (wr == hi or abs(f_r) >= 2 * tol)):
+                return wl, wr
+        d *= 2
+
+
 def rational_scan(
     root: RootResult, q_max: int, tol: float = 1e-9
 ) -> list[Fraction]:
     """Reduced rationals p/q (q <= q_max) strictly inside the root's
-    original bracket with |f(p/q)| < tol.
+    original bracket with |f(p/q)| < tol, f evaluated at 50 digits.
 
-    Empty output is numerical evidence that the root is not a small
-    rational.
+    Only the p/q strictly inside `_scan_window` are evaluated, O(q_max)
+    of them where the whole bracket holds O(q_max^2). Every p/q skipped
+    is proven to have |f| >= 2*tol, so an empty result is exact for the
+    50-digit test, not just numerical evidence that the root is not a
+    small rational.
     """
     import mpmath as mp
 
     if q_max < 1:
         raise DomainError("q_max must be >= 1")
+    if not tol > 0:
+        return []  # no |f| is below it
     x, y, z = root.triple
     lo, hi = root.bracket
     hits = []
     with mp.workdps(WORKING_DPS):
         f = _fermat_f(x, y, z)
+        (ln, ld), (rn, rd) = (_exact(w) for w in _scan_window(f, root, tol))
         for q in range(1, q_max + 1):
-            p_lo = math.floor(lo * q) + 1
-            p_hi = math.ceil(hi * q) - 1
+            # The p of the whole bracket's scan with wl < p/q < wr, exactly.
+            p_lo = max(math.floor(lo * q), ln * q // ld) + 1
+            p_hi = min(math.ceil(hi * q), -(-rn * q // rd)) - 1
             for p in range(p_lo, p_hi + 1):
                 if math.gcd(p, q) != 1:
                     continue
                 t = mp.mpf(p) / q
-                if not (lo < t < hi):
-                    continue
-                if abs(f(t)) < tol:
+                if lo < t < hi and abs(f(t)) < tol:
                     hits.append(Fraction(p, q))
     return sorted(hits)

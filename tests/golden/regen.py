@@ -85,6 +85,7 @@ GROUPS = {
         "factorial --m 12",
         "consecutive --a 2 --b 1 --count 5",
         "consecutive --a 3 --b 1 --count 8",
+        "consecutive --a 6 --b 1 --count 50",
         "kcomposite --a 5 --b 3 --k 3 --count 5",
         "kcomposite --a 4 --b 1 --k 2 --count 3 --mode multiplicity",
         "poly --coeffs 1,1,1 --count 3",
@@ -115,6 +116,7 @@ GROUPS = {
         "fermatreal --x 3 --y 4 --z 5 --bracket 1,3 --tol 1e-6",
         "ratscan --x 3 --y 4 --z 5 --bracket 1,3 --q-max 10",
         "ratscan --x 1 --y 1 --z 2 --bracket 0.5,1.5 --q-max 5 --tol 1e-6",
+        "ratscan --x 5 --y 12 --z 13 --bracket 1.3,2.3 --q-max 1e4",
     ),
     "sweeps": _both_formats(
         "sweep density --x 10..1e6 --geometric 10",

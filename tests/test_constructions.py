@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apcomposites import constructions
 from apcomposites.constructions import (
+    FACTORIZATION_CAP,
     DivisorPair,
     consecutive_in_progression,
     factorial_consecutive,
@@ -16,12 +18,13 @@ from apcomposites.constructions import (
     witness_unit_b,
 )
 from apcomposites.errors import (
+    CapacityError,
     DegenerateInputError,
     DomainError,
     WrongBranchError,
 )
 from apcomposites.numcore import Factorization, Progression, factorize
-from conftest import oracle_is_prime
+from conftest import oracle_is_prime, oracle_prime_mask, traced_peak
 
 
 class TestWitnessMultipleOfB:
@@ -166,6 +169,81 @@ class TestConsecutiveInProgression:
                 if lo <= a * n + b <= hi
             ]
             assert len(hits) >= N
+
+
+# Run lengths of the grid: every N <= 30 in the oracle, these in the scan.
+RUN_LENGTHS = (1, 2, 3, 5, 8, 13, 20, 30)
+# Every first run of N <= 30 composites for a <= 12, |b| <= 3a starts
+# below this index.
+RUN_INDICES = 200_000
+
+
+@pytest.fixture(scope="module")
+def first_runs():
+    """{(a, b, N): n0} for a <= 12, b in [-3a, 3a], N in RUN_LENGTHS: the
+    least n0 >= 1 with |a*n + b| composite for n0 <= n < n0 + N, each
+    index's term looked up in a whole-range numpy sieve."""
+    import numpy as np
+
+    prime = oracle_prime_mask(12 * RUN_INDICES + 36)
+    n = np.arange(1, RUN_INDICES + 1)
+    out = {}
+    for a in range(1, 13):
+        for b in range(-3 * a, 3 * a + 1):
+            terms = np.abs(a * n + b)
+            composite = bytes(((terms > 1) & ~prime[terms]).astype(np.uint8))
+            for N in RUN_LENGTHS:
+                at = composite.find(b"\x01" * N)
+                assert 0 <= at <= RUN_INDICES - N
+                out[a, b, N] = at + 1
+    return out
+
+
+class TestConsecutiveAgainstOracle:
+    def test_grid(self, segment, first_runs):
+        # A one-index segment re-walks every base prime, so the two
+        # smallest sizes take the runs that start before n = 2000, 91% of
+        # the grid, and the larger sizes take them all.
+        for (a, b, N), n0 in first_runs.items():
+            if segment < 97 and n0 >= 2000:
+                continue
+            res = consecutive_in_progression(Progression(a, b), N)
+            assert res.start_n == n0, (a, b, N)
+            assert [w.n for w in res.witnesses] == list(range(n0, n0 + N))
+            assert all(w.verify() for w in res.witnesses)
+
+    def test_6n_plus_1_run_of_50(self):
+        res = consecutive_in_progression(Progression(6, 1), 50)
+        assert res.start_n == 1_993_776
+        assert all(w.verify() for w in res.witnesses)
+
+    def test_run_up_to_the_factorization_cap(self):
+        # 10^12 - 4 .. 10^12 are composite; 10^12 + 1 is past the cap.
+        p = Progression(1, FACTORIZATION_CAP - 5)
+        assert consecutive_in_progression(p, 5).start_n == 1
+        with pytest.raises(CapacityError, match=r"^no run of 6 composites found for n <= 5; "
+                                                r"past it \|a\*n \+ b\| > 10+, the factorization cap$"):
+            consecutive_in_progression(p, 6)
+
+    @pytest.mark.parametrize("b", [1, -3 * 10**12])
+    def test_first_term_past_the_factorization_cap(self, b):
+        with pytest.raises(CapacityError, match="for n <= 0; past it"):
+            consecutive_in_progression(Progression(10**12, b), 1)
+
+    def test_scan_cap(self, monkeypatch):
+        monkeypatch.setattr(constructions, "CONSECUTIVE_SCAN_CAP", 10)
+        # 2n + 1 for n <= 10 ends ..., 19, 21: a partial run of 1.
+        with pytest.raises(CapacityError, match=r"^no run of 5 composites found for n <= 10 "
+                                                r"\(longest partial run: 1\)$"):
+            consecutive_in_progression(Progression(2, 1), 5)
+
+    def test_count_past_the_scan_cap_is_refused_before_allocation(self):
+        def call():
+            with pytest.raises(CapacityError, match=r"^no run of 10+ composites found "
+                                                    r"for n <= 10000000$"):
+                consecutive_in_progression(Progression(6, 1), 10**12)
+
+        assert traced_peak(call) < 1 << 20
 
 
 class TestKComposites:

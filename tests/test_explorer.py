@@ -1,6 +1,8 @@
 import math
+import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from apcomposites import explorer
@@ -113,3 +115,96 @@ class TestRationalScan:
         root = fermat_real_root(3, 4, 5, (1, 3), 1e-12)
         with pytest.raises(DomainError):
             rational_scan(root, 0)
+
+
+TOLS = (1e-9, 1e-3, 1e-1, 10)
+
+
+def _brute_rational_scan(root, q_max, tols=TOLS):
+    """The hits at each tol in `tols` of the scan of every reduced p/q in
+    the bracket, one 50-digit evaluation each: the reference
+    rational_scan must agree with."""
+    x, y, z = root.triple
+    lo, hi = root.bracket
+    hits = [[] for _ in tols]
+    with mp.workdps(explorer.WORKING_DPS):
+        f = explorer._fermat_f(x, y, z)
+        for q in range(1, q_max + 1):
+            for p in range(math.floor(lo * q) + 1, math.ceil(hi * q)):
+                if math.gcd(p, q) != 1:
+                    continue
+                t = mp.mpf(p) / q
+                if lo < t < hi:
+                    value = abs(f(t))
+                    for found, tol in zip(hits, tols):
+                        if value < tol:
+                            found.append(Fraction(p, q))
+    return [sorted(found) for found in hits]
+
+
+def _random_brackets(seed: int, count: int):
+    """(x, y, z, bracket) with z <= 30 and a sign change of
+    x^t + y^t - z^t inside the bracket, z above or below both x and y."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        z = rng.randint(2, 30)
+        x, y = rng.randint(1, 30), rng.randint(1, 30)
+        if min(x, y) <= z <= max(x, y):
+            continue  # f > 0 everywhere: no root
+        g = lambda t: (x / z) ** t + (y / z) ** t - 1
+        lo, hi = -20.0, 20.0
+        if g(lo) * g(hi) >= 0:
+            continue
+        for _ in range(100):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if g(mid) * g(lo) > 0 else (lo, mid)
+        out.append((x, y, z, (round(lo - rng.uniform(0.05, 0.95), 3),
+                              round(lo + rng.uniform(0.05, 0.95), 3))))
+    return out
+
+
+class TestRationalScanAgainstBruteForce:
+    @pytest.mark.parametrize("triple, bracket", [
+        ((3, 4, 5), (1.0, 3.0)),
+        ((5, 12, 13), (1.3, 2.3)),
+        ((8, 15, 17), (1.5, 2.5)),
+        ((1, 1, 2), (0.5, 1.5)),
+    ])
+    def test_rational_root_triples(self, triple, bracket):
+        root = fermat_real_root(*triple, bracket)
+        assert [rational_scan(root, 60, tol) for tol in TOLS] == _brute_rational_scan(root, 60)
+
+    @pytest.mark.parametrize("x, y, z, bracket", _random_brackets(12, 40))
+    def test_random_triples(self, x, y, z, bracket):
+        # tol 1e-1 and 10 exceed |f| on much of a bracket, so the window
+        # grows over most or all of it.
+        root = fermat_real_root(x, y, z, bracket)
+        assert [rational_scan(root, 20, tol) for tol in TOLS] == _brute_rational_scan(root, 20)
+
+    @staticmethod
+    def _spy(monkeypatch) -> list:
+        """Record every evaluation of f that rational_scan makes."""
+        calls = []
+        real = explorer._fermat_f
+
+        def spy(*triple):
+            f = real(*triple)
+            return lambda t: calls.append(t) or f(t)
+
+        monkeypatch.setattr(explorer, "_fermat_f", spy)
+        return calls
+
+    def test_evaluations_are_linear_in_q_max(self, monkeypatch):
+        root = fermat_real_root(5, 12, 13, (1.3, 2.3))
+        calls = self._spy(monkeypatch)
+        assert rational_scan(root, 10**4) == [Fraction(2)]
+        # The whole bracket holds ~3e7 reduced p/q with q <= 1e4.
+        assert len(calls) <= 10**4
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, -math.inf, math.nan])
+    def test_tol_not_positive_is_empty(self, monkeypatch, tol):
+        root = fermat_real_root(3, 4, 5, (1, 3), 1e-12)
+        calls = self._spy(monkeypatch)
+        assert rational_scan(root, 10**9, tol) == []
+        assert calls == []

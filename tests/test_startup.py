@@ -4,8 +4,10 @@ The package never imports numpy, and imports mpmath only inside the
 kernels that use it (`fermatreal`, `ratscan`), so every other command
 loads neither. `import apcomposites` and `--help` load none of the four
 library modules, and each command only those it runs: numcore alone for
-the counts. Every case runs in a fresh interpreter, since sys.modules
-of the test process may already hold all of them.
+the counts. The CLI loads the stdlib's decimal, fractions and csv only
+for a non-integer number, a Fraction result and `--format csv`. Every
+case runs in a fresh interpreter, since sys.modules of the test process
+may already hold all of them.
 """
 
 import importlib
@@ -34,8 +36,11 @@ else:
     except SystemExit as exc:
         assert exc.code in (None, 0), exc.code
 layers = {"numcore", "analysis", "constructions", "explorer"}
-print(json.dumps(sorted({"numpy", "mpmath"} & set(sys.modules)
-                        | {m for m in layers if f"apcomposites.{m}" in sys.modules})))
+print(json.dumps({
+    "layers": sorted({"numpy", "mpmath"} & set(sys.modules)
+                     | {m for m in layers if f"apcomposites.{m}" in sys.modules}),
+    "stdlib": sorted({"decimal", "fractions", "csv"} & set(sys.modules)),
+}))
 """
 
 # The library modules of each kind of command.
@@ -76,13 +81,33 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("argv, loaded", CASES, ids=[" ".join(c[0]) for c in CASES])
-def test_loads_only_what_the_kernel_needs(argv, loaded):
+def _probe(argv: list[str]) -> dict:
+    """The modules loaded after running argv in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == loaded
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv, loaded", CASES, ids=[" ".join(c[0]) for c in CASES])
+def test_loads_only_what_the_kernel_needs(argv, loaded):
+    assert _probe(argv)["layers"] == loaded
+
+
+# fractions imports decimal itself.
+STDLIB_CASES = [
+    (["--help"], []),
+    (["count", "--x", "100"], []),
+    (["count", "--x", "1e2"], ["decimal"]),
+    (["sweep", "dyadic", "--k", "2..5", "--format", "csv"], ["csv", "decimal", "fractions"]),
+]
+
+
+@pytest.mark.parametrize("argv, loaded", STDLIB_CASES,
+                         ids=[" ".join(c[0]) for c in STDLIB_CASES])
+def test_stdlib_modules_load_on_demand(argv, loaded):
+    assert _probe(argv)["stdlib"] == loaded
 
 
 # Every name `apcomposites` exported when it imported all its modules eagerly.
