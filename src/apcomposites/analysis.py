@@ -43,6 +43,7 @@ __all__ = [
     "run_length_threshold",
     "erdos_kac_samples",
     "gaussian_mass",
+    "pi_points",
 ]
 
 # bytes.translate table adding 1 to every byte.
@@ -60,27 +61,38 @@ class BoundCheck:
     detail: tuple[tuple[str, float], ...] = ()
 
 
-# The pi values each check of the chain reads at its parameter. A check
-# given no table counts them in one prime_counts pass; a sweep passes the
-# table of one pass over the points of all its checks.
+# Each check of the chain, declared once: its parameter, its least value,
+# and the pi points it reads, each (mult, exp) for mult * 2**exp, the
+# largest last, so capacity compares a power of 2 by its exponent. A
+# sweep passes the table of one prime_counts pass over all its points.
 PI_POINTS = {
-    "central_binom_bound": lambda n: (n, 2 * n),
-    "dyadic_gap_bound": lambda k: (2 ** (k - 1), 2**k),
-    "pi_power4_bound": lambda m: (4**m,),
-    "density_bound_check": lambda x: (x,),
+    "central_binom_bound": ("n", 2, lambda n: ((n, 0), (n, 1))),
+    "dyadic_gap_bound": ("k", 2, lambda k: ((1, k - 1), (1, k))),
+    "pi_power4_bound": ("m", 1, lambda m: ((1, 2 * m),)),
+    "density_bound_check": ("x", 2, lambda x: ((x, 0),)),  # log4 x must be positive
 }
 
 
-def _counts(check: str, value: int, table: PrimeTable | None) -> PrimeTable:
-    return table or prime_counts(PI_POINTS[check](value))
+def pi_points(check: str, value: int) -> tuple[tuple[int, int], ...]:
+    """The (mult, exp) pi points `check` reads at `value`, the largest
+    last; a value below the check's least is a DomainError."""
+    name, least, points = PI_POINTS[check]
+    if value < least:
+        raise DomainError(f"{check} requires {name} >= {least}")
+    return points(value)
+
+
+def _pi(check: str, value: int, table: PrimeTable | None) -> list[int]:
+    """pi at the check's points, in their order, domain checked first."""
+    xs = [mult << exp for mult, exp in pi_points(check, value)]
+    pi = table or prime_counts(xs)
+    return [pi.count(x) for x in xs]
 
 
 def central_binom_bound(n: int, table: PrimeTable | None = None) -> BoundCheck:
     """n^(pi(2n) - pi(n)) < 4^n, compared in log space."""
-    if n < 2:
-        raise DomainError("central_binom_bound requires n >= 2")
-    pi = _counts("central_binom_bound", n, table)
-    gap = pi.count(2 * n) - pi.count(n)
+    pi_n, pi_2n = _pi("central_binom_bound", n, table)
+    gap = pi_2n - pi_n
     lhs = gap * math.log(n)
     rhs = n * math.log(4)
     return BoundCheck(n, lhs, rhs, lhs < rhs, (("gap", float(gap)),))
@@ -88,19 +100,15 @@ def central_binom_bound(n: int, table: PrimeTable | None = None) -> BoundCheck:
 
 def dyadic_gap_bound(k: int, table: PrimeTable | None = None) -> BoundCheck:
     """pi(2^k) - pi(2^(k-1)) < 2^k / (k-1)."""
-    if k < 2:
-        raise DomainError("dyadic_gap_bound requires k >= 2")
-    pi = _counts("dyadic_gap_bound", k, table)
-    gap = pi.count(2**k) - pi.count(2 ** (k - 1))
+    pi_half, pi_2k = _pi("dyadic_gap_bound", k, table)
+    gap = pi_2k - pi_half
     bound = 2**k / (k - 1)
     return BoundCheck(k, float(gap), bound, gap < bound)
 
 
 def pi_power4_bound(m: int, table: PrimeTable | None = None) -> BoundCheck:
     """pi(4^m) < 1 + 2^(m+1) + 2^(2m+1)/m."""
-    if m < 1:
-        raise DomainError("pi_power4_bound requires m >= 1")
-    pi_4m = _counts("pi_power4_bound", m, table).count(4**m)
+    (pi_4m,) = _pi("pi_power4_bound", m, table)
     bound = 1 + 2 ** (m + 1) + 2 ** (2 * m + 1) / m
     return BoundCheck(m, float(pi_4m), bound, pi_4m < bound)
 
@@ -117,9 +125,7 @@ class DensityPoint:
 
 
 def density_bound_check(x: int, table: PrimeTable | None = None) -> DensityPoint:
-    if x < 2:
-        raise DomainError("density_bound_check requires x >= 2 (log4 x must be positive)")
-    pi_x = _counts("density_bound_check", x, table).count(x)
+    (pi_x,) = _pi("density_bound_check", x, table)
     ratio = Fraction(pi_x, x)
     log4x = math.log(x) / math.log(4)
     bound = 1 / x + 4 / math.sqrt(x) + 8 / log4x

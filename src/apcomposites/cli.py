@@ -3,8 +3,9 @@
 Output is one strict-JSON record per line (schema_version 1, no NaN or
 Infinity), keys sorted, so repeated runs with identical arguments are
 byte-identical. Sweep tables can alternatively be emitted as CSV with
---format csv. The four checks of the inequality chain are declared once,
-in BOUNDS, which generates both `<name>` and `sweep <name>`.
+--format csv. The four checks of the inequality chain are listed once,
+in BOUNDS, which generates both `<name>` and `sweep <name>`; each check's
+domain and sieve need come from `analysis.pi_points`.
 
 Exit codes: 0 ok, 1 domain/precondition error, 2 usage error (also a
 malformed --config or a non-finite or non-integral number), 3 capacity
@@ -478,21 +479,19 @@ class Bound:
     name: str
     check: str  # analysis function; looked up per call, so rebinding it is seen
     option: str  # parameter name: --x, --n, --k or --m
-    sieve_need: Callable[[int], tuple[int, int]]  # (mult, exp): a sieve to mult * 2**exp
-    min_value: int  # smallest value the check accepts
     step: Callable | None  # the sweep's step option, if any
     row: Callable[[object], dict]  # check result -> output row (Fractions kept)
     doc: str
 
 
 BOUNDS = (
-    Bound("density", "density_bound_check", "x", lambda x: (x, 0), 2, GEOMETRIC,
+    Bound("density", "density_bound_check", "x", GEOMETRIC,
           _density_row, "pi(x)/x against the bound 1/x + 4/sqrt(x) + 8/log4(x)."),
-    Bound("binom", "central_binom_bound", "n", lambda n: (n, 1), 2, STEP,
+    Bound("binom", "central_binom_bound", "n", STEP,
           _bound_row, "Check n^(pi(2n)-pi(n)) < 4^n."),
-    Bound("dyadic", "dyadic_gap_bound", "k", lambda k: (1, k), 2, None,
+    Bound("dyadic", "dyadic_gap_bound", "k", None,
           _bound_row, "Check pi(2^k) - pi(2^(k-1)) < 2^k/(k-1)."),
-    Bound("pow4", "pi_power4_bound", "m", lambda m: (1, 2 * m), 1, None,
+    Bound("pow4", "pi_power4_bound", "m", None,
           _bound_row, "Check pi(4^m) < 1 + 2^(m+1) + 2^(2m+1)/m."),
 )
 
@@ -505,8 +504,8 @@ def _bound_commands(b: Bound) -> None:
         from . import analysis
 
         value = kw[b.option]
-        if value >= b.min_value:  # else the check's DomainError comes first
-            check_capacity(ctx, b.option, value, b.sieve_need(value))
+        # pi_points checks the domain, so it comes before capacity.
+        check_capacity(ctx, b.option, value, analysis.pi_points(b.check, value)[-1])
         emit(b.row(getattr(analysis, b.check)(value)))
 
     @FORMAT
@@ -522,13 +521,12 @@ def _bound_commands(b: Bound) -> None:
             points = geometric_points(lo, hi, kw["geometric"])
         else:
             points = range(lo, hi + 1, kw.get("step", 1))
-        table = None
-        if lo >= b.min_value:  # else the first point's DomainError comes first
-            check_capacity(ctx, b.option, hi, b.sieve_need(hi))
-            points = list(points)
-            # One counting pass over the pi values every point's check reads.
-            pi_points = analysis.PI_POINTS[b.check]
-            table = numcore.prime_counts(x for p in points for x in pi_points(p))
+        analysis.pi_points(b.check, lo)  # the domain: no point is below lo
+        check_capacity(ctx, b.option, hi, analysis.pi_points(b.check, hi)[-1])
+        points = list(points)
+        # One counting pass over the pi values every point's check reads.
+        table = numcore.prime_counts(mult << exp for p in points
+                                     for mult, exp in analysis.pi_points(b.check, p))
         check = getattr(analysis, b.check)
         rows = [{k: float(v) if isinstance(v, Fraction) else v
                  for k, v in b.row(check(p, table)).items()} for p in points]

@@ -45,9 +45,10 @@ __all__ = [
     "three_composites_4n3",
 ]
 
-# Full factorization is attempted below this; above it, witnesses carry
-# a divisor pair instead (trial division would be too slow).
-FACTORIZATION_CAP = 10**12
+# Full factorization is attempted below this, the range factorize always
+# completes; above it, witnesses carry a divisor pair instead (trial
+# division would be too slow).
+FACTORIZATION_CAP = numcore.TRIAL_BOUND**2
 # Indices scanned for a run of composites, and for a prime term, an
 # admissible s or a k with f(k) > 1, before a CapacityError.
 CONSECUTIVE_SCAN_CAP = 10**7

@@ -16,10 +16,8 @@ from .errors import BracketError, CapacityError, DomainError
 from .numcore import is_prime
 
 __all__ = [
-    "LuckyResult",
     "StreakResult",
     "RootResult",
-    "lucky_check",
     "euler_lucky_search",
     "prime_streak",
     "fermat_real_root",
@@ -27,39 +25,21 @@ __all__ = [
 ]
 
 WORKING_DPS = 50
-STREAK_SCAN_CAP = 10**6
+# The most n that prime_streak, and the most q that rational_scan, scan.
+SCAN_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class LuckyResult:
-    """Whether n^2 - n + C is prime for all 1 <= n <= C-1.
+def euler_lucky_search(C_max: int) -> list[int]:
+    """All lucky constants C <= C_max, those with n^2 - n + C prime for
+    all 1 <= n <= C-1; equals {2, 3, 5, 11, 17, 41} for C_max >= 41.
 
     C = 1 is excluded by convention (the range is empty); the standard
     range stops at C-1 because n = C always gives the composite C^2.
     """
-
-    C: int
-    is_lucky: bool
-    first_failure: int | None
-
-
-def lucky_check(C: int) -> LuckyResult:
-    if C < 1:
-        raise DomainError("C must be >= 1")
-    if C == 1:
-        return LuckyResult(1, False, None)
-    for n in range(1, C):
-        if not is_prime(n * n - n + C):
-            return LuckyResult(C, False, n)
-    return LuckyResult(C, True, None)
-
-
-def euler_lucky_search(C_max: int) -> list[int]:
-    """All lucky constants C <= C_max; equals {2, 3, 5, 11, 17, 41} for
-    C_max >= 41."""
     if C_max < 1:
         raise DomainError("C_max must be >= 1")
-    return [C for C in range(2, C_max + 1) if lucky_check(C).is_lucky]
+    return [C for C in range(2, C_max + 1)
+            if all(is_prime(n * n - n + C) for n in range(1, C))]
 
 
 @dataclass(frozen=True)
@@ -75,12 +55,12 @@ def prime_streak(C: int) -> StreakResult:
     if C < 1:
         raise DomainError("C must be >= 1")
     n = 0
-    while n <= STREAK_SCAN_CAP:
+    while n <= SCAN_CAP:
         v = n * n + n + C
         if not is_prime(v):
             return StreakResult(C, n, n, v)
         n += 1
-    raise CapacityError(f"streak for C={C} exceeds scan cap {STREAK_SCAN_CAP}")
+    raise CapacityError(f"streak for C={C} exceeds scan cap {SCAN_CAP}")
 
 
 @dataclass(frozen=True)
@@ -212,7 +192,7 @@ def rational_scan(
     of them where the whole bracket holds O(q_max^2). Every p/q skipped
     is proven to have |f| >= 2*tol, so an empty result is exact for the
     50-digit test, not just numerical evidence that the root is not a
-    small rational.
+    small rational. A q_max past SCAN_CAP is refused before the scan.
     """
     import mpmath as mp
 
@@ -220,6 +200,8 @@ def rational_scan(
         raise DomainError("q_max must be >= 1")
     if not tol > 0:
         return []  # no |f| is below it
+    if q_max > SCAN_CAP:
+        raise CapacityError(f"q_max {q_max} exceeds the scan cap {SCAN_CAP}")
     x, y, z = root.triple
     lo, hi = root.bracket
     hits = []

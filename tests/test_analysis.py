@@ -100,7 +100,7 @@ def test_checks_read_only_their_points(check, value):
     # The same result from the reference counts, from a pass over exactly
     # the points the check declares, and from no table; a pass that lacks
     # one of those points is refused.
-    points = analysis.PI_POINTS[check.__name__](value)
+    points = [m << e for m, e in analysis.pi_points(check.__name__, value)]
     pi = np.cumsum(oracle_prime_mask(max(points)))
     expected = check(value, PrimeTable({x: int(pi[x]) for x in points}))
     assert check(value, prime_counts(points)) == expected == check(value)

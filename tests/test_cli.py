@@ -146,16 +146,32 @@ class TestCapacityAndDomain:
         ["--max-sieve", "0", "sieve", "--limit", "1"],
         ["--max-sieve", "-1", "count", "--x", "0"],
         ["--max-sieve", "0", "count", "--x", "5", "--a", "0"],
+        # Each check's least value - 1, single and sweep.
+        ["--max-sieve", "0", "density", "--x", "1"],
+        ["--max-sieve", "0", "binom", "--n", "1"],
+        ["--max-sieve", "0", "dyadic", "--k", "1"],
+        ["--max-sieve", "0", "pow4", "--m", "0"],
+        ["--max-sieve", "0", "sweep", "density", "--x", "1..10"],
+        ["--max-sieve", "0", "sweep", "pow4", "--m", "0..3"],
     ])
     def test_domain_before_capacity(self, runner, args):
         res = runner.invoke(cli, args)
         assert (res.exit_code, res.stdout) == (1, "")
 
-    def test_power_at_the_cap(self, runner):
-        assert runner.invoke(cli, ["--max-sieve", "1024", "dyadic", "--k", "10"]).exit_code == 0
-        assert runner.invoke(cli, ["--max-sieve", "1023", "dyadic", "--k", "10"]).exit_code == 3
-        assert runner.invoke(cli, ["--max-sieve", "1024", "pow4", "--m", "5"]).exit_code == 0
-        assert runner.invoke(cli, ["--max-sieve", "1023", "pow4", "--m", "5"]).exit_code == 3
+    @pytest.mark.parametrize("args, largest", [
+        (["density", "--x", "1000"], 1000),
+        (["binom", "--n", "500"], 1000),
+        (["dyadic", "--k", "10"], 1024),
+        (["pow4", "--m", "5"], 1024),
+        (["sweep", "density", "--x", "10..1000"], 1000),
+        (["sweep", "binom", "--n", "2..500"], 1000),
+        (["sweep", "dyadic", "--k", "2..10"], 1024),
+        (["sweep", "pow4", "--m", "1..5"], 1024),
+    ], ids=lambda v: "_".join(v[:-2]) if isinstance(v, list) else None)
+    def test_power_at_the_cap(self, runner, args, largest):
+        # Accepted at --max-sieve equal to the largest pi point, refused below.
+        assert runner.invoke(cli, ["--max-sieve", str(largest), *args]).exit_code == 0
+        assert runner.invoke(cli, ["--max-sieve", str(largest - 1), *args]).exit_code == 3
 
     @pytest.mark.parametrize("args, param", [
         (["runs", "--a", "1", "--b", "0", "--n-max", "101"], "n_max 101"),

@@ -10,7 +10,6 @@ from apcomposites.errors import BracketError, CapacityError, DomainError
 from apcomposites.explorer import (
     euler_lucky_search,
     fermat_real_root,
-    lucky_check,
     prime_streak,
     rational_scan,
 )
@@ -33,14 +32,13 @@ class TestLucky:
                 assert oracle_is_prime(n * n - n + C)
 
     def test_failures_reported(self):
-        for C in range(2, 101):
-            res = lucky_check(C)
-            if not res.is_lucky:
-                n = res.first_failure
-                assert not oracle_is_prime(n * n - n + C)
+        # Every C the search leaves out has a composite n^2 - n + C, n < C.
+        lucky = euler_lucky_search(100)
+        for C in set(range(2, 101)) - set(lucky):
+            assert not all(oracle_is_prime(n * n - n + C) for n in range(1, C))
 
     def test_c1_excluded(self):
-        assert not lucky_check(1).is_lucky
+        assert euler_lucky_search(1) == []
 
 
 class TestPrimeStreak:
@@ -61,7 +59,7 @@ class TestPrimeStreak:
 
     def test_scan_cap_is_a_capacity_error(self, monkeypatch):
         # n^2 + n + 41 stays prime for n < 40, past a scan cap of 10.
-        monkeypatch.setattr(explorer, "STREAK_SCAN_CAP", 10)
+        monkeypatch.setattr(explorer, "SCAN_CAP", 10)
         with pytest.raises(CapacityError, match="scan cap 10$"):
             prime_streak(41)
 
@@ -207,4 +205,13 @@ class TestRationalScanAgainstBruteForce:
         root = fermat_real_root(3, 4, 5, (1, 3), 1e-12)
         calls = self._spy(monkeypatch)
         assert rational_scan(root, 10**9, tol) == []
+        assert calls == []
+
+    def test_q_max_past_the_cap_is_refused_before_the_scan(self, monkeypatch):
+        root = fermat_real_root(5, 12, 13, (1.3, 2.3))
+        monkeypatch.setattr(explorer, "SCAN_CAP", 10)
+        assert rational_scan(root, 10) == [Fraction(2)]
+        calls = self._spy(monkeypatch)
+        with pytest.raises(CapacityError, match="q_max 11 exceeds the scan cap 10$"):
+            rational_scan(root, 11)
         assert calls == []

@@ -58,7 +58,6 @@ def test_every_operation_reached():
     helpers = {
         numcore.is_prime,  # surfaced implicitly by every witness proof
         numcore.factorize,
-        explorer.lucky_check,  # euler_lucky_search covers it
         analysis.gaussian_mass,
         analysis.run_length_threshold,
     }
