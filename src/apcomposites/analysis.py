@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import numcore
@@ -21,6 +20,7 @@ from .errors import DEFAULT_SIEVE_CAP, CapacityError, DomainError
 from .numcore import (
     PrimeTable,
     Progression,
+    Record,
     _indices,
     _prime_segments,
     _small_primes,
@@ -50,15 +50,12 @@ __all__ = [
 _INC = bytes(range(1, 256)) + b"\0"
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    """One evaluated inequality: lhs < rhs must hold."""
+class BoundCheck(Record):
+    """One evaluated inequality: lhs < rhs must hold; detail holds
+    (name, value) pairs of the terms behind it."""
 
-    param: int
-    lhs: float
-    rhs: float
-    holds: bool
-    detail: tuple[tuple[str, float], ...] = ()
+    __slots__ = ("param", "lhs", "rhs", "holds", "detail")
+    _defaults = {"detail": ()}
 
 
 # Each check of the chain, declared once: its parameter, its least value,
@@ -113,15 +110,10 @@ def pi_power4_bound(m: int, table: PrimeTable | None = None) -> BoundCheck:
     return BoundCheck(m, float(pi_4m), bound, pi_4m < bound)
 
 
-@dataclass(frozen=True)
-class DensityPoint:
+class DensityPoint(Record):
     """pi(x)/x against the closed-form bound 1/x + 4/sqrt(x) + 8/log4(x)."""
 
-    x: int
-    pi_x: int
-    ratio: Fraction
-    bound: float
-    holds: bool
+    __slots__ = ("x", "pi_x", "ratio", "bound", "holds")
 
 
 def density_bound_check(x: int, table: PrimeTable | None = None) -> DensityPoint:
@@ -160,30 +152,21 @@ def progression_composite_density(
     return Fraction(x - primes - len(_indices(p, (-1, 0, 1), 1, x)), x)
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(Record):
     """Maximal run of consecutive indices with prime progression values.
 
     Runs touching the scan boundary at n_max are flagged truncated;
     maximality at the right edge is then unknown.
     """
 
-    progression: Progression
-    start_n: int
-    length: int
-    values: tuple[int, ...]
-    truncated: bool
+    __slots__ = ("progression", "start_n", "length", "values", "truncated")
 
 
-@dataclass(frozen=True)
-class RunScan:
+class RunScan(Record):
     """The maximal runs of the greatest length, by their first indices
     (ascending); their records are built only when read."""
 
-    progression: Progression
-    n_max: int
-    max_length: int
-    starts: tuple[int, ...]
+    __slots__ = ("progression", "n_max", "max_length", "starts")
 
     def _record(self, start: int) -> RunRecord:
         end = start + self.max_length
@@ -251,20 +234,12 @@ def longest_prime_run(
     return RunScan(p, n_max, length, tuple(starts))
 
 
-@dataclass(frozen=True)
-class EKIntervalStat:
-    lo: float
-    hi: float
-    sample_fraction: float
-    gaussian_mass: float
+class EKIntervalStat(Record):
+    __slots__ = ("lo", "hi", "sample_fraction", "gaussian_mass")
 
 
-@dataclass(frozen=True)
-class EKSummary:
-    x: int
-    sample_count: int
-    mean_omega: float
-    intervals: tuple[EKIntervalStat, ...]
+class EKSummary(Record):
+    __slots__ = ("x", "sample_count", "mean_omega", "intervals")
 
 
 def gaussian_mass(lo: float, hi: float) -> float:

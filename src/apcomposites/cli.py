@@ -3,13 +3,23 @@
 Output is one strict-JSON record per line (schema_version 1, no NaN or
 Infinity), keys sorted, so repeated runs with identical arguments are
 byte-identical. Sweep tables can alternatively be emitted as CSV with
---format csv. The four checks of the inequality chain are listed once,
-in BOUNDS, which generates both `<name>` and `sweep <name>`; each check's
-domain and sieve need come from `analysis.pi_points`.
+--format csv.
+
+Every command is one entry of COMMANDS: its path (`count`, `sweep
+density`), the function that runs it, its one-line doc and its options,
+each (name, converter, default, help). A group (the root "", `witness`,
+`sweep`) is an entry with no function. `main` parses argv against the
+table: the root options first, then the command's words, then its
+options as `--name value` or `--name=value` in any order, the last
+repeat winning. A value is always the next argv item, even one that
+starts with `-`, so `--interval -1,1` and `--b -3` parse. The four
+checks of the inequality chain are listed once, in BOUNDS, and each
+yields both `<name>` and `sweep <name>`; each check's domain and sieve
+need come from `analysis.pi_points`.
 
 Exit codes: 0 ok, 1 domain/precondition error, 2 usage error (also a
 malformed --config or a non-finite or non-integral number), 3 capacity
-error; the root group maps the library's errors to them.
+error; `main` maps the library's errors to them.
 
 Each command imports the library modules it runs when it runs, so
 `--help` loads none of them and `count` only numcore.
@@ -20,94 +30,140 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable
-
-import click
 
 from .errors import DEFAULT_SIEVE_CAP, CapacityError, DomainError
 
 SCHEMA_VERSION = 1
+PROG = "apcomposites"
+REQUIRED = object()  # the default of an option that must be given
 
 
-class IntParam(click.ParamType):
+class UsageError(Exception):
+    """A command line the table does not accept: exit 2."""
+
+
+class _Help(Exception):
+    """--help: the page of the entry parsed so far, exit 0."""
+
+
+# Converters: option text -> value, or ValueError saying why not. Each
+# names its value on the help page by its metavar.
+
+
+def integer(text: str) -> int:
     """Exact integer that also accepts scientific notation like 1e6; values
     beyond float range (1e1000000000) are refused, not expanded."""
-
-    name = "integer"
-
-    def convert(self, value, param, ctx):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-        from decimal import Decimal, InvalidOperation
-
-        try:
-            d = Decimal(value)
-        except InvalidOperation:
-            d = Decimal("nan")
-        if not d.is_finite() or math.isinf(float(d)) or d != d.to_integral_value():
-            self.fail(f"{value!r} is not an integer", param, ctx)
-        return int(d)
-
-
-INT = IntParam()
-
-
-def finite_float(ctx, param, value) -> float:
-    """Option callback: a finite float."""
     try:
-        f = float(value)
+        return int(text)
+    except ValueError:
+        pass
+    from decimal import Decimal, InvalidOperation
+
+    try:
+        d = Decimal(text)
+    except InvalidOperation:
+        d = Decimal("nan")
+    if not d.is_finite() or math.isinf(float(d)) or d != d.to_integral_value():
+        raise ValueError(f"{text!r} is not an integer")
+    return int(d)
+
+
+def finite_float(text: str) -> float:
+    """A finite float."""
+    try:
+        f = float(text)
     except ValueError:
         f = math.nan
     if not math.isfinite(f):
-        raise click.BadParameter(f"{value!r} is not a finite number", param=param)
+        raise ValueError(f"{text!r} is not a finite number")
     return f
 
 
-def pair_option(ctx, param, value) -> tuple[float, float]:
-    """Option callback: 'lo,hi' as two finite floats."""
-    parts = value.split(",")
+def pair(text: str) -> tuple[float, float]:
+    """'lo,hi' as two finite floats."""
+    parts = text.split(",")
     if len(parts) != 2:
-        raise click.BadParameter(f"{value!r} is not 'lo,hi'", param=param)
-    return finite_float(ctx, param, parts[0]), finite_float(ctx, param, parts[1])
+        raise ValueError(f"{text!r} is not 'lo,hi'")
+    return finite_float(parts[0]), finite_float(parts[1])
 
 
-def at_least(low: int):
-    """Option callback factory: reject values below `low`."""
-
-    def check(ctx, param, value):
-        if value < low:
-            raise click.BadParameter(f"must be >= {low}", ctx, param)
-        return value
-
-    return check
-
-
-def int_range(ctx, param, value) -> tuple[int, int]:
-    """Option callback: 'start..stop' as two integers, start <= stop."""
-    parts = value.split("..")
+def int_range(text: str) -> tuple[int, int]:
+    """'start..stop' as two integers, start <= stop."""
+    parts = text.split("..")
     if len(parts) != 2:
-        raise click.BadParameter(f"{value!r} is not 'start..stop'", ctx, param)
-    lo, hi = (INT.convert(part, param, ctx) for part in parts)
+        raise ValueError(f"{text!r} is not 'start..stop'")
+    lo, hi = (integer(part) for part in parts)
     if lo > hi:
-        raise click.BadParameter("start must be <= stop", ctx, param)
+        raise ValueError("start must be <= stop")
     return lo, hi
 
 
-def int_list(ctx, param, value) -> list[int]:
-    """Option callback: comma-separated integers."""
+def int_list(text: str) -> list[int]:
+    """Comma-separated integers."""
     try:
-        return [int(c) for c in value.split(",")]
+        return [int(c) for c in text.split(",")]
     except ValueError:
-        raise click.BadParameter(f"{value!r} is not comma-separated integers", ctx, param)
+        raise ValueError(f"{text!r} is not comma-separated integers") from None
 
 
-def range_option(name: str):
-    """A required 'start..stop' option, parsed by int_range."""
-    return click.option(name, required=True, callback=int_range,
-                        help="Range 'start..stop'.")
+def config_max_sieve(path: str) -> int:
+    """The max_sieve key of a JSON config file, by default the default cap."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise TypeError("expected a JSON object")
+        return integer(str(data.get("max_sieve", DEFAULT_SIEVE_CAP)))
+    except (OSError, ValueError, TypeError) as exc:
+        raise ValueError(f"{path}: key 'max_sieve': {exc}") from None
+
+
+def choice(*values: str, cast=str):
+    """Converter factory: one of `values`, then cast."""
+
+    def convert(text: str):
+        if text not in values:
+            raise ValueError(f"{text!r} is not one of {', '.join(map(repr, values))}")
+        return cast(text)
+
+    convert.metavar = f"[{'|'.join(values)}]"
+    return convert
+
+
+def at_least(low: int):
+    """Converter factory: an integer >= low."""
+
+    def convert(text: str) -> int:
+        value = integer(text)
+        if value < low:
+            raise ValueError(f"must be >= {low}")
+        return value
+
+    convert.metavar = integer.metavar
+    return convert
+
+
+integer.metavar = "INTEGER"
+finite_float.metavar = "FLOAT"
+pair.metavar = "LO,HI"
+int_range.metavar = "START..STOP"
+int_list.metavar = "INTEGERS"
+config_max_sieve.metavar = "PATH"
+
+
+def opt(name: str, convert=integer, default=REQUIRED, doc: str = "") -> tuple:
+    """One option of a table entry: --name, parsed by convert."""
+    return name, convert, default, doc
+
+
+def range_opt(name: str) -> tuple:
+    """A required 'start..stop' option."""
+    return opt(name, int_range, doc="Range 'start..stop'.")
+
+
+FORMAT = opt("format", choice("records", "csv"), "records")
+GEOMETRIC = opt("geometric", at_least(2), 10, "Multiplicative step between points.")
+STEP = opt("step", at_least(1), 1)
 
 
 def geometric_points(lo: int, hi: int, factor: int):
@@ -119,20 +175,18 @@ def geometric_points(lo: int, hi: int, factor: int):
         x *= factor
 
 
-def emit(result, params: dict | None = None) -> None:
+def emit(run: dict, result, params: dict | None = None) -> None:
     """One record of the running command; params default to its parsed
     options, all but --format."""
-    ctx = click.get_current_context()
     if params is None:
-        params = {k: v for k, v in ctx.params.items() if k != "fmt"}
+        params = {k: v for k, v in run["params"].items() if k != "format"}
     record = {
         "schema_version": SCHEMA_VERSION,
-        # The command path without the program's name.
-        "command": ctx.command_path.removeprefix(ctx.find_root().info_name).lstrip(),
+        "command": run["command"],
         "params": params,
         "result": result,
     }
-    click.echo(json.dumps(record, sort_keys=True, default=as_jsonable))
+    print(json.dumps(record, sort_keys=True, default=as_jsonable))
 
 
 def as_jsonable(obj):
@@ -161,12 +215,31 @@ def as_jsonable(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def check_capacity(ctx, option: str, value: int, need: tuple[int, int] | None = None) -> None:
+def emit_sweep(run: dict, rows: list[dict], summary: dict, format: str) -> None:
+    """The rows and summary of the running sweep, in its --format."""
+    if format == "records":
+        for row in rows:
+            emit(run, row)
+        emit(run, {"summary": summary})
+        return
+    import csv
+    import io
+
+    buf = io.StringIO()
+    # Lines end in "\n", as the summary line and every JSON record do.
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    sys.stdout.write(buf.getvalue())
+    print("# summary: " + json.dumps(summary, sort_keys=True))
+
+
+def check_capacity(cap: int, option: str, value: int,
+                   need: tuple[int, int] | None = None) -> None:
     """Refuse `--option value` if the sieve limit mult * 2**exp it needs,
-    need = (mult, exp) or else (value, 0), is beyond --max-sieve; callers
+    need = (mult, exp) or else (value, 0), is beyond the cap; callers
     check the domain first. An exponent beyond the cap's bit length is
     refused as it is, so 2**k is never built for a huge k."""
-    cap = ctx.obj["max_sieve"]
     mult, exp = need or (value, 0)
     limit = mult << exp if exp <= max(cap, 1).bit_length() else None
     if limit is None or limit > cap:
@@ -175,291 +248,166 @@ def check_capacity(ctx, option: str, value: int, need: tuple[int, int] | None = 
             f"--{option} {value} needs a sieve to {shown}, --max-sieve is {cap}")
 
 
-def config_max_sieve(path: str, default: int) -> int:
-    """The max_sieve key of a JSON config file; a malformed file is a usage error."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise TypeError("expected a JSON object")
-        return INT.convert(str(data.get("max_sieve", default)), None, None)
-    except (OSError, ValueError, TypeError, click.BadParameter) as exc:
-        raise click.BadParameter(f"{path}: key 'max_sieve': {exc}", param_hint="'--config'")
-
-
-class RootGroup(click.Group):
-    """Root group: maps DomainError to exit 1 and CapacityError to exit 3."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except DomainError as exc:
-            click.echo(f"error: {exc}", err=True)
-            ctx.exit(1)
-        except CapacityError as exc:
-            click.echo(f"capacity error: {exc}", err=True)
-            ctx.exit(3)
-
-
-@click.group(cls=RootGroup)
-@click.option("--max-sieve", type=INT, default=None,
-              help="Largest sieve limit allowed (capacity cap).")
-@click.option("--config", type=click.Path(exists=True), default=None,
-              help="JSON config file; recognized key: max_sieve.")
-@click.pass_context
-def cli(ctx, max_sieve, config):
-    """Composite witnesses, prime-density bounds, and related explorations
-    for arithmetic progressions a*n + b."""
-    ctx.ensure_object(dict)
-    cap = DEFAULT_SIEVE_CAP
-    if config is not None:
-        cap = config_max_sieve(config, cap)
-    if max_sieve is not None:
-        cap = max_sieve
-    ctx.obj["max_sieve"] = cap
-
-
-@cli.command("sieve")
-@click.option("--limit", type=INT, required=True)
-@click.pass_context
-def sieve_cmd(ctx, limit):
-    """Prime count and largest prime up to --limit."""
+def sieve_cmd(run, limit):
     from . import numcore
 
     if limit < 2:
         raise DomainError("sieve limit must be >= 2")
-    check_capacity(ctx, "limit", limit)
+    check_capacity(run["max_sieve"], "limit", limit)
     # One prime gap below limit: at most 220 steps for limit <= 5e7.
     largest = next(n for n in range(limit, 1, -1) if numcore.is_prime(n))
-    emit({"count": numcore.prime_count(limit), "largest": largest})
+    emit(run, {"count": numcore.prime_count(limit), "largest": largest})
 
 
-@cli.command("count")
-@click.option("--x", type=INT, required=True)
-@click.option("--a", type=INT, default=None)
-@click.option("--b", type=INT, default=None)
-@click.pass_context
-def count_cmd(ctx, x, a, b):
-    """pi(x), or pi_{a,b}(x) when --a/--b are given."""
+def count_cmd(run, x, a, b):
     from . import numcore
 
     if a is None and b is not None:
-        raise click.UsageError("--b needs --a")
+        raise UsageError("--b needs --a")
     prog = None if a is None else numcore.Progression(a, b or 0)  # refuses a = 0 before capacity
     if x >= 1:  # else the count's DomainError comes first
-        check_capacity(ctx, "x", x)
+        check_capacity(run["max_sieve"], "x", x)
     if prog is None:
-        emit({"pi": numcore.prime_count(x)}, {"x": x})
+        emit(run, {"pi": numcore.prime_count(x)}, {"x": x})
     else:
-        emit({"pi_ab": numcore.prime_count_progression(prog, x)},
+        emit(run, {"pi_ab": numcore.prime_count_progression(prog, x)},
              {"x": x, "a": a, "b": prog.b})
 
 
-@cli.group("witness")
-def witness_group():
-    """Composite-witness constructions."""
+def _witness(builder: str):
+    """The command of a witness builder that takes (Progression(a, b), m)."""
 
-
-def _witness_command(name: str, builder: str) -> None:
-    @witness_group.command(name)
-    @click.option("--a", type=INT, required=True)
-    @click.option("--b", type=INT, required=True)
-    @click.option("--m", type=INT, required=True)
-    def cmd(a, b, m):
+    def cmd(run, a, b, m):
         from . import constructions
         from .numcore import Progression
 
-        emit(getattr(constructions, builder)(Progression(a, b), m))
+        emit(run, getattr(constructions, builder)(Progression(a, b), m))
+
+    return cmd
 
 
-_witness_command("multiple", "witness_multiple_of_b")
-_witness_command("unit", "witness_unit_b")
-
-
-@witness_group.command("power")
-@click.option("--a", type=INT, required=True)
-@click.option("--sign", type=click.Choice(["+1", "-1", "1"]), required=True,
-              callback=lambda ctx, param, value: int(value))
-@click.option("--k", type=INT, required=True)
-def witness_power_cmd(a, sign, k):
+def witness_power_cmd(run, a, sign, k):
     from . import constructions
 
-    emit(constructions.witness_power(a, sign, k))
+    emit(run, constructions.witness_power(a, sign, k))
 
 
-@cli.command("factorial")
-@click.option("--m", type=INT, required=True)
-def factorial_cmd(m):
-    """Witnesses for the consecutive composites m!+2 ... m!+m."""
+def factorial_cmd(run, m):
     from . import constructions
 
-    emit(constructions.factorial_consecutive(m))
+    emit(run, constructions.factorial_consecutive(m))
 
 
-@cli.command("consecutive")
-@click.option("--a", type=INT, required=True)
-@click.option("--b", type=INT, required=True)
-@click.option("--count", type=INT, required=True,
-              help="How many consecutive composite terms to find.")
-def consecutive_cmd(a, b, count):
+def consecutive_cmd(run, a, b, count):
     from . import constructions
     from .numcore import Progression
 
     res = constructions.consecutive_in_progression(Progression(a, b), count)
-    emit({"start_n": res.start_n, "witnesses": res.witnesses,
-          "factorial_m_bound": res.factorial_m_bound})
+    emit(run, {"start_n": res.start_n, "witnesses": res.witnesses,
+               "factorial_m_bound": res.factorial_m_bound})
 
 
-@cli.command("kcomposite")
-@click.option("--a", type=INT, required=True)
-@click.option("--b", type=INT, required=True)
-@click.option("--k", type=INT, required=True)
-@click.option("--count", type=INT, default=1)
-@click.option("--mode", type=click.Choice(["distinct", "multiplicity"]),
-              default="distinct")
-def kcomposite_cmd(a, b, k, count, mode):
+def kcomposite_cmd(run, a, b, k, count, mode):
     from . import constructions
     from .numcore import Progression
 
-    emit(constructions.k_composite_witnesses(Progression(a, b), k, count, mode))
+    emit(run, constructions.k_composite_witnesses(Progression(a, b), k, count, mode))
 
 
-@cli.command("poly")
-@click.option("--coeffs", required=True, callback=int_list,
-              help="Comma-separated coefficients, constant term first.")
-@click.option("--count", type=INT, default=1)
-def poly_cmd(coeffs, count):
+def poly_cmd(run, coeffs, count):
     from . import constructions
 
-    emit([{"k": r.k, "j": r.j, "index": r.index, "value": r.value,
-           "divisor": r.divisor}
-          for r in constructions.polynomial_composites(coeffs, count)])
+    emit(run, [{"k": r.k, "j": r.j, "index": r.index, "value": r.value,
+                "divisor": r.divisor}
+               for r in constructions.polynomial_composites(coeffs, count)])
 
 
-@cli.command("twin3")
-@click.option("--count", type=INT, required=True)
-@click.option("--k-max", type=INT, default=10**4)
-def twin3_cmd(count, k_max):
+def twin3_cmd(run, count, k_max):
     from . import constructions
 
     res = constructions.three_composites_4n3(count, k_max)
-    emit({"witnesses": res.witnesses, "shortfall": res.shortfall})
+    emit(run, {"witnesses": res.witnesses, "shortfall": res.shortfall})
 
 
-@cli.command("runs")
-@click.option("--a", type=INT, required=True)
-@click.option("--b", type=INT, required=True)
-@click.option("--n-max", type=INT, required=True)
-@click.pass_context
-def runs_cmd(ctx, a, b, n_max):
-    """Longest runs of prime values among n in [1, n_max]."""
+def runs_cmd(run, a, b, n_max):
     from . import analysis
     from .numcore import Progression
 
-    scan = analysis.longest_prime_run(
-        Progression(a, b), n_max, sieve_cap=ctx.obj["max_sieve"])
-    emit({"n_max": scan.n_max, "max_length": scan.max_length,
-          "runs": [{"start_n": r.start_n, "length": r.length, "values": r.values,
-                    "truncated": r.truncated} for r in scan.max_runs]})
+    scan = analysis.longest_prime_run(Progression(a, b), n_max, sieve_cap=run["max_sieve"])
+    emit(run, {"n_max": scan.n_max, "max_length": scan.max_length,
+               "runs": [{"start_n": r.start_n, "length": r.length, "values": r.values,
+                         "truncated": r.truncated} for r in scan.max_runs]})
 
 
-@cli.command("ek")
-@click.option("--x", type=INT, required=True)
-@click.option("--interval", default="-1,1", callback=pair_option,
-              help="Statistic interval 'lo,hi'.")
-@click.pass_context
-def ek_cmd(ctx, x, interval):
-    """Distinct-prime-factor statistic summary over 3 <= n <= x."""
+def ek_cmd(run, x, interval):
     from . import analysis
 
     if x >= 3 and interval[0] <= interval[1]:  # else a DomainError comes first
-        check_capacity(ctx, "x", x)
+        check_capacity(run["max_sieve"], "x", x)
     summary = analysis.erdos_kac_samples(x, intervals=(interval,))
     iv = summary.intervals[0]
-    emit({"sample_count": summary.sample_count, "mean_omega": summary.mean_omega,
-          "sample_fraction": iv.sample_fraction, "gaussian_mass": iv.gaussian_mass})
+    emit(run, {"sample_count": summary.sample_count, "mean_omega": summary.mean_omega,
+               "sample_fraction": iv.sample_fraction, "gaussian_mass": iv.gaussian_mass})
 
 
-@cli.command("lucky")
-@click.option("--max", type=INT, required=True)
-def lucky_cmd(max):
-    """Constants C <= max with n^2 - n + C prime for all 1 <= n <= C-1."""
+def lucky_cmd(run, max):
     from . import explorer
 
-    emit({"lucky": explorer.euler_lucky_search(max)})
+    emit(run, {"lucky": explorer.euler_lucky_search(max)})
 
 
-@cli.command("streak")
-@click.option("--c", type=INT, required=True)
-def streak_cmd(c):
-    """Initial run of n >= 0 with n^2 + n + C prime."""
+def streak_cmd(run, c):
     from . import explorer
 
     res = explorer.prime_streak(c)
-    emit({"length": res.length, "first_failure_n": res.first_failure_n,
-          "first_failure_value": res.first_failure_value})
+    emit(run, {"length": res.length, "first_failure_n": res.first_failure_n,
+               "first_failure_value": res.first_failure_value})
 
 
-@cli.command("fermatreal")
-@click.option("--x", type=INT, required=True)
-@click.option("--y", type=INT, required=True)
-@click.option("--z", type=INT, required=True)
-@click.option("--bracket", default="2,3", callback=pair_option,
-              help="Sign-change bracket 'lo,hi'.")
-@click.option("--tol", type=float, default=1e-12, callback=finite_float)
-def fermatreal_cmd(x, y, z, bracket, tol):
-    """Bisect x^t + y^t - z^t to the stated tolerance."""
+def fermatreal_cmd(run, x, y, z, bracket, tol):
     from . import explorer
 
     r = explorer.fermat_real_root(x, y, z, bracket, tol)
-    emit({"s": r.s, "residual": r.residual, "refined_bracket": r.refined_bracket,
-          "iterations": r.iterations})
+    emit(run, {"s": r.s, "residual": r.residual, "refined_bracket": r.refined_bracket,
+               "iterations": r.iterations})
 
 
-@cli.command("ratscan")
-@click.option("--x", type=INT, required=True)
-@click.option("--y", type=INT, required=True)
-@click.option("--z", type=INT, required=True)
-@click.option("--bracket", default="2,3", callback=pair_option)
-@click.option("--q-max", type=INT, required=True)
-@click.option("--tol", type=float, default=1e-9, callback=finite_float)
-def ratscan_cmd(x, y, z, bracket, q_max, tol):
-    """Rationals p/q in the bracket that nearly solve x^t + y^t = z^t."""
+def ratscan_cmd(run, x, y, z, bracket, q_max, tol):
     from . import explorer
 
     root = explorer.fermat_real_root(x, y, z, bracket)
     hits = explorer.rational_scan(root, q_max, tol)
-    emit({"hits": [{"p": h.numerator, "q": h.denominator} for h in hits]})
+    emit(run, {"hits": [{"p": h.numerator, "q": h.denominator} for h in hits]})
 
 
-def emit_sweep(rows: list[dict], summary: dict) -> None:
-    """The rows and summary of the running sweep, in its --format."""
-    if click.get_current_context().params["fmt"] == "records":
-        for row in rows:
-            emit(row)
-        emit({"summary": summary})
-        return
-    import csv
-    import io
+def sweep_runs_cmd(run, a, b, n_max, format):
+    from . import analysis
+    from .numcore import Progression
 
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
-    writer.writeheader()
-    writer.writerows(rows)
-    click.echo(buf.getvalue(), nl=False)
-    click.echo("# summary: " + json.dumps(summary, sort_keys=True))
-
-
-@cli.group("sweep")
-def sweep_group():
-    """Run a check over a parameter range, with a trailing summary row."""
+    lo, hi = a
+    rows = []
+    for a in range(lo, hi + 1):
+        p = Progression(a, b)
+        scan = analysis.longest_prime_run(p, n_max, sieve_cap=run["max_sieve"])
+        rows.append({"a": a, "b": b, "max_length": scan.max_length,
+                     "a_squared": a * a,
+                     "within_bound": scan.max_length <= a * a
+                     or scan.best.start_n <= analysis.run_length_threshold(p)})
+    emit_sweep(run, rows, {"all_within_bound": all(r["within_bound"] for r in rows),
+                           "rows": len(rows)}, format)
 
 
-FORMAT = click.option("--format", "fmt", type=click.Choice(["records", "csv"]),
-                      default="records")
-GEOMETRIC = click.option("--geometric", type=INT, default=10, callback=at_least(2),
-                         help="Multiplicative step between points.")
-STEP = click.option("--step", type=INT, default=1, callback=at_least(1))
+def sweep_pdensity_cmd(run, a, b, x, geometric, format):
+    from . import analysis
+    from .numcore import Progression
+
+    rows = []
+    for point in geometric_points(*x, geometric):
+        frac = analysis.progression_composite_density(
+            Progression(a, b), point, sieve_cap=run["max_sieve"])
+        rows.append({"x": point, "density": float(frac),
+                     "num": frac.numerator, "den": frac.denominator})
+    emit_sweep(run, rows, {"rows": len(rows), "final_density": rows[-1]["density"]}, format)
 
 
 def _density_row(pt) -> dict:
@@ -472,121 +420,217 @@ def _bound_row(bc) -> dict:
             **dict(bc.detail)}
 
 
-@dataclass(frozen=True)
-class Bound:
-    """One link of the inequality chain, surfaced as `<name>` and `sweep <name>`."""
-
-    name: str
-    check: str  # analysis function; looked up per call, so rebinding it is seen
-    option: str  # parameter name: --x, --n, --k or --m
-    step: Callable | None  # the sweep's step option, if any
-    row: Callable[[object], dict]  # check result -> output row (Fractions kept)
-    doc: str
-
-
+# The links of the inequality chain, each surfaced as `<name>` and
+# `sweep <name>`: (name, analysis function, its parameter, the sweep's
+# step option, check result -> output row, doc). The function is looked
+# up per call, so rebinding it is seen.
 BOUNDS = (
-    Bound("density", "density_bound_check", "x", GEOMETRIC,
-          _density_row, "pi(x)/x against the bound 1/x + 4/sqrt(x) + 8/log4(x)."),
-    Bound("binom", "central_binom_bound", "n", STEP,
-          _bound_row, "Check n^(pi(2n)-pi(n)) < 4^n."),
-    Bound("dyadic", "dyadic_gap_bound", "k", None,
-          _bound_row, "Check pi(2^k) - pi(2^(k-1)) < 2^k/(k-1)."),
-    Bound("pow4", "pi_power4_bound", "m", None,
-          _bound_row, "Check pi(4^m) < 1 + 2^(m+1) + 2^(2m+1)/m."),
+    ("density", "density_bound_check", "x", GEOMETRIC, _density_row,
+     "pi(x)/x against the bound 1/x + 4/sqrt(x) + 8/log4(x)."),
+    ("binom", "central_binom_bound", "n", STEP, _bound_row,
+     "Check n^(pi(2n)-pi(n)) < 4^n."),
+    ("dyadic", "dyadic_gap_bound", "k", None, _bound_row,
+     "Check pi(2^k) - pi(2^(k-1)) < 2^k/(k-1)."),
+    ("pow4", "pi_power4_bound", "m", None, _bound_row,
+     "Check pi(4^m) < 1 + 2^(m+1) + 2^(2m+1)/m."),
 )
 
 
-def _bound_commands(b: Bound) -> None:
-    @cli.command(b.name, help=b.doc)
-    @click.option(f"--{b.option}", type=INT, required=True)
-    @click.pass_context
-    def single(ctx, **kw):
+def _bound_entries(name, check, option, step_option, row, doc) -> tuple:
+    """The `<name>` and `sweep <name>` entries of one check of the chain."""
+
+    def single(run, **kw):
         from . import analysis
 
-        value = kw[b.option]
+        value = kw[option]
         # pi_points checks the domain, so it comes before capacity.
-        check_capacity(ctx, b.option, value, analysis.pi_points(b.check, value)[-1])
-        emit(b.row(getattr(analysis, b.check)(value)))
+        check_capacity(run["max_sieve"], option, value, analysis.pi_points(check, value)[-1])
+        emit(run, row(getattr(analysis, check)(value)))
 
-    @FORMAT
-    @click.pass_context
-    def sweep(ctx, fmt, **kw):
+    def sweep(run, format, geometric=None, step=1, **kw):
         from fractions import Fraction
 
         from . import analysis, numcore
 
-        lo, hi = kw.pop(b.option)
-        # kw now holds only the step option, if the sweep has one.
-        if "geometric" in kw:
-            points = geometric_points(lo, hi, kw["geometric"])
-        else:
-            points = range(lo, hi + 1, kw.get("step", 1))
-        analysis.pi_points(b.check, lo)  # the domain: no point is below lo
-        check_capacity(ctx, b.option, hi, analysis.pi_points(b.check, hi)[-1])
-        points = list(points)
+        lo, hi = kw[option]
+        analysis.pi_points(check, lo)  # the domain: every point is >= lo >= 1
+        # So a geometric walk ends, after logarithmically many points.
+        points = (list(geometric_points(lo, hi, geometric)) if geometric
+                  else range(lo, hi + 1, step))
+        # The need is the last point's, whatever hi is.
+        last = points[-1]
+        check_capacity(run["max_sieve"], option, last, analysis.pi_points(check, last)[-1])
         # One counting pass over the pi values every point's check reads.
         table = numcore.prime_counts(mult << exp for p in points
-                                     for mult, exp in analysis.pi_points(b.check, p))
-        check = getattr(analysis, b.check)
+                                     for mult, exp in analysis.pi_points(check, p))
+        evaluate = getattr(analysis, check)
         rows = [{k: float(v) if isinstance(v, Fraction) else v
-                 for k, v in b.row(check(p, table)).items()} for p in points]
-        emit_sweep(rows, {"all_holds": all(r["holds"] for r in rows), "rows": len(rows)})
+                 for k, v in row(evaluate(p, table)).items()} for p in points]
+        emit_sweep(run, rows, {"all_holds": all(r["holds"] for r in rows),
+                               "rows": len(rows)}, format)
 
-    if b.step:
-        sweep = b.step(sweep)
-    sweep_group.command(b.name)(range_option(f"--{b.option}")(sweep))
-
-
-for _bound in BOUNDS:
-    _bound_commands(_bound)
+    return ((name, single, doc, (opt(option),)),
+            (f"sweep {name}", sweep, f"{name} over a range of --{option}.",
+             (range_opt(option), *([step_option] if step_option else []), FORMAT)))
 
 
-@sweep_group.command("runs")
-@range_option("--a")
-@click.option("--b", type=INT, required=True)
-@click.option("--n-max", type=INT, required=True)
-@FORMAT
-@click.pass_context
-def sweep_runs_cmd(ctx, a, b, n_max, fmt):
-    from . import analysis
-    from .numcore import Progression
+# path -> (function, doc, options); a group's function is None.
+COMMANDS = {path: (fn, doc, options) for path, fn, doc, options in (
+    ("", None, "Composite witnesses, prime-density bounds, and related explorations\n"
+               "for arithmetic progressions a*n + b.",
+     (opt("max-sieve", default=None, doc="Largest sieve limit allowed (capacity cap)."),
+      opt("config", config_max_sieve, None, "JSON config file; recognized key: max_sieve."))),
+    ("sieve", sieve_cmd, "Prime count and largest prime up to --limit.", (opt("limit"),)),
+    ("count", count_cmd, "pi(x), or pi_{a,b}(x) when --a/--b are given.",
+     (opt("x"), opt("a", default=None), opt("b", default=None))),
+    ("witness", None, "Composite-witness constructions.", ()),
+    ("witness multiple", _witness("witness_multiple_of_b"),
+     "Composite term b*(a*m + 1) of a*n + b, for |b| > 1.", (opt("a"), opt("b"), opt("m"))),
+    ("witness unit", _witness("witness_unit_b"),
+     "Composite term (a^2 + 1)*(a*m + b) of a*n + b, for b = +-1.",
+     (opt("a"), opt("b"), opt("m"))),
+    ("witness power", witness_power_cmd, "Composite term (3a)^(2k+1) + sign.",
+     (opt("a"), opt("sign", choice("+1", "-1", "1", cast=int)), opt("k"))),
+    ("factorial", factorial_cmd, "Witnesses for the consecutive composites m!+2 ... m!+m.",
+     (opt("m"),)),
+    ("consecutive", consecutive_cmd, "Least run of --count consecutive composite terms.",
+     (opt("a"), opt("b"), opt("count", doc="How many consecutive composite terms to find."))),
+    ("kcomposite", kcomposite_cmd, "Terms of a*n + b with exactly k prime factors.",
+     (opt("a"), opt("b"), opt("k"), opt("count", default=1),
+      opt("mode", choice("distinct", "multiplicity"), "distinct"))),
+    ("poly", poly_cmd, "Composite values f(k + j*f(k)) of an integer polynomial.",
+     (opt("coeffs", int_list, doc="Comma-separated, constant term first."),
+      opt("count", default=1))),
+    ("twin3", twin3_cmd, "Terms 4n+3 with three prime factors, from twin primes.",
+     (opt("count"), opt("k-max", default=10**4))),
+    ("runs", runs_cmd, "Longest runs of prime values among n in [1, n_max].",
+     (opt("a"), opt("b"), opt("n-max"))),
+    ("ek", ek_cmd, "Distinct-prime-factor statistic summary over 3 <= n <= x.",
+     (opt("x"), opt("interval", pair, (-1.0, 1.0), "Statistic interval 'lo,hi'."))),
+    ("lucky", lucky_cmd, "Constants C <= max with n^2 - n + C prime for 1 <= n < C.",
+     (opt("max"),)),
+    ("streak", streak_cmd, "Initial run of n >= 0 with n^2 + n + C prime.", (opt("c"),)),
+    ("fermatreal", fermatreal_cmd, "Bisect x^t + y^t - z^t to the stated tolerance.",
+     (opt("x"), opt("y"), opt("z"),
+      opt("bracket", pair, (2.0, 3.0), "Sign-change bracket 'lo,hi'."),
+      opt("tol", finite_float, 1e-12))),
+    ("ratscan", ratscan_cmd,
+     "Rationals p/q in the bracket that nearly solve x^t + y^t = z^t.",
+     (opt("x"), opt("y"), opt("z"), opt("bracket", pair, (2.0, 3.0)), opt("q-max"),
+      opt("tol", finite_float, 1e-9))),
+    ("sweep", None, "Run a check over a parameter range, with a trailing summary row.", ()),
+    *(entry for bound in BOUNDS for entry in _bound_entries(*bound)),
+    ("sweep runs", sweep_runs_cmd, "runs over a range of --a.",
+     (range_opt("a"), opt("b"), opt("n-max"), FORMAT)),
+    ("sweep pdensity", sweep_pdensity_cmd,
+     "Composite density of |a*n+b| over n <= x, swept in x.",
+     (opt("a"), opt("b"), range_opt("x"), GEOMETRIC, FORMAT)),
+)}
 
-    lo, hi = a
-    rows = []
-    for a in range(lo, hi + 1):
-        p = Progression(a, b)
-        scan = analysis.longest_prime_run(p, n_max, sieve_cap=ctx.obj["max_sieve"])
-        rows.append({"a": a, "b": b, "max_length": scan.max_length,
-                     "a_squared": a * a,
-                     "within_bound": scan.max_length <= a * a
-                     or scan.best.start_n <= analysis.run_length_threshold(p)})
-    emit_sweep(rows, {"all_within_bound": all(r["within_bound"] for r in rows),
-                      "rows": len(rows)})
+
+def _take_options(options: tuple, args: list[str], i: int) -> tuple[dict, int]:
+    """The option texts of args[i:] up to the first word, name -> the last
+    value given, and the index of that word."""
+    names = {o[0] for o in options}
+    given = {}
+    while i < len(args) and args[i].startswith("-"):
+        if args[i] == "--help":
+            raise _Help
+        flag, eq, value = args[i].partition("=")
+        if not flag.startswith("--") or flag[2:] not in names:
+            raise UsageError(f"No such option '{flag}'.")
+        if not eq:
+            i += 1
+            if i == len(args):
+                raise UsageError(f"Option '{flag}' requires an argument.")
+            value = args[i]
+        given[flag[2:]] = value
+        i += 1
+    return given, i
 
 
-@sweep_group.command("pdensity")
-@click.option("--a", type=INT, required=True)
-@click.option("--b", type=INT, required=True)
-@range_option("--x")
-@GEOMETRIC
-@FORMAT
-@click.pass_context
-def sweep_pdensity_cmd(ctx, a, b, x, geometric, fmt):
-    """Composite density of |a*n+b| over n <= x, swept in x."""
-    from . import analysis
-    from .numcore import Progression
-
-    rows = []
-    for point in geometric_points(*x, geometric):
-        frac = analysis.progression_composite_density(
-            Progression(a, b), point, sieve_cap=ctx.obj["max_sieve"])
-        rows.append({"x": point, "density": float(frac),
-                     "num": frac.numerator, "den": frac.denominator})
-    emit_sweep(rows, {"rows": len(rows), "final_density": rows[-1]["density"]})
+def _convert(options: tuple, given: dict) -> dict:
+    """Parameter name -> value of every option: converted when given, else
+    its default."""
+    params = {}
+    for name, convert, default, _ in options:
+        if name in given:
+            try:
+                value = convert(given[name])
+            except ValueError as exc:
+                raise UsageError(f"Invalid value for '--{name}': {exc}") from None
+        elif default is REQUIRED:
+            raise UsageError(f"Missing option '--{name}'.")
+        else:
+            value = default
+        params[name.replace("-", "_")] = value
+    return params
 
 
-def main():
-    cli(prog_name="apcomposites")
+def _help_page(path: str) -> str:
+    """The --help page of the entry at path; the root's path is ""."""
+    fn, doc, options = COMMANDS[path]
+    lines = [_usage(path), "", *(f"  {line}" for line in doc.splitlines()), "", "Options:"]
+    lines += _columns([(f"--{name} {convert.metavar}",
+                        "  ".join(filter(None, (text, "[required]" * (default is REQUIRED)))))
+                       for name, convert, default, text in options]
+                      + [("--help", "Show this message and exit.")])
+    if fn is None:
+        subs = sorted(p for p in COMMANDS if p and p.rpartition(" ")[0] == path)
+        lines += ["", "Commands:",
+                  *_columns([(p.rpartition(" ")[2], COMMANDS[p][1]) for p in subs])]
+    return "\n".join(lines)
+
+
+def _usage(path: str) -> str:
+    words = " COMMAND [ARGS]..." if COMMANDS[path][0] is None else ""
+    return f"Usage: {f'{PROG} {path}'.rstrip()} [OPTIONS]{words}"
+
+
+def _columns(rows: list[tuple[str, str]]) -> list[str]:
+    width = max(len(left) for left, _ in rows)
+    return [f"  {left:<{width}}  {right}".rstrip() for left, right in rows]
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Run `apcomposites ARGV`, argv defaulting to sys.argv[1:]; always
+    ends with SystemExit and the exit code."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    path = ""
+    try:
+        fn, _, options = COMMANDS[path]
+        given, i = _take_options(options, args, 0)
+        root = _convert(options, given)
+        while fn is None:  # a group: the next word names one of its entries
+            if i == len(args):
+                raise UsageError("Missing command.")
+            sub = f"{path} {args[i]}".lstrip()
+            if sub not in COMMANDS:
+                raise UsageError(f"No such command '{args[i]}'.")
+            path = sub
+            fn, _, options = COMMANDS[path]
+            given, i = _take_options(options, args, i + 1)
+        if i < len(args):
+            raise UsageError(f"Got unexpected extra argument ({args[i]})")
+        params = _convert(options, given)
+        cap = next(c for c in (root["max_sieve"], root["config"], DEFAULT_SIEVE_CAP)
+                   if c is not None)
+        fn({"command": path, "params": params, "max_sieve": cap}, **params)
+        code = 0
+    except _Help:
+        print(_help_page(path))
+        code = 0
+    except UsageError as exc:
+        print(f"{_usage(path)}\nTry '{f'{PROG} {path}'.rstrip()} --help' for help.\n\n"
+              f"Error: {exc}", file=sys.stderr)
+        code = 2
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 1
+    except CapacityError as exc:
+        print(f"capacity error: {exc}", file=sys.stderr)
+        code = 3
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

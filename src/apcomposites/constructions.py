@@ -9,8 +9,7 @@ witness re-verifies its defining identity on construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import (
     CapacityError,
@@ -22,6 +21,7 @@ from . import numcore
 from .numcore import (
     Factorization,
     Progression,
+    Record,
     _indices,
     _prime_segments,
     factorize,
@@ -55,27 +55,20 @@ CONSECUTIVE_SCAN_CAP = 10**7
 SEARCH_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class DivisorPair:
+class DivisorPair(Record):
     """Compositeness proof by a nontrivial split value = d * cofactor."""
 
-    value: int
-    d: int
-    cofactor: int
+    __slots__ = ("value", "d", "cofactor")
 
     def verify(self) -> bool:
         return self.d > 1 and self.cofactor > 1 and self.d * self.cofactor == self.value
 
 
-@dataclass(frozen=True)
-class CompositeWitness:
-    """Index n in a progression whose term is provably composite."""
+class CompositeWitness(Record):
+    """Index n in a progression whose term is provably composite; the
+    proof is a Factorization or a DivisorPair."""
 
-    progression: Progression
-    n: int
-    value: int
-    proof: Factorization | DivisorPair
-    construction_tag: str
+    __slots__ = ("progression", "n", "value", "proof", "construction_tag")
 
     def verify(self) -> bool:
         if self.progression.term(self.n) != self.value:
@@ -89,8 +82,7 @@ class CompositeWitness:
         return self.proof.value == abs(self.value) and self.proof.verify()
 
 
-@dataclass(frozen=True)
-class KCompositeWitness:
+class KCompositeWitness(Record):
     """Progression term with exactly k prime factors.
 
     mode "distinct" counts without multiplicity (omega), mode
@@ -98,12 +90,7 @@ class KCompositeWitness:
     not composites; compositeness starts at k = 2.
     """
 
-    progression: Progression
-    n: int
-    value: int
-    proof: Factorization
-    k: int
-    mode: str
+    __slots__ = ("progression", "n", "value", "proof", "k", "mode")
 
     def verify(self) -> bool:
         if self.progression.term(self.n) != self.value:
@@ -114,16 +101,10 @@ class KCompositeWitness:
         return count == self.k
 
 
-@dataclass(frozen=True)
-class PolyCompositeRecord:
+class PolyCompositeRecord(Record):
     """f(k + j*f(k)) is a multiple of f(k) and strictly larger."""
 
-    coeffs: tuple[int, ...]
-    k: int
-    j: int
-    index: int
-    value: int
-    divisor: int
+    __slots__ = ("coeffs", "k", "j", "index", "value", "divisor")
 
     def verify(self) -> bool:
         return (
@@ -236,15 +217,10 @@ def factorial_consecutive(m: int) -> list[CompositeWitness]:
     return out
 
 
-@dataclass(frozen=True)
-class ConsecutiveResult:
-    progression: Progression
-    requested: int
-    start_n: int
-    witnesses: tuple[CompositeWitness, ...]
+class ConsecutiveResult(Record):
     # Sufficient m for the factorial construction to cover the request:
     # S_m contains N progression terms once m >= a*N + |b| + 2.
-    factorial_m_bound: int
+    __slots__ = ("progression", "requested", "start_n", "witnesses", "factorial_m_bound")
 
 
 def consecutive_in_progression(p: Progression, N: int) -> ConsecutiveResult:
@@ -413,10 +389,8 @@ def polynomial_composites(coeffs: Sequence[int], count: int) -> list[PolyComposi
     return out
 
 
-@dataclass(frozen=True)
-class Twin3Result:
-    witnesses: tuple[KCompositeWitness, ...]
-    shortfall: bool
+class Twin3Result(Record):
+    __slots__ = ("witnesses", "shortfall")
 
 
 def three_composites_4n3(count: int, k_max: int) -> Twin3Result:

@@ -9,11 +9,10 @@ pay for loading it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BracketError, CapacityError, DomainError
-from .numcore import is_prime
+from .numcore import Record, is_prime
 
 __all__ = [
     "StreakResult",
@@ -42,12 +41,8 @@ def euler_lucky_search(C_max: int) -> list[int]:
             if all(is_prime(n * n - n + C) for n in range(1, C))]
 
 
-@dataclass(frozen=True)
-class StreakResult:
-    C: int
-    length: int
-    first_failure_n: int
-    first_failure_value: int
+class StreakResult(Record):
+    __slots__ = ("C", "length", "first_failure_n", "first_failure_value")
 
 
 def prime_streak(C: int) -> StreakResult:
@@ -63,16 +58,10 @@ def prime_streak(C: int) -> StreakResult:
     raise CapacityError(f"streak for C={C} exceeds scan cap {SCAN_CAP}")
 
 
-@dataclass(frozen=True)
-class RootResult:
+class RootResult(Record):
     """Bisection root of x^t + y^t - z^t on a sign-change bracket."""
 
-    triple: tuple[int, int, int]
-    s: float
-    residual: float
-    bracket: tuple[float, float]
-    refined_bracket: tuple[float, float]
-    iterations: int
+    __slots__ = ("triple", "s", "residual", "bracket", "refined_bracket", "iterations")
 
 
 def _fermat_f(x: int, y: int, z: int):

@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
 from .errors import CapacityError, DomainError
 
@@ -46,16 +45,70 @@ TRIAL_BOUND = 1_000_000
 _SEGMENT = 1 << 18
 
 
-@dataclass(frozen=True)
-class Progression:
+class Record:
+    """Immutable record over the fields its class names in __slots__.
+
+    Fields are given positionally or by keyword; one given neither way
+    takes its value from the class's _defaults. Records are equal when
+    their types and field values are, hash, repr and pickle by their
+    values, and refuse assignment.
+    A record is not a tuple, so json.dumps hands it to its `default`
+    hook rather than writing it as an array. Subclass Record directly.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        if kwargs or len(args) != len(fields):
+            given = dict(zip(fields, args))
+            if (len(args) > len(fields) or given.keys() & kwargs.keys()
+                    or not kwargs.keys() <= set(fields)):
+                raise TypeError(f"{type(self).__name__}() takes the fields "
+                                f"{', '.join(fields)}, each once")
+            given.update(kwargs)
+            try:
+                args = [given[f] if f in given else self._defaults[f] for f in fields]
+            except KeyError as exc:
+                raise TypeError(f"{type(self).__name__}() is missing field {exc}") from None
+        for field, value in zip(fields, args):
+            object.__setattr__(self, field, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({shown})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, as setattr is refused.
+        return type(self), self._values()
+
+
+class Progression(Record):
     """Arithmetic progression a*n + b with nonzero integer step a."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if self.a == 0:
+    def __init__(self, a: int, b: int):
+        if a == 0:
             raise DomainError("progression step a must be nonzero")
+        super().__init__(a, b)
 
     def term(self, n: int) -> int:
         return self.a * n + self.b
@@ -66,12 +119,11 @@ class Progression:
         return self.b % abs(self.a)
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization of a positive integer >= 2, primes ascending."""
+class Factorization(Record):
+    """Prime factorization of a positive integer >= 2, primes ascending:
+    factors is a tuple of (prime, exponent) pairs."""
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("value", "factors")
 
     @property
     def omega(self) -> int:

@@ -1,5 +1,8 @@
+import contextlib
+import io
 import math
 import tracemalloc
+from collections import namedtuple
 
 import pytest
 
@@ -89,3 +92,20 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+CliResult = namedtuple("CliResult", "code out err")
+
+
+def run_cli(argv: list[str]) -> CliResult:
+    """Exit code, stdout and stderr of `apcomposites ARGV`, run in-process
+    through `cli.main`; an exception other than its SystemExit propagates."""
+    from apcomposites import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            cli.main(argv)
+        except SystemExit as exc:
+            return CliResult(exc.code, out.getvalue(), err.getvalue())
+    raise AssertionError("cli.main returned without SystemExit")

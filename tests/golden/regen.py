@@ -13,29 +13,23 @@ from __future__ import annotations
 
 import json
 import shlex
+import sys
 from pathlib import Path
 
-import click
-from click.testing import CliRunner
-
-from apcomposites.cli import cli
-
 HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent))
+
+from apcomposites.cli import COMMANDS  # noqa: E402
+from conftest import run_cli  # noqa: E402
 
 
 def _argvs(*lines: str) -> list[list[str]]:
     return [shlex.split(line) for line in lines]
 
 
-def _help_pages(group: click.Group, path: tuple[str, ...] = ()) -> list[list[str]]:
-    """`--help` of the group and of every command path beneath it."""
-    argvs = [[*path, "--help"]]
-    for name, cmd in sorted(group.commands.items()):
-        if isinstance(cmd, click.Group):
-            argvs += _help_pages(cmd, (*path, name))
-        else:
-            argvs.append([*path, name, "--help"])
-    return argvs
+def _help_pages() -> list[list[str]]:
+    """`--help` of the root and of every command path beneath it."""
+    return [[*path.split(), "--help"] for path in sorted(COMMANDS)]
 
 
 def _both_formats(*lines: str) -> list[list[str]]:
@@ -227,6 +221,7 @@ GROUPS = {
         "--max-sieve 0 ek --x 2",
         "--max-sieve 100 sweep density --x 10..1000",
         "--max-sieve 1000 sweep density --x 10..1000",
+        "--max-sieve 500 sweep density --x 10..1000 --geometric 7",
         "--max-sieve 0 sweep density --x 0..1",
         "--max-sieve 100 sweep dyadic --k 2..10",
         "--max-sieve 1024 sweep dyadic --k 2..10",
@@ -245,19 +240,13 @@ GROUPS = {
         "ratscan --x 5 --y 12 --z 13 --bracket 1.3,2.3 --q-max 1e9",
         "--max-sieve abc sieve --limit 10",
     ),
-    "help": _help_pages(cli),
+    "help": _help_pages(),
 }
 
 
-# Help pages wrap at the terminal width; pin it to that of a non-terminal.
-RUNNER = CliRunner(env={"COLUMNS": "80"})
-
-
 def run(argv: list[str]) -> dict:
-    res = RUNNER.invoke(cli, argv)
-    if res.exception is not None and not isinstance(res.exception, SystemExit):
-        raise RuntimeError(f"{shlex.join(argv)!r} crashed: {res.exception!r}")
-    return {"argv": argv, "exit_code": res.exit_code, "stdout": res.stdout}
+    res = run_cli(argv)
+    return {"argv": argv, "exit_code": res.code, "stdout": res.out}
 
 
 def main() -> None:

@@ -7,7 +7,6 @@ import math
 import time
 
 import pytest
-from click.testing import CliRunner
 
 from apcomposites.analysis import (
     central_binom_bound,
@@ -19,7 +18,6 @@ from apcomposites.analysis import (
     pi_points,
     run_length_threshold,
 )
-from apcomposites.cli import cli
 from apcomposites.constructions import (
     factorial_consecutive,
     k_composite_witnesses,
@@ -34,7 +32,7 @@ from apcomposites.explorer import (
     rational_scan,
 )
 from apcomposites.numcore import Progression, factorize, is_prime, prime_counts
-from conftest import oracle_factorize, oracle_is_prime
+from conftest import oracle_factorize, oracle_is_prime, run_cli
 
 
 def report(criterion: str, ok: bool):
@@ -217,16 +215,15 @@ def test_criterion_10_oracle_equivalence_and_golden():
         if dict(f.factors) != oracle_factorize(n) or not f.verify():
             ok = False
             break
-    runner = CliRunner()
     for args in (
         ["witness", "unit", "--a", "2", "--b", "1", "--m", "3"],
         ["lucky", "--max", "100"],
         ["sweep", "dyadic", "--k", "2..18"],
         ["kcomposite", "--a", "5", "--b", "3", "--k", "3", "--count", "5"],
     ):
-        first = runner.invoke(cli, args, catch_exceptions=False)
-        second = runner.invoke(cli, args, catch_exceptions=False)
-        ok &= first.output == second.output and first.exit_code == 0
-        ok &= all(json.loads(line) for line in first.output.splitlines())
+        first = run_cli(args)
+        second = run_cli(args)
+        ok &= first.out == second.out and first.code == 0
+        ok &= all(json.loads(line) for line in first.out.splitlines())
     report("10. is_prime/factorize match trial division for n <= 1e5; "
            "CLI output byte-identical across runs", ok)

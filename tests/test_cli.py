@@ -2,19 +2,8 @@ import json
 import time
 
 import pytest
-from click.testing import CliRunner
 
-from apcomposites.cli import cli
-from conftest import traced_peak
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
-def invoke(runner, args):
-    return runner.invoke(cli, args, catch_exceptions=False)
+from conftest import run_cli, traced_peak
 
 
 def records(output: str):
@@ -22,104 +11,104 @@ def records(output: str):
 
 
 class TestBasicCommands:
-    def test_witness_unit(self, runner):
-        res = invoke(runner, ["witness", "unit", "--a", "2", "--b", "1", "--m", "3"])
-        assert res.exit_code == 0
-        rec = records(res.output)[0]
+    def test_witness_unit(self):
+        res = run_cli(["witness", "unit", "--a", "2", "--b", "1", "--m", "3"])
+        assert res.code == 0
+        rec = records(res.out)[0]
         assert rec["result"]["n"] == 17
         assert rec["result"]["value"] == 35
         assert rec["result"]["proof"]["factors"] == [[5, 1], [7, 1]]
 
-    def test_lucky(self, runner):
-        res = invoke(runner, ["lucky", "--max", "100"])
-        assert res.exit_code == 0
-        assert records(res.output)[0]["result"]["lucky"] == [2, 3, 5, 11, 17, 41]
+    def test_lucky(self):
+        res = run_cli(["lucky", "--max", "100"])
+        assert res.code == 0
+        assert records(res.out)[0]["result"]["lucky"] == [2, 3, 5, 11, 17, 41]
 
-    def test_density_domain_error(self, runner):
-        res = runner.invoke(cli, ["density", "--x", "1"])
-        assert res.exit_code == 1
-        assert "x >= 2" in res.output
+    def test_density_domain_error(self):
+        res = run_cli(["density", "--x", "1"])
+        assert res.code == 1
+        assert "x >= 2" in res.err
 
-    def test_usage_error(self, runner):
-        res = runner.invoke(cli, ["nosuchcmd"])
-        assert res.exit_code == 2
+    def test_usage_error(self):
+        res = run_cli(["nosuchcmd"])
+        assert res.code == 2
 
-    def test_capacity_error(self, runner):
-        res = runner.invoke(cli, ["--max-sieve", "1000", "sieve", "--limit", "100000"])
-        assert res.exit_code == 3
+    def test_capacity_error(self):
+        res = run_cli(["--max-sieve", "1000", "sieve", "--limit", "100000"])
+        assert res.code == 3
 
-    def test_sieve(self, runner):
-        res = invoke(runner, ["sieve", "--limit", "100"])
-        assert records(res.output)[0]["result"] == {"count": 25, "largest": 97}
+    def test_sieve(self):
+        res = run_cli(["sieve", "--limit", "100"])
+        assert records(res.out)[0]["result"] == {"count": 25, "largest": 97}
 
-    def test_sieve_peak_memory(self, runner):
+    def test_sieve_peak_memory(self):
         # One segment at a time: the count and the largest prime are read
         # off each, with no [0, limit] mask and no list of the primes.
         for limit in (10**6, 10**7):
-            peak = traced_peak(lambda: invoke(runner, ["sieve", "--limit", str(limit)]))
+            peak = traced_peak(lambda: run_cli(["sieve", "--limit", str(limit)]))
             assert peak <= 1 << 20, limit
 
-    def test_count_progression(self, runner):
-        res = invoke(runner, ["count", "--x", "20", "--a", "4", "--b", "3"])
-        assert records(res.output)[0]["result"]["pi_ab"] == 4
+    def test_count_progression(self):
+        res = run_cli(["count", "--x", "20", "--a", "4", "--b", "3"])
+        assert records(res.out)[0]["result"]["pi_ab"] == 4
 
-    def test_scientific_notation(self, runner):
-        res = invoke(runner, ["count", "--x", "1e4"])
-        assert records(res.output)[0]["result"]["pi"] == 1229
+    def test_scientific_notation(self):
+        res = run_cli(["count", "--x", "1e4"])
+        assert records(res.out)[0]["result"]["pi"] == 1229
 
-    def test_fermatreal(self, runner):
-        res = invoke(runner, [
+    def test_fermatreal(self):
+        res = run_cli([
             "fermatreal", "--x", "4", "--y", "5", "--z", "6",
             "--bracket", "2,3", "--tol", "1e-12",
         ])
-        out = records(res.output)[0]["result"]
+        out = records(res.out)[0]["result"]
         assert 2.48 < out["s"] < 2.50
         assert out["residual"] < 1e-9
 
-    def test_ratscan_empty(self, runner):
-        res = invoke(runner, [
+    def test_ratscan_empty(self):
+        res = run_cli([
             "ratscan", "--x", "4", "--y", "5", "--z", "6", "--q-max", "50",
         ])
-        assert records(res.output)[0]["result"]["hits"] == []
+        assert records(res.out)[0]["result"]["hits"] == []
 
-    def test_ek(self, runner):
-        res = invoke(runner, ["ek", "--x", "10000"])
-        out = records(res.output)[0]["result"]
+    def test_ek(self):
+        res = run_cli(["ek", "--x", "10000"])
+        out = records(res.out)[0]["result"]
         assert out["gaussian_mass"] == pytest.approx(0.6827, abs=1e-4)
 
-    def test_config_file(self, runner, tmp_path):
+    def test_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"max_sieve": 500}')
-        res = runner.invoke(cli, ["--config", str(cfg), "sieve", "--limit", "10000"])
-        assert res.exit_code == 3
+        res = run_cli(["--config", str(cfg), "sieve", "--limit", "10000"])
+        assert res.code == 3
 
 
 class TestSweeps:
-    def test_density_sweep(self, runner):
-        res = invoke(runner, ["sweep", "density", "--x", "10..1000000", "--geometric", "10"])
-        recs = records(res.output)
+    def test_density_sweep(self):
+        res = run_cli(["sweep", "density", "--x", "10..1000000", "--geometric", "10"])
+        recs = records(res.out)
         assert len(recs) == 7  # 6 rows + summary
         assert recs[-1]["result"]["summary"]["all_holds"] is True
 
-    def test_dyadic_sweep(self, runner):
-        res = invoke(runner, ["sweep", "dyadic", "--k", "2..20"])
-        recs = records(res.output)
+    def test_dyadic_sweep(self):
+        res = run_cli(["sweep", "dyadic", "--k", "2..20"])
+        recs = records(res.out)
         assert recs[-1]["result"]["summary"] == {"all_holds": True, "rows": 19}
 
-    def test_runs_sweep(self, runner):
-        res = invoke(runner, ["sweep", "runs", "--a", "1..5", "--b", "1", "--n-max", "1e4"])
-        recs = records(res.output)
+    def test_runs_sweep(self):
+        res = run_cli(["sweep", "runs", "--a", "1..5", "--b", "1", "--n-max", "1e4"])
+        recs = records(res.out)
         assert recs[-1]["result"]["summary"]["all_within_bound"] is True
 
-    def test_csv_format(self, runner):
-        res = invoke(runner, ["sweep", "dyadic", "--k", "2..6", "--format", "csv"])
-        lines = res.output.splitlines()
+    def test_csv_format(self):
+        res = run_cli(["sweep", "dyadic", "--k", "2..6", "--format", "csv"])
+        lines = res.out.splitlines()
         assert lines[0].split(",")[0] == "param"
         assert lines[-1].startswith("# summary:")
 
-    def test_bad_range(self, runner):
-        res = runner.invoke(cli, ["sweep", "dyadic", "--k", "5"])
-        assert res.exit_code == 2
+    def test_bad_range(self):
+        res = run_cli(["sweep", "dyadic", "--k", "5"])
+        assert res.code == 2
 
 
 class TestCapacityAndDomain:
@@ -128,14 +117,14 @@ class TestCapacityAndDomain:
         (["dyadic", "--k", "1e12"], "--k 1000000000000"),
         (["sweep", "pow4", "--m", "1..10000"], "--m 10000"),
     ])
-    def test_huge_power_refused_by_exponent(self, runner, args, option):
+    def test_huge_power_refused_by_exponent(self, args, option):
         # 2**k and 4**m are never built: the exponent is compared with the
         # cap's bit length, and the message names the option and the cap.
         start = time.perf_counter()
-        res = runner.invoke(cli, args)
+        res = run_cli(args)
         assert time.perf_counter() - start < 1.0
-        assert (res.exit_code, res.stdout) == (3, "")
-        assert option in res.stderr and "--max-sieve is 50000000" in res.stderr
+        assert (res.code, res.out) == (3, "")
+        assert option in res.err and "--max-sieve is 50000000" in res.err
 
     @pytest.mark.parametrize("args", [
         ["--max-sieve", "0", "ek", "--x", "2"],
@@ -154,9 +143,9 @@ class TestCapacityAndDomain:
         ["--max-sieve", "0", "sweep", "density", "--x", "1..10"],
         ["--max-sieve", "0", "sweep", "pow4", "--m", "0..3"],
     ])
-    def test_domain_before_capacity(self, runner, args):
-        res = runner.invoke(cli, args)
-        assert (res.exit_code, res.stdout) == (1, "")
+    def test_domain_before_capacity(self, args):
+        res = run_cli(args)
+        assert (res.code, res.out) == (1, "")
 
     @pytest.mark.parametrize("args, largest", [
         (["density", "--x", "1000"], 1000),
@@ -168,21 +157,36 @@ class TestCapacityAndDomain:
         (["sweep", "dyadic", "--k", "2..10"], 1024),
         (["sweep", "pow4", "--m", "1..5"], 1024),
     ], ids=lambda v: "_".join(v[:-2]) if isinstance(v, list) else None)
-    def test_power_at_the_cap(self, runner, args, largest):
+    def test_power_at_the_cap(self, args, largest):
         # Accepted at --max-sieve equal to the largest pi point, refused below.
-        assert runner.invoke(cli, ["--max-sieve", str(largest), *args]).exit_code == 0
-        assert runner.invoke(cli, ["--max-sieve", str(largest - 1), *args]).exit_code == 3
+        assert run_cli(["--max-sieve", str(largest), *args]).code == 0
+        assert run_cli(["--max-sieve", str(largest - 1), *args]).code == 3
+
+    @pytest.mark.parametrize("cap, code", [(490, 0), (489, 3)])
+    def test_sweep_needs_its_last_point(self, cap, code):
+        # The points are 10, 70 and 490: the need is pi(490), not pi(1000).
+        args = ["sweep", "density", "--x", "10..1000", "--geometric", "7"]
+        assert run_cli(["--max-sieve", str(cap), *args]).code == code
+
+    def test_huge_step_sweep_refused_before_allocation(self):
+        # The last point of a step sweep is range(...)[-1], so no list of
+        # its 10**15 points is built before the refusal.
+        args = ["sweep", "binom", "--n", "2..1e15", "--step", "1"]
+        res = []
+        assert traced_peak(lambda: res.append(run_cli(args))) <= 1 << 16
+        assert (res[0].code, res[0].out) == (3, "")
+        assert "--n 1000000000000000" in res[0].err
 
     @pytest.mark.parametrize("args, param", [
         (["runs", "--a", "1", "--b", "0", "--n-max", "101"], "n_max 101"),
         (["sweep", "runs", "--a", "1..2", "--b", "0", "--n-max", "51"], "n_max 51"),
         (["sweep", "pdensity", "--a", "1", "--b", "0", "--x", "101..101"], "x 101"),
     ])
-    def test_term_scan_refusal_names_parameter_and_cap(self, runner, args, param):
+    def test_term_scan_refusal_names_parameter_and_cap(self, args, param):
         # Refused only past max |a*n + b| = --max-sieve, as golden capacity.json pins.
-        res = runner.invoke(cli, ["--max-sieve", "100", *args])
-        assert (res.exit_code, res.stdout) == (3, "")
-        assert param in res.stderr and "the sieve cap is 100" in res.stderr
+        res = run_cli(["--max-sieve", "100", *args])
+        assert (res.code, res.out) == (3, "")
+        assert param in res.err and "the sieve cap is 100" in res.err
 
 
 class TestDeterminism:
@@ -193,11 +197,47 @@ class TestDeterminism:
         ["twin3", "--count", "10", "--k-max", "1000"],
         ["fermatreal", "--x", "4", "--y", "5", "--z", "6"],
     ])
-    def test_byte_identical_reruns(self, runner, args):
-        a = invoke(runner, args)
-        b = invoke(runner, args)
-        assert a.output == b.output
-        assert a.exit_code == b.exit_code == 0
+    def test_byte_identical_reruns(self, args):
+        a = run_cli(args)
+        b = run_cli(args)
+        assert a.out == b.out
+        assert a.code == b.code == 0
+
+
+class TestGrammar:
+    @pytest.mark.parametrize("args, code, params", [
+        # A value is the next item, even when it starts with "-".
+        (["ek", "--x", "100", "--interval", "-1,1"], 0, {"x": 100, "interval": [-1.0, 1.0]}),
+        (["poly", "--coeffs", "-3,4,1"], 0, {"coeffs": [-3, 4, 1], "count": 1}),
+        (["count", "--x", "100", "--a", "4", "--b", "-1e0"], 0, {"x": 100, "a": 4, "b": -1}),
+        (["count", "--x=100"], 0, {"x": 100}),
+        (["count", "--x", "5", "--x", "100"], 0, {"x": 100}),  # the last repeat wins
+        (["count", "--x", "1_000"], 0, {"x": 1000}),
+        (["count", "--x", "100", "extra"], 2, None),
+        (["count", "--x"], 2, None),
+        (["count", "--max-sieve", "5", "--x", "10"], 2, None),  # root options come first
+        (["count", "--y", "1", "--x", "10"], 2, None),
+        (["count"], 2, None),
+        ([], 2, None),
+        (["witness"], 2, None),
+        (["witness", "nosuch"], 2, None),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_option_grammar(self, args, code, params):
+        res = run_cli(args)
+        assert res.code == code
+        if params is None:
+            assert res.out == "" and res.err.startswith("Usage: apcomposites")
+        else:
+            assert records(res.out)[0]["params"] == params
+
+    @pytest.mark.parametrize("args", [
+        ["--help"], ["--max-sieve", "5", "--help"], ["sweep", "--help"],
+        ["count", "--x", "abc", "--help"],
+    ])
+    def test_help_exits_0_on_stdout(self, args):
+        res = run_cli(args)
+        assert (res.code, res.err) == (0, "")
+        assert res.out.startswith("Usage: apcomposites")
 
 
 class TestInputParsing:
@@ -206,10 +246,10 @@ class TestInputParsing:
         ("1.2345678901234567891e22", 12345678901234567891000),
         ("2.5e1", 25),
     ])
-    def test_exact_integers(self, runner, text, value):
-        res = invoke(runner, ["witness", "multiple", "--a", "3", "--b", "2", "--m", text])
-        assert res.exit_code == 0
-        assert records(res.output)[0]["params"]["m"] == value
+    def test_exact_integers(self, text, value):
+        res = run_cli(["witness", "multiple", "--a", "3", "--b", "2", "--m", text])
+        assert res.code == 0
+        assert records(res.out)[0]["params"]["m"] == value
 
     @pytest.mark.parametrize("args", [
         ["count", "--x", "inf"],
@@ -220,9 +260,9 @@ class TestInputParsing:
         ["count", "--x", "2.00000000000000000001"],
         ["sweep", "density", "--x", "inf..10"],
     ])
-    def test_rejects_non_integers(self, runner, args):
-        res = runner.invoke(cli, args)
-        assert (res.exit_code, res.stdout) == (2, "")
+    def test_rejects_non_integers(self, args):
+        res = run_cli(args)
+        assert (res.code, res.out) == (2, "")
 
     @pytest.mark.parametrize("args", [
         ["fermatreal", "--x", "4", "--y", "5", "--z", "6", "--tol", "nan"],
@@ -233,14 +273,14 @@ class TestInputParsing:
         ["ek", "--x", "100", "--interval", "nan,1"],
         ["ek", "--x", "100", "--interval", "-1,1e400"],
     ])
-    def test_rejects_non_finite_floats(self, runner, args):
-        res = runner.invoke(cli, args)
-        assert (res.exit_code, res.stdout) == (2, "")
+    def test_rejects_non_finite_floats(self, args):
+        res = run_cli(args)
+        assert (res.code, res.out) == (2, "")
 
     @pytest.mark.parametrize("step", ["0", "-1"])
-    def test_rejects_non_positive_step(self, runner, step):
-        res = runner.invoke(cli, ["sweep", "binom", "--n", "2..10", "--step", step])
-        assert (res.exit_code, res.stdout) == (2, "")
+    def test_rejects_non_positive_step(self, step):
+        res = run_cli(["sweep", "binom", "--n", "2..10", "--step", step])
+        assert (res.code, res.out) == (2, "")
 
     @pytest.mark.parametrize("content, detail", [
         ("[500]", "JSON object"),
@@ -249,10 +289,10 @@ class TestInputParsing:
         ('{"max_sieve": 2.7}', "2.7"),  # was silently 2
         ('{"max_sieve": 5', "line 1"),
     ])
-    def test_malformed_config(self, runner, tmp_path, content, detail):
+    def test_malformed_config(self, tmp_path, content, detail):
         cfg = tmp_path / "bad.json"
         cfg.write_text(content)
-        res = runner.invoke(cli, ["--config", str(cfg), "sieve", "--limit", "10"])
-        assert res.exit_code == 2
-        assert "bad.json" in res.stderr and "max_sieve" in res.stderr
-        assert detail in res.stderr
+        res = run_cli(["--config", str(cfg), "sieve", "--limit", "10"])
+        assert res.code == 2
+        assert "bad.json" in res.err and "max_sieve" in res.err
+        assert detail in res.err

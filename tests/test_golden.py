@@ -6,10 +6,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from apcomposites import analysis, constructions, explorer, numcore
-from apcomposites.cli import cli
+from conftest import run_cli
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 CASES = [case for path in sorted(GOLDEN_DIR.glob("*.json"))
@@ -18,9 +17,8 @@ CASES = [case for path in sorted(GOLDEN_DIR.glob("*.json"))
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: " ".join(c["argv"]) or "<no args>")
 def test_golden(case):
-    # The terminal width regen.py pins for the help pages.
-    res = CliRunner(env={"COLUMNS": "80"}).invoke(cli, case["argv"], catch_exceptions=False)
-    assert (res.exit_code, res.stdout) == (case["exit_code"], case["stdout"])
+    res = run_cli(case["argv"])
+    assert (res.code, res.out) == (case["exit_code"], case["stdout"])
 
 
 def _reject_constant(name):
@@ -48,11 +46,10 @@ def test_every_operation_reached():
         if event == "call":
             reached.add(frame.f_code)
 
-    runner = CliRunner()
     sys.setprofile(profile)
     try:
         for case in CASES:
-            runner.invoke(cli, case["argv"])
+            run_cli(case["argv"])
     finally:
         sys.setprofile(None)
     helpers = {

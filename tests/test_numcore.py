@@ -1,5 +1,8 @@
 import bisect
+import copy
+import json
 import math
+import pickle
 import random
 
 import numpy as np
@@ -36,6 +39,30 @@ class TestProgression:
     def test_residue_reduced(self):
         assert Progression(4, -1).residue == 3
         assert Progression(-4, 7).residue == 3
+
+
+def test_record_contract():
+    from apcomposites.analysis import BoundCheck
+
+    p = Progression(3, 2)
+    assert p == Progression(b=2, a=3) and hash(p) == hash(Progression(3, 2))
+    assert p != Progression(3, 5) and p != (3, 2)
+    assert repr(p) == "Progression(a=3, b=2)"
+    with pytest.raises(AttributeError):
+        p.a = 4
+    with pytest.raises(AttributeError):
+        del p.b
+    assert BoundCheck(1, 2.0, 3.0, True).detail == ()  # the default
+    for args, kwargs in [((1, 2.0, 3.0), {}),  # missing field
+                         ((1, 2.0, 3.0, True), {"param": 1}),  # repeated field
+                         ((1, 2.0, 3.0, True), {"extra": 1}),  # unknown field
+                         ((1, 2.0, 3.0, True, (), 0), {})]:  # too many values
+        with pytest.raises(TypeError):
+            BoundCheck(*args, **kwargs)
+    f = factorize(12)
+    assert pickle.loads(pickle.dumps(f)) == f and copy.deepcopy(p) == p
+    # Not a tuple, so json.dumps hands it to its default hook.
+    assert json.dumps(f, default=lambda r: r.value) == "12"
 
 
 class TestSieve:

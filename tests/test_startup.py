@@ -5,7 +5,8 @@ kernels that use it (`fermatreal`, `ratscan`), so every other command
 loads neither. `import apcomposites` and `--help` load none of the four
 library modules, and each command only those it runs: numcore alone for
 the counts. The CLI loads the stdlib's decimal, fractions and csv only
-for a non-integer number, a Fraction result and `--format csv`. Every
+for a non-integer number, a Fraction result and `--format csv`, and no
+command loads click, inspect or dataclasses. Every
 case runs in a fresh interpreter, since sys.modules of the test process
 may already hold all of them.
 """
@@ -40,6 +41,7 @@ print(json.dumps({
     "layers": sorted({"numpy", "mpmath"} & set(sys.modules)
                      | {m for m in layers if f"apcomposites.{m}" in sys.modules}),
     "stdlib": sorted({"decimal", "fractions", "csv"} & set(sys.modules)),
+    "slow": sorted({"click", "inspect", "dataclasses"} & set(sys.modules)),
 }))
 """
 
@@ -92,7 +94,11 @@ def _probe(argv: list[str]) -> dict:
 
 @pytest.mark.parametrize("argv, loaded", CASES, ids=[" ".join(c[0]) for c in CASES])
 def test_loads_only_what_the_kernel_needs(argv, loaded):
-    assert _probe(argv)["layers"] == loaded
+    probe = _probe(argv)
+    assert probe["layers"] == loaded
+    # Each costs start-up and none is needed: the CLI parses argv from its
+    # own table, and records are plain slotted classes.
+    assert probe["slow"] == []
 
 
 # fractions imports decimal itself.
