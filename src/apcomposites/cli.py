@@ -21,8 +21,14 @@ Exit codes: 0 ok, 1 domain/precondition error, 2 usage error (also a
 malformed --config or a non-finite or non-integral number), 3 capacity
 error; `main` maps the library's errors to them.
 
-Each command imports the library modules it runs when it runs, so
-`--help` loads none of them and `count` only numcore.
+Every command reaches the library through the package's lazy names
+(`lib.<name>`), which import a name's module on its first use, so
+`--help` loads none of the library modules and `count` only numcore.
+No library function is bound at module level, so a command calls
+whatever the package or module attribute holds when it runs, as
+rebound by bench/tracer.py. Only the three names the package does not
+export, and analysis's own term-scan guard, are imported from their
+modules.
 """
 
 from __future__ import annotations
@@ -31,7 +37,9 @@ import json
 import math
 import sys
 
-from .errors import DEFAULT_SIEVE_CAP, CapacityError, DomainError
+import apcomposites as lib
+
+from .errors import DEFAULT_SIEVE_CAP
 
 SCHEMA_VERSION = 1
 PROG = "apcomposites"
@@ -99,9 +107,9 @@ def int_range(text: str) -> tuple[int, int]:
 
 
 def int_list(text: str) -> list[int]:
-    """Comma-separated integers."""
+    """Comma-separated integers, each read as by `integer`."""
     try:
-        return [int(c) for c in text.split(",")]
+        return [integer(c) for c in text.split(",")]
     except ValueError:
         raise ValueError(f"{text!r} is not comma-separated integers") from None
 
@@ -198,18 +206,17 @@ def as_jsonable(obj):
         return {"num": obj.numerator, "den": obj.denominator,
                 "float": float(obj)}
     # A value of these types comes from modules the command has loaded.
-    from .constructions import CompositeWitness, DivisorPair, KCompositeWitness
-    from .numcore import Factorization
+    from .constructions import DivisorPair
 
-    if isinstance(obj, Factorization):
+    if isinstance(obj, lib.Factorization):
         return {"type": "factorization", "value": obj.value, "factors": obj.factors}
     if isinstance(obj, DivisorPair):
         return {"type": "divisor_pair", "value": obj.value,
                 "d": obj.d, "cofactor": obj.cofactor}
-    if isinstance(obj, CompositeWitness):
+    if isinstance(obj, lib.CompositeWitness):
         return {"a": obj.progression.a, "b": obj.progression.b, "n": obj.n,
                 "value": obj.value, "tag": obj.construction_tag, "proof": obj.proof}
-    if isinstance(obj, KCompositeWitness):
+    if isinstance(obj, lib.KCompositeWitness):
         return {"a": obj.progression.a, "b": obj.progression.b, "n": obj.n,
                 "value": obj.value, "k": obj.k, "mode": obj.mode, "proof": obj.proof}
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
@@ -222,15 +229,9 @@ def emit_sweep(run: dict, rows: list[dict], summary: dict, format: str) -> None:
             emit(run, row)
         emit(run, {"summary": summary})
         return
-    import csv
-    import io
-
-    buf = io.StringIO()
-    # Lines end in "\n", as the summary line and every JSON record do.
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+    # Every cell is an int, float or bool, which CSV writes unquoted.
+    print("\n".join(",".join(map(str, line))
+                    for line in (rows[0], *(row.values() for row in rows))))
     print("# summary: " + json.dumps(summary, sort_keys=True))
 
 
@@ -244,33 +245,29 @@ def check_capacity(cap: int, option: str, value: int,
     limit = mult << exp if exp <= max(cap, 1).bit_length() else None
     if limit is None or limit > cap:
         shown = limit if limit is not None else f"at least 2**{exp}"
-        raise CapacityError(
+        raise lib.CapacityError(
             f"--{option} {value} needs a sieve to {shown}, --max-sieve is {cap}")
 
 
 def sieve_cmd(run, limit):
-    from . import numcore
-
     if limit < 2:
-        raise DomainError("sieve limit must be >= 2")
+        raise lib.DomainError("sieve limit must be >= 2")
     check_capacity(run["max_sieve"], "limit", limit)
     # One prime gap below limit: at most 220 steps for limit <= 5e7.
-    largest = next(n for n in range(limit, 1, -1) if numcore.is_prime(n))
-    emit(run, {"count": numcore.prime_count(limit), "largest": largest})
+    largest = next(n for n in range(limit, 1, -1) if lib.is_prime(n))
+    emit(run, {"count": lib.prime_count(limit), "largest": largest})
 
 
 def count_cmd(run, x, a, b):
-    from . import numcore
-
     if a is None and b is not None:
         raise UsageError("--b needs --a")
-    prog = None if a is None else numcore.Progression(a, b or 0)  # refuses a = 0 before capacity
+    prog = None if a is None else lib.Progression(a, b or 0)  # refuses a = 0 before capacity
     if x >= 1:  # else the count's DomainError comes first
         check_capacity(run["max_sieve"], "x", x)
     if prog is None:
-        emit(run, {"pi": numcore.prime_count(x)}, {"x": x})
+        emit(run, {"pi": lib.prime_count(x)}, {"x": x})
     else:
-        emit(run, {"pi_ab": numcore.prime_count_progression(prog, x)},
+        emit(run, {"pi_ab": lib.prime_count_progression(prog, x)},
              {"x": x, "a": a, "b": prog.b})
 
 
@@ -278,133 +275,111 @@ def _witness(builder: str):
     """The command of a witness builder that takes (Progression(a, b), m)."""
 
     def cmd(run, a, b, m):
-        from . import constructions
-        from .numcore import Progression
-
-        emit(run, getattr(constructions, builder)(Progression(a, b), m))
+        emit(run, getattr(lib, builder)(lib.Progression(a, b), m))
 
     return cmd
 
 
 def witness_power_cmd(run, a, sign, k):
-    from . import constructions
-
-    emit(run, constructions.witness_power(a, sign, k))
+    emit(run, lib.witness_power(a, sign, k))
 
 
 def factorial_cmd(run, m):
-    from . import constructions
-
-    emit(run, constructions.factorial_consecutive(m))
+    emit(run, lib.factorial_consecutive(m))
 
 
 def consecutive_cmd(run, a, b, count):
-    from . import constructions
-    from .numcore import Progression
-
-    res = constructions.consecutive_in_progression(Progression(a, b), count)
+    res = lib.consecutive_in_progression(lib.Progression(a, b), count)
     emit(run, {"start_n": res.start_n, "witnesses": res.witnesses,
                "factorial_m_bound": res.factorial_m_bound})
 
 
 def kcomposite_cmd(run, a, b, k, count, mode):
-    from . import constructions
-    from .numcore import Progression
-
-    emit(run, constructions.k_composite_witnesses(Progression(a, b), k, count, mode))
+    emit(run, lib.k_composite_witnesses(lib.Progression(a, b), k, count, mode))
 
 
 def poly_cmd(run, coeffs, count):
-    from . import constructions
-
     emit(run, [{"k": r.k, "j": r.j, "index": r.index, "value": r.value,
                 "divisor": r.divisor}
-               for r in constructions.polynomial_composites(coeffs, count)])
+               for r in lib.polynomial_composites(coeffs, count)])
 
 
 def twin3_cmd(run, count, k_max):
-    from . import constructions
-
-    res = constructions.three_composites_4n3(count, k_max)
+    res = lib.three_composites_4n3(count, k_max)
     emit(run, {"witnesses": res.witnesses, "shortfall": res.shortfall})
 
 
 def runs_cmd(run, a, b, n_max):
-    from . import analysis
-    from .numcore import Progression
-
-    scan = analysis.longest_prime_run(Progression(a, b), n_max, sieve_cap=run["max_sieve"])
+    scan = lib.longest_prime_run(lib.Progression(a, b), n_max, sieve_cap=run["max_sieve"])
     emit(run, {"n_max": scan.n_max, "max_length": scan.max_length,
                "runs": [{"start_n": r.start_n, "length": r.length, "values": r.values,
                          "truncated": r.truncated} for r in scan.max_runs]})
 
 
 def ek_cmd(run, x, interval):
-    from . import analysis
-
     if x >= 3 and interval[0] <= interval[1]:  # else a DomainError comes first
         check_capacity(run["max_sieve"], "x", x)
-    summary = analysis.erdos_kac_samples(x, intervals=(interval,))
+    summary = lib.erdos_kac_samples(x, intervals=(interval,))
     iv = summary.intervals[0]
     emit(run, {"sample_count": summary.sample_count, "mean_omega": summary.mean_omega,
                "sample_fraction": iv.sample_fraction, "gaussian_mass": iv.gaussian_mass})
 
 
 def lucky_cmd(run, max):
-    from . import explorer
-
-    emit(run, {"lucky": explorer.euler_lucky_search(max)})
+    emit(run, {"lucky": lib.euler_lucky_search(max)})
 
 
 def streak_cmd(run, c):
-    from . import explorer
-
-    res = explorer.prime_streak(c)
+    res = lib.prime_streak(c)
     emit(run, {"length": res.length, "first_failure_n": res.first_failure_n,
                "first_failure_value": res.first_failure_value})
 
 
 def fermatreal_cmd(run, x, y, z, bracket, tol):
-    from . import explorer
-
-    r = explorer.fermat_real_root(x, y, z, bracket, tol)
+    r = lib.fermat_real_root(x, y, z, bracket, tol)
     emit(run, {"s": r.s, "residual": r.residual, "refined_bracket": r.refined_bracket,
                "iterations": r.iterations})
 
 
 def ratscan_cmd(run, x, y, z, bracket, q_max, tol):
-    from . import explorer
-
-    root = explorer.fermat_real_root(x, y, z, bracket)
-    hits = explorer.rational_scan(root, q_max, tol)
+    root = lib.fermat_real_root(x, y, z, bracket)
+    hits = lib.rational_scan(root, q_max, tol)
     emit(run, {"hits": [{"p": h.numerator, "q": h.denominator} for h in hits]})
 
 
+# The term-scan sweeps refuse up front what their scans would refuse at
+# the first point past the cap, with analysis's own guard: it raises
+# before it returns its generator, so calling it sieves nothing.
 def sweep_runs_cmd(run, a, b, n_max, format):
-    from . import analysis
-    from .numcore import Progression
+    from .analysis import _prime_term_segments, run_length_threshold
 
     lo, hi = a
+    if lo >= 1 and n_max >= 1:  # else the first point's DomainError comes first
+        for a in (lo, hi):  # the largest |a*n + b| is at a corner, n = 1 or n_max
+            _prime_term_segments(lib.Progression(a, b), n_max, "n_max", run["max_sieve"])
     rows = []
     for a in range(lo, hi + 1):
-        p = Progression(a, b)
-        scan = analysis.longest_prime_run(p, n_max, sieve_cap=run["max_sieve"])
+        p = lib.Progression(a, b)
+        scan = lib.longest_prime_run(p, n_max, sieve_cap=run["max_sieve"])
         rows.append({"a": a, "b": b, "max_length": scan.max_length,
                      "a_squared": a * a,
                      "within_bound": scan.max_length <= a * a
-                     or scan.best.start_n <= analysis.run_length_threshold(p)})
+                     or scan.best.start_n <= run_length_threshold(p)})
     emit_sweep(run, rows, {"all_within_bound": all(r["within_bound"] for r in rows),
                            "rows": len(rows)}, format)
 
 
 def sweep_pdensity_cmd(run, a, b, x, geometric, format):
-    from . import analysis
-    from .numcore import Progression
+    from .analysis import _prime_term_segments
 
+    p = lib.Progression(a, b)
+    if a >= 1 and x[0] >= 1:  # else the first point's DomainError comes first
+        # The need, max(|a + b|, |a*x + b|), does not fall as x grows.
+        *_, last = geometric_points(*x, geometric)
+        _prime_term_segments(p, last, "x", run["max_sieve"])
     rows = []
     for point in geometric_points(*x, geometric):
-        frac = analysis.progression_composite_density(
-            Progression(a, b), point, sieve_cap=run["max_sieve"])
+        frac = lib.progression_composite_density(p, point, sieve_cap=run["max_sieve"])
         rows.append({"x": point, "density": float(frac),
                      "num": frac.numerator, "den": frac.denominator})
     emit_sweep(run, rows, {"rows": len(rows), "final_density": rows[-1]["density"]}, format)
@@ -423,7 +398,7 @@ def _bound_row(bc) -> dict:
 # The links of the inequality chain, each surfaced as `<name>` and
 # `sweep <name>`: (name, analysis function, its parameter, the sweep's
 # step option, check result -> output row, doc). The function is looked
-# up per call, so rebinding it is seen.
+# up in the package per call, so rebinding it is seen.
 BOUNDS = (
     ("density", "density_bound_check", "x", GEOMETRIC, _density_row,
      "pi(x)/x against the bound 1/x + 4/sqrt(x) + 8/log4(x)."),
@@ -440,30 +415,30 @@ def _bound_entries(name, check, option, step_option, row, doc) -> tuple:
     """The `<name>` and `sweep <name>` entries of one check of the chain."""
 
     def single(run, **kw):
-        from . import analysis
+        from .analysis import pi_points
 
         value = kw[option]
         # pi_points checks the domain, so it comes before capacity.
-        check_capacity(run["max_sieve"], option, value, analysis.pi_points(check, value)[-1])
-        emit(run, row(getattr(analysis, check)(value)))
+        check_capacity(run["max_sieve"], option, value, pi_points(check, value)[-1])
+        emit(run, row(getattr(lib, check)(value)))
 
     def sweep(run, format, geometric=None, step=1, **kw):
         from fractions import Fraction
 
-        from . import analysis, numcore
+        from .analysis import pi_points
 
         lo, hi = kw[option]
-        analysis.pi_points(check, lo)  # the domain: every point is >= lo >= 1
+        pi_points(check, lo)  # the domain: every point is >= lo >= 1
         # So a geometric walk ends, after logarithmically many points.
         points = (list(geometric_points(lo, hi, geometric)) if geometric
                   else range(lo, hi + 1, step))
         # The need is the last point's, whatever hi is.
         last = points[-1]
-        check_capacity(run["max_sieve"], option, last, analysis.pi_points(check, last)[-1])
+        check_capacity(run["max_sieve"], option, last, pi_points(check, last)[-1])
         # One counting pass over the pi values every point's check reads.
-        table = numcore.prime_counts(mult << exp for p in points
-                                     for mult, exp in analysis.pi_points(check, p))
-        evaluate = getattr(analysis, check)
+        table = lib.prime_counts(mult << exp for p in points
+                                 for mult, exp in pi_points(check, p))
+        evaluate = getattr(lib, check)
         rows = [{k: float(v) if isinstance(v, Fraction) else v
                  for k, v in row(evaluate(p, table)).items()} for p in points]
         emit_sweep(run, rows, {"all_holds": all(r["holds"] for r in rows),
@@ -624,10 +599,10 @@ def main(argv: list[str] | None = None) -> None:
         print(f"{_usage(path)}\nTry '{f'{PROG} {path}'.rstrip()} --help' for help.\n\n"
               f"Error: {exc}", file=sys.stderr)
         code = 2
-    except DomainError as exc:
+    except lib.DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 1
-    except CapacityError as exc:
+    except lib.CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         code = 3
     raise SystemExit(code)

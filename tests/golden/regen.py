@@ -84,6 +84,7 @@ GROUPS = {
         "kcomposite --a 4 --b 1 --k 2 --count 3 --mode multiplicity",
         "poly --coeffs 1,1,1 --count 3",
         "poly --coeffs 41,-1,1 --count 2",
+        "poly --coeffs 1e3,1 --count 1",
         "twin3 --count 3",
         "density --x 2",
         "density --x 1000",
@@ -236,6 +237,8 @@ GROUPS = {
         "--max-sieve 100 sweep pdensity --a 1 --b 0 --x 1..100",
         "--max-sieve 100 sweep pdensity --a 1 --b 0 --x 1..101 --geometric 101",
         "--max-sieve 1e5 sweep pdensity --a 3 --b 2 --x 1..1e5",
+        "--max-sieve 1e6 sweep runs --a 1..1e9 --b 1 --n-max 10",
+        "sweep pdensity --a 1 --b 0 --x 1..1e30 --geometric 2",
         "--max-sieve 100 witness unit --a 2 --b 1 --m 3",
         "ratscan --x 5 --y 12 --z 13 --bracket 1.3,2.3 --q-max 1e9",
         "--max-sieve abc sieve --limit 10",

@@ -142,6 +142,13 @@ class TestCapacityAndDomain:
         ["--max-sieve", "0", "pow4", "--m", "0"],
         ["--max-sieve", "0", "sweep", "density", "--x", "1..10"],
         ["--max-sieve", "0", "sweep", "pow4", "--m", "0..3"],
+        # The term-scan sweeps: a step, an n_max or a first x out of domain.
+        ["--max-sieve", "0", "sweep", "runs", "--a", "0..2", "--b", "1", "--n-max", "10"],
+        ["--max-sieve", "0", "sweep", "runs", "--a", "-1..2", "--b", "1", "--n-max", "10"],
+        ["--max-sieve", "0", "sweep", "runs", "--a", "1..2", "--b", "1", "--n-max", "0"],
+        ["--max-sieve", "0", "sweep", "pdensity", "--a", "0", "--b", "1", "--x", "1..10"],
+        ["--max-sieve", "0", "sweep", "pdensity", "--a", "-1", "--b", "0", "--x", "1..10"],
+        ["--max-sieve", "0", "sweep", "pdensity", "--a", "1", "--b", "0", "--x", "0..10"],
     ])
     def test_domain_before_capacity(self, args):
         res = run_cli(args)
@@ -187,6 +194,21 @@ class TestCapacityAndDomain:
         res = run_cli(["--max-sieve", "100", *args])
         assert (res.code, res.out) == (3, "")
         assert param in res.err and "the sieve cap is 100" in res.err
+
+    @pytest.mark.parametrize("args, param", [
+        (["--max-sieve", "1e6", "sweep", "runs", "--a", "1..1e9", "--b", "1", "--n-max", "10"],
+         "n_max 10"),
+        (["sweep", "pdensity", "--a", "1", "--b", "0", "--x", "1..1e30", "--geometric", "2"],
+         "x 633825300114114700748351602688"),
+    ])
+    def test_term_scan_sweep_refused_before_its_points(self, args, param):
+        # The sweep's largest term is checked before any point is scanned:
+        # the runs sweep used to scan a = 1 .. 10**5 first.
+        start = time.perf_counter()
+        res = run_cli(args)
+        assert time.perf_counter() - start < 1.0
+        assert (res.code, res.out) == (3, "")
+        assert param in res.err
 
 
 class TestDeterminism:
@@ -250,6 +272,13 @@ class TestInputParsing:
         res = run_cli(["witness", "multiple", "--a", "3", "--b", "2", "--m", text])
         assert res.code == 0
         assert records(res.out)[0]["params"]["m"] == value
+
+    @pytest.mark.parametrize("text, value", [("1e3,1", [1000, 1]), ("-3,2.5e1,1", [-3, 25, 1])])
+    def test_integer_lists(self, text, value):
+        # Each element is read like any other integer option.
+        res = run_cli(["poly", "--coeffs", text, "--count", "1"])
+        assert res.code == 0
+        assert records(res.out)[0]["params"]["coeffs"] == value
 
     @pytest.mark.parametrize("args", [
         ["count", "--x", "inf"],
