@@ -28,8 +28,8 @@ BINOM_N, DYADIC_K, POW4_M = (5, 100, 10**4), (2, 10, 22), (1, 5, 11)
 # One counting pass over every pi value the four checks below read.
 checks = {"central_binom_bound": BINOM_N, "dyadic_gap_bound": DYADIC_K,
           "pi_power4_bound": POW4_M, "density_bound_check": [10**j for j in range(1, 8)]}
-table = prime_counts(m << e for check, values in checks.items()
-                     for v in values for m, e in pi_points(check, v))
+table = prime_counts(x for check, values in checks.items()
+                     for v in values for x in pi_points(check, v))
 
 print("Central binomial link: n^(pi(2n)-pi(n)) < 4^n  (log-space)")
 for n in BINOM_N:

@@ -6,17 +6,17 @@ The inequality checks are proven theorems: a single failure at any
 admissible input is an implementation bug, and tests treat it as such.
 The progression scans read numcore's index-space sieve one segment at
 a time, and the omega pass strides bytearray segments of the same size,
-so no array spans the whole range. Nothing here loads numpy.
+so no array spans the whole range. Each entry point checks its domain,
+then the sieve cap, before any work. Nothing here loads numpy.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from fractions import Fraction
 
 from . import numcore
-from .errors import DEFAULT_SIEVE_CAP, CapacityError, DomainError
+from .errors import DomainError, check_sieve
 from .numcore import (
     PrimeTable,
     Progression,
@@ -60,7 +60,7 @@ class BoundCheck(Record):
 
 # Each check of the chain, declared once: its parameter, its least value,
 # and the pi points it reads, each (mult, exp) for mult * 2**exp, the
-# largest last, so capacity compares a power of 2 by its exponent. A
+# largest last, so the sieve cap compares a power of 2 by its exponent. A
 # sweep passes the table of one prime_counts pass over all its points.
 PI_POINTS = {
     "central_binom_bound": ("n", 2, lambda n: ((n, 0), (n, 1))),
@@ -70,18 +70,21 @@ PI_POINTS = {
 }
 
 
-def pi_points(check: str, value: int) -> tuple[tuple[int, int], ...]:
-    """The (mult, exp) pi points `check` reads at `value`, the largest
-    last; a value below the check's least is a DomainError."""
+def pi_points(check: str, value: int) -> tuple[int, ...]:
+    """The pi points `check` reads at `value`, the largest last. A value
+    below the check's least is a DomainError, and then a largest point
+    past the sieve cap a CapacityError, before any power is built."""
     name, least, points = PI_POINTS[check]
     if value < least:
         raise DomainError(f"{check} requires {name} >= {least}")
-    return points(value)
+    points = points(value)
+    check_sieve(name, value, *points[-1])
+    return tuple(mult << exp for mult, exp in points)
 
 
 def _pi(check: str, value: int, table: PrimeTable | None) -> list[int]:
-    """pi at the check's points, in their order, domain checked first."""
-    xs = [mult << exp for mult, exp in pi_points(check, value)]
+    """pi at the check's points, in their order, domain and cap checked first."""
+    xs = pi_points(check, value)
     pi = table or prime_counts(xs)
     return [pi.count(x) for x in xs]
 
@@ -124,31 +127,16 @@ def density_bound_check(x: int, table: PrimeTable | None = None) -> DensityPoint
     return DensityPoint(x, pi_x, ratio, bound, float(ratio) < bound)
 
 
-def _prime_term_segments(
-    p: Progression, n_max: int, name: str, sieve_cap: int
-) -> Iterator[tuple[int, bytearray]]:
-    """The segments of numcore's index-space sieve over n in [1, n_max],
-    a >= 1. The refusal when the largest |term| exceeds sieve_cap comes
-    before any segment is sieved, and names n_max as the caller's
-    parameter `name`.
-    """
-    top = max(abs(p.term(1)), abs(p.term(n_max)))
-    if top > sieve_cap:
-        raise CapacityError(f"{name} {n_max} needs |{p.a}*n + {p.b}| up to {top}, "
-                            f"the sieve cap is {sieve_cap}")
-    return _prime_segments(p, 1, n_max)
-
-
-def progression_composite_density(
-    p: Progression, x: int, sieve_cap: int = DEFAULT_SIEVE_CAP
-) -> Fraction:
+def progression_composite_density(p: Progression, x: int) -> Fraction:
     """Exact fraction of n in [1, x] with |a*n + b| composite: neither
-    prime nor at most 1."""
+    prime nor at most 1. The largest |a*n + b|, at n = 1 or x, is checked
+    against the sieve cap before anything is sieved."""
     if p.a < 1:
         raise DomainError("progression_composite_density requires a >= 1")
     if x < 1:
         raise DomainError("x must be >= 1")
-    primes = sum(mask.count(1) for _, mask in _prime_term_segments(p, x, "x", sieve_cap))
+    check_sieve("x", x, max(abs(p.term(1)), abs(p.term(x))))
+    primes = sum(mask.count(1) for _, mask in _prime_segments(p, 1, x))
     return Fraction(x - primes - len(_indices(p, (-1, 0, 1), 1, x)), x)
 
 
@@ -199,19 +187,19 @@ def run_length_threshold(p: Progression) -> int:
     return p.a * (p.a * m0 + p.b) + m0
 
 
-def longest_prime_run(
-    p: Progression, n_max: int, sieve_cap: int = DEFAULT_SIEVE_CAP
-) -> RunScan:
+def longest_prime_run(p: Progression, n_max: int) -> RunScan:
     """Scan n in [1, n_max] for maximal runs of prime values, one sieve
-    segment at a time."""
+    segment at a time, once the largest |a*n + b| has passed the sieve cap
+    as in progression_composite_density."""
     if p.a < 1:
         raise DomainError("longest_prime_run requires a >= 1")
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
+    check_sieve("n_max", n_max, max(abs(p.term(1)), abs(p.term(n_max))))
     length, starts = 0, []
     # The 0 before the open run (n = 0 at first), then the segments since.
     window = bytearray(1)
-    for start, mask in _prime_term_segments(p, n_max, "n_max", sieve_cap):
+    for start, mask in _prime_segments(p, 1, n_max):
         base = start - len(window)  # the n of window[0]
         window += mask
         if start + len(mask) > n_max:
@@ -289,13 +277,15 @@ def erdos_kac_samples(
     than the per-sample log log n; both forms have the same Gaussian
     limit. Everything is read off the exact histogram of omega, so the
     result is independent of any internal partitioning. An interval with
-    lo > hi is a DomainError.
+    lo > hi is a DomainError, and then an x past the sieve cap a
+    CapacityError.
     """
     if x < 3:
         raise DomainError("erdos_kac requires x >= 3")
     for lo, hi in intervals:
         if lo > hi:
             raise DomainError(f"interval [{lo}, {hi}] needs lo <= hi")
+    check_sieve("x", x)
     hist = _omega_histogram(x)
     llx = math.log(math.log(x))
 

@@ -17,6 +17,9 @@ checks of the inequality chain are listed once, in BOUNDS, and each
 yields both `<name>` and `sweep <name>`; each check's domain and sieve
 need come from `analysis.pi_points`.
 
+`main` sets the library's sieve cap (`errors.SIEVE_CAP`) from --max-sieve
+or --config for the one command it runs, and restores it however it ends.
+
 Exit codes: 0 ok, 1 domain/precondition error, 2 usage error (also a
 malformed --config or a non-finite or non-integral number), 3 capacity
 error; `main` maps the library's errors to them.
@@ -27,8 +30,7 @@ Every command reaches the library through the package's lazy names
 No library function is bound at module level, so a command calls
 whatever the package or module attribute holds when it runs, as
 rebound by bench/tracer.py. Only the three names the package does not
-export, and analysis's own term-scan guard, are imported from their
-modules.
+export, and the sieve cap's check, are imported from their modules.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import sys
 
 import apcomposites as lib
 
-from .errors import DEFAULT_SIEVE_CAP
+from .errors import DEFAULT_SIEVE_CAP, SIEVE_CAP, check_sieve
 
 SCHEMA_VERSION = 1
 PROG = "apcomposites"
@@ -235,35 +237,19 @@ def emit_sweep(run: dict, rows: list[dict], summary: dict, format: str) -> None:
     print("# summary: " + json.dumps(summary, sort_keys=True))
 
 
-def check_capacity(cap: int, option: str, value: int,
-                   need: tuple[int, int] | None = None) -> None:
-    """Refuse `--option value` if the sieve limit mult * 2**exp it needs,
-    need = (mult, exp) or else (value, 0), is beyond the cap; callers
-    check the domain first. An exponent beyond the cap's bit length is
-    refused as it is, so 2**k is never built for a huge k."""
-    mult, exp = need or (value, 0)
-    limit = mult << exp if exp <= max(cap, 1).bit_length() else None
-    if limit is None or limit > cap:
-        shown = limit if limit is not None else f"at least 2**{exp}"
-        raise lib.CapacityError(
-            f"--{option} {value} needs a sieve to {shown}, --max-sieve is {cap}")
-
-
 def sieve_cmd(run, limit):
     if limit < 2:
         raise lib.DomainError("sieve limit must be >= 2")
-    check_capacity(run["max_sieve"], "limit", limit)
+    count = lib.prime_count(limit)  # refuses past the cap, before any is_prime
     # One prime gap below limit: at most 220 steps for limit <= 5e7.
     largest = next(n for n in range(limit, 1, -1) if lib.is_prime(n))
-    emit(run, {"count": lib.prime_count(limit), "largest": largest})
+    emit(run, {"count": count, "largest": largest})
 
 
 def count_cmd(run, x, a, b):
     if a is None and b is not None:
         raise UsageError("--b needs --a")
-    prog = None if a is None else lib.Progression(a, b or 0)  # refuses a = 0 before capacity
-    if x >= 1:  # else the count's DomainError comes first
-        check_capacity(run["max_sieve"], "x", x)
+    prog = None if a is None else lib.Progression(a, b or 0)
     if prog is None:
         emit(run, {"pi": lib.prime_count(x)}, {"x": x})
     else:
@@ -310,15 +296,13 @@ def twin3_cmd(run, count, k_max):
 
 
 def runs_cmd(run, a, b, n_max):
-    scan = lib.longest_prime_run(lib.Progression(a, b), n_max, sieve_cap=run["max_sieve"])
+    scan = lib.longest_prime_run(lib.Progression(a, b), n_max)
     emit(run, {"n_max": scan.n_max, "max_length": scan.max_length,
                "runs": [{"start_n": r.start_n, "length": r.length, "values": r.values,
                          "truncated": r.truncated} for r in scan.max_runs]})
 
 
 def ek_cmd(run, x, interval):
-    if x >= 3 and interval[0] <= interval[1]:  # else a DomainError comes first
-        check_capacity(run["max_sieve"], "x", x)
     summary = lib.erdos_kac_samples(x, intervals=(interval,))
     iv = summary.intervals[0]
     emit(run, {"sample_count": summary.sample_count, "mean_omega": summary.mean_omega,
@@ -348,19 +332,19 @@ def ratscan_cmd(run, x, y, z, bracket, q_max, tol):
 
 
 # The term-scan sweeps refuse up front what their scans would refuse at
-# the first point past the cap, with analysis's own guard: it raises
-# before it returns its generator, so calling it sieves nothing.
+# the first point past the cap, with the scans' own check of their
+# largest |a*n + b|, at n = 1 or at the last n.
 def sweep_runs_cmd(run, a, b, n_max, format):
-    from .analysis import _prime_term_segments, run_length_threshold
+    from .analysis import run_length_threshold
 
     lo, hi = a
     if lo >= 1 and n_max >= 1:  # else the first point's DomainError comes first
-        for a in (lo, hi):  # the largest |a*n + b| is at a corner, n = 1 or n_max
-            _prime_term_segments(lib.Progression(a, b), n_max, "n_max", run["max_sieve"])
+        # The largest |a*n + b| is at a corner: a = lo or hi, n = 1 or n_max.
+        check_sieve("n_max", n_max, max(abs(a * n + b) for a in (lo, hi) for n in (1, n_max)))
     rows = []
     for a in range(lo, hi + 1):
         p = lib.Progression(a, b)
-        scan = lib.longest_prime_run(p, n_max, sieve_cap=run["max_sieve"])
+        scan = lib.longest_prime_run(p, n_max)
         rows.append({"a": a, "b": b, "max_length": scan.max_length,
                      "a_squared": a * a,
                      "within_bound": scan.max_length <= a * a
@@ -370,16 +354,14 @@ def sweep_runs_cmd(run, a, b, n_max, format):
 
 
 def sweep_pdensity_cmd(run, a, b, x, geometric, format):
-    from .analysis import _prime_term_segments
-
     p = lib.Progression(a, b)
     if a >= 1 and x[0] >= 1:  # else the first point's DomainError comes first
         # The need, max(|a + b|, |a*x + b|), does not fall as x grows.
         *_, last = geometric_points(*x, geometric)
-        _prime_term_segments(p, last, "x", run["max_sieve"])
+        check_sieve("x", last, max(abs(a + b), abs(a * last + b)))
     rows = []
     for point in geometric_points(*x, geometric):
-        frac = lib.progression_composite_density(p, point, sieve_cap=run["max_sieve"])
+        frac = lib.progression_composite_density(p, point)
         rows.append({"x": point, "density": float(frac),
                      "num": frac.numerator, "den": frac.denominator})
     emit_sweep(run, rows, {"rows": len(rows), "final_density": rows[-1]["density"]}, format)
@@ -415,12 +397,7 @@ def _bound_entries(name, check, option, step_option, row, doc) -> tuple:
     """The `<name>` and `sweep <name>` entries of one check of the chain."""
 
     def single(run, **kw):
-        from .analysis import pi_points
-
-        value = kw[option]
-        # pi_points checks the domain, so it comes before capacity.
-        check_capacity(run["max_sieve"], option, value, pi_points(check, value)[-1])
-        emit(run, row(getattr(lib, check)(value)))
+        emit(run, row(getattr(lib, check)(kw[option])))
 
     def sweep(run, format, geometric=None, step=1, **kw):
         from fractions import Fraction
@@ -433,11 +410,9 @@ def _bound_entries(name, check, option, step_option, row, doc) -> tuple:
         points = (list(geometric_points(lo, hi, geometric)) if geometric
                   else range(lo, hi + 1, step))
         # The need is the last point's, whatever hi is.
-        last = points[-1]
-        check_capacity(run["max_sieve"], option, last, pi_points(check, last)[-1])
+        pi_points(check, points[-1])
         # One counting pass over the pi values every point's check reads.
-        table = lib.prime_counts(mult << exp for p in points
-                                 for mult, exp in pi_points(check, p))
+        table = lib.prime_counts(x for p in points for x in pi_points(check, p))
         evaluate = getattr(lib, check)
         rows = [{k: float(v) if isinstance(v, Fraction) else v
                  for k, v in row(evaluate(p, table)).items()} for p in points]
@@ -588,9 +563,12 @@ def main(argv: list[str] | None = None) -> None:
         if i < len(args):
             raise UsageError(f"Got unexpected extra argument ({args[i]})")
         params = _convert(options, given)
-        cap = next(c for c in (root["max_sieve"], root["config"], DEFAULT_SIEVE_CAP)
-                   if c is not None)
-        fn({"command": path, "params": params, "max_sieve": cap}, **params)
+        token = SIEVE_CAP.set(next(c for c in (root["max_sieve"], root["config"],
+                                               DEFAULT_SIEVE_CAP) if c is not None))
+        try:
+            fn({"command": path, "params": params}, **params)
+        finally:
+            SIEVE_CAP.reset(token)
         code = 0
     except _Help:
         print(_help_page(path))

@@ -1,13 +1,19 @@
-"""Exception hierarchy shared across the package, and the default cap
-whose excess is a CapacityError.
+"""Exception hierarchy shared across the package, and the sieve cap.
 
 Exit-code mapping used by the CLI: DomainError (and subclasses) -> 1,
 usage errors -> 2 (handled by the argument parser), CapacityError -> 3.
+
+SIEVE_CAP is the largest sieve limit (or progression term) that the
+prime counts, the chain's four checks, erdos_kac_samples and the two term
+scans accept: each calls `check_sieve` after its domain checks, before
+any work. It is DEFAULT_SIEVE_CAP until a caller sets it
+(`SIEVE_CAP.set`, then `reset`), as the CLI's --max-sieve does.
 """
 
-# Largest sieve limit (or progression term) a scan or the CLI accepts by
-# default; the CLI's --max-sieve overrides it.
+from contextvars import ContextVar
+
 DEFAULT_SIEVE_CAP = 50_000_000
+SIEVE_CAP = ContextVar("SIEVE_CAP", default=DEFAULT_SIEVE_CAP)
 
 
 class ApcompositesError(Exception):
@@ -34,3 +40,15 @@ class BracketError(DomainError):
 class CapacityError(ApcompositesError):
     """Work exceeds a configured cap (sieve size, factorization bound,
     scan limit)."""
+
+
+def check_sieve(param: str, value: int, mult: int | None = None, exp: int = 0) -> None:
+    """Refuse `param value` if the sieve limit mult * 2**exp it needs
+    (mult defaulting to value) is beyond SIEVE_CAP; an exp beyond the
+    cap's bit length is refused as it is, so 2**exp is never built."""
+    cap = SIEVE_CAP.get()
+    if exp > max(cap, 1).bit_length():
+        shown = f"at least 2**{exp}"
+    elif (shown := (value if mult is None else mult) << exp) <= cap:
+        return
+    raise CapacityError(f"{param} {value} needs a sieve to {shown}, the sieve cap is {cap}")

@@ -22,7 +22,7 @@ import itertools
 import math
 from collections.abc import Iterable, Iterator
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, check_sieve
 
 __all__ = [
     "Progression",
@@ -344,11 +344,13 @@ def prime_counts(points: Iterable[int]) -> PrimeTable:
     point is at most isqrt(X) or of the form X // i: a single x, the n and
     2n of one binomial check, powers of 2 or 4, a geometric sweep, the
     x // m of the omega pass. Any other set of points is counted by
-    `_segment_counts`, in one sieve pass up to X.
+    `_segment_counts`, in one sieve pass up to X. An X past the sieve cap
+    is refused first (`errors.check_sieve`), and so is `prime_count`'s x.
     """
     want = sorted(set(points))
     if not want:
         raise DomainError("prime_counts needs at least one point")
+    check_sieve("x", want[-1])
     counts = dict.fromkeys(want, 0)
     todo = [x for x in want if x >= 2]
     if todo:
@@ -371,9 +373,10 @@ def prime_count(x: int) -> int:
 def prime_count_progression(p: Progression, x: int) -> int:
     """pi_{a,b}(x): primes q <= x with q congruent to b mod |a|, counted
     segment by segment over the indices of |a|*n + (b mod |a|), 1/|a| of
-    the integers up to x."""
+    the integers up to x; an x past the sieve cap is refused first."""
     if x < 1:
         raise DomainError("prime_count_progression requires x >= 1")
+    check_sieve("x", x)
     a, r = abs(p.a), p.residue
     return sum(mask.count(1) for _, mask in
                _prime_segments(Progression(a, r), 0, (x - r) // a))

@@ -83,6 +83,19 @@ def segment(request, monkeypatch):
     return request.param
 
 
+@contextlib.contextmanager
+def sieve_cap(cap: int):
+    """The library's sieve cap set to `cap` inside the block, and restored
+    after it."""
+    from apcomposites.errors import SIEVE_CAP
+
+    token = SIEVE_CAP.set(cap)
+    try:
+        yield
+    finally:
+        SIEVE_CAP.reset(token)
+
+
 def traced_peak(fn) -> int:
     """Peak bytes traced while fn() runs; tracemalloc sees every
     bytearray, list and int a call materialises."""

@@ -49,8 +49,8 @@ def big_table():
     # One counting pass over every pi value criteria 1 and 2 read.
     checks = {"density_bound_check": DENSITY_X, "central_binom_bound": BINOM_N,
               "dyadic_gap_bound": DYADIC_K, "pi_power4_bound": POW4_M}
-    return prime_counts(m << e for check, values in checks.items()
-                        for v in values for m, e in pi_points(check, v))
+    return prime_counts(x for check, values in checks.items()
+                        for v in values for x in pi_points(check, v))
 
 
 def test_criterion_1_density_bound_sweep(big_table):

@@ -1,10 +1,11 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from apcomposites import analysis
+from apcomposites import analysis, numcore
 from apcomposites.analysis import (
     _omega_histogram,
     central_binom_bound,
@@ -18,12 +19,20 @@ from apcomposites.analysis import (
     run_length_threshold,
 )
 from apcomposites.errors import CapacityError, DomainError
-from apcomposites.numcore import PrimeTable, Progression, factorize, prime_counts
+from apcomposites.numcore import (
+    PrimeTable,
+    Progression,
+    factorize,
+    prime_count,
+    prime_count_progression,
+    prime_counts,
+)
 from conftest import (
     oracle_is_prime,
     oracle_omega_array,
     oracle_prime_mask,
     oracle_runs,
+    sieve_cap,
     traced_peak,
 )
 
@@ -100,7 +109,7 @@ def test_checks_read_only_their_points(check, value):
     # The same result from the reference counts, from a pass over exactly
     # the points the check declares, and from no table; a pass that lacks
     # one of those points is refused.
-    points = [m << e for m, e in analysis.pi_points(check.__name__, value)]
+    points = list(analysis.pi_points(check.__name__, value))
     pi = np.cumsum(oracle_prime_mask(max(points)))
     expected = check(value, PrimeTable({x: int(pi[x]) for x in points}))
     assert check(value, prime_counts(points)) == expected == check(value)
@@ -217,19 +226,51 @@ class TestPrimeTermMask:
 
     @pytest.mark.parametrize("a, b, n_max", [(1, 0, 100), (3, -5, 30), (5, 10, 20)])
     def test_cap_is_the_largest_term(self, monkeypatch, a, b, n_max):
-        # Accepted with the cap at max |a*n + b|, refused one below it, and
-        # the refusal names the parameter, the largest term and the cap.
+        # Every sieve-backed entry point is accepted with the cap at its
+        # need and refused one below it, with a message naming the
+        # parameter, its value, the need and the cap. The refusal comes
+        # before the kernel that would do the work is reached.
         p = Progression(a, b)
         top = max(abs(p.term(1)), abs(p.term(n_max)))
-        for scan, name in ((longest_prime_run, "n_max"), (progression_composite_density, "x")):
-            scan(p, n_max, sieve_cap=top)
-            with pytest.raises(CapacityError, match=f"^{name} {n_max} needs .* up to {top}, "
-                                                    f"the sieve cap is {top - 1}$"):
-                scan(p, n_max, sieve_cap=top - 1)
-        # The refusal comes before any segment is sieved.
-        monkeypatch.setattr(analysis, "_prime_segments", None)
-        with pytest.raises(CapacityError):
-            longest_prime_run(p, n_max, sieve_cap=top - 1)
+        k, m = n_max.bit_length(), n_max.bit_length() // 2
+        cases = [  # (call, its kernel, "param value", need)
+            (lambda: longest_prime_run(p, n_max), (analysis, "_prime_segments"),
+             f"n_max {n_max}", top),
+            (lambda: progression_composite_density(p, n_max), (analysis, "_prime_segments"),
+             f"x {n_max}", top),
+            (lambda: prime_count(n_max), (numcore, "_lucy"), f"x {n_max}", n_max),
+            # n_max - 1 is not n_max // i, so this pass takes the segments.
+            (lambda: prime_counts([n_max - 1, n_max]), (numcore, "_segment_counts"),
+             f"x {n_max}", n_max),
+            (lambda: prime_count_progression(p, n_max), (numcore, "_prime_segments"),
+             f"x {n_max}", n_max),
+            (lambda: erdos_kac_samples(n_max), (analysis, "_omega_histogram"),
+             f"x {n_max}", n_max),
+            (lambda: central_binom_bound(n_max), (numcore, "_lucy"), f"n {n_max}", 2 * n_max),
+            (lambda: dyadic_gap_bound(k), (numcore, "_lucy"), f"k {k}", 2**k),
+            (lambda: pi_power4_bound(m), (numcore, "_lucy"), f"m {m}", 4**m),
+            (lambda: density_bound_check(n_max), (numcore, "_lucy"), f"x {n_max}", n_max),
+        ]
+        for call, (module, kernel), given, need in cases:
+            with sieve_cap(need):
+                call()
+            refusal = f"^{given} needs a sieve to {need}, the sieve cap is {need - 1}$"
+            with sieve_cap(need - 1), monkeypatch.context() as patch:
+                with pytest.raises(CapacityError, match=refusal):
+                    call()
+                patch.setattr(module, kernel, None)
+                with pytest.raises(CapacityError, match=refusal):
+                    call()
+        # At the default cap, far past it: refused at once, without
+        # building 2**k or starting an unbounded count.
+        for call in (lambda: prime_count(10**12),
+                     lambda: prime_count_progression(Progression(4, 1), 10**12),
+                     lambda: erdos_kac_samples(10**12),
+                     lambda: dyadic_gap_bound(10**12)):
+            start = time.perf_counter()
+            with pytest.raises(CapacityError):
+                call()
+            assert time.perf_counter() - start < 0.1
 
     @pytest.mark.parametrize("scan", [longest_prime_run, progression_composite_density])
     def test_peak_memory(self, scan):

@@ -119,12 +119,26 @@ class TestCapacityAndDomain:
     ])
     def test_huge_power_refused_by_exponent(self, args, option):
         # 2**k and 4**m are never built: the exponent is compared with the
-        # cap's bit length, and the message names the option and the cap.
+        # cap's bit length, and the message names the parameter, its value
+        # and the cap.
         start = time.perf_counter()
         res = run_cli(args)
         assert time.perf_counter() - start < 1.0
         assert (res.code, res.out) == (3, "")
-        assert option in res.err and "--max-sieve is 50000000" in res.err
+        assert f"{option.lstrip('-')} needs" in res.err
+        assert "the sieve cap is 50000000" in res.err
+
+    def test_cap_does_not_leak_out_of_main(self):
+        # main sets the library's cap for its one command and restores it on
+        # every exit, so in-process runs do not depend on their order.
+        from apcomposites import prime_count
+        from apcomposites.errors import CapacityError
+
+        assert run_cli(["--max-sieve", "0", "count", "--x", "5"]).code == 3
+        assert prime_count(10**6) == 78498
+        assert run_cli(["--max-sieve", "1e9", "count", "--x", "1e8"]).code == 0
+        with pytest.raises(CapacityError):
+            prime_count(10**8)
 
     @pytest.mark.parametrize("args", [
         ["--max-sieve", "0", "ek", "--x", "2"],
@@ -182,7 +196,8 @@ class TestCapacityAndDomain:
         res = []
         assert traced_peak(lambda: res.append(run_cli(args))) <= 1 << 16
         assert (res[0].code, res[0].out) == (3, "")
-        assert "--n 1000000000000000" in res[0].err
+        assert "n 1000000000000000 needs" in res[0].err
+        assert "the sieve cap is 50000000" in res[0].err
 
     @pytest.mark.parametrize("args, param", [
         (["runs", "--a", "1", "--b", "0", "--n-max", "101"], "n_max 101"),
