@@ -5,15 +5,15 @@ distinct-prime-factor statistic.
 The inequality checks are proven theorems: a single failure at any
 admissible input is an implementation bug, and tests treat it as such.
 The progression scans read numcore's index-space sieve one segment at
-a time, and the omega pass strides bytearray segments of the same size,
-so no array spans the whole range. Each entry point checks its domain,
+a time, and the omega pass fills bytearray segments of the same size,
+each a slice of one pre-sieved pattern of the smallest primes, so no
+array spans the whole range. Masks are counted by numcore's `_ones`. Each entry point checks its domain,
 then the sieve cap, before any work. Nothing here loads numpy.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from . import numcore
 from .errors import DomainError, check_sieve
@@ -22,6 +22,8 @@ from .numcore import (
     Progression,
     Record,
     _indices,
+    _ones,
+    _period,
     _prime_segments,
     _small_primes,
     prime_counts,
@@ -46,8 +48,10 @@ __all__ = [
     "pi_points",
 ]
 
-# bytes.translate table adding 1 to every byte.
+# bytes.translate tables: adding 1 to every byte, and _ONE_OF[k] mapping
+# k to 1 and every other byte to 0.
 _INC = bytes(range(1, 256)) + b"\0"
+_ONE_OF = [bytes(k) + b"\1" + bytes(255 - k) for k in range(16)]
 
 
 class BoundCheck(Record):
@@ -70,23 +74,40 @@ PI_POINTS = {
 }
 
 
+def _declared(check: str, value: int) -> tuple[str, tuple]:
+    """The check's parameter and its (mult, exp) points at `value`; a
+    value below the check's least is a DomainError."""
+    name, least, points = PI_POINTS[check]
+    if value < least:
+        raise DomainError(f"{check} requires {name} >= {least}")
+    return name, points(value)
+
+
 def pi_points(check: str, value: int) -> tuple[int, ...]:
     """The pi points `check` reads at `value`, the largest last. A value
     below the check's least is a DomainError, and then a largest point
     past the sieve cap a CapacityError, before any power is built."""
-    name, least, points = PI_POINTS[check]
-    if value < least:
-        raise DomainError(f"{check} requires {name} >= {least}")
-    points = points(value)
+    name, points = _declared(check, value)
     check_sieve(name, value, *points[-1])
     return tuple(mult << exp for mult, exp in points)
 
 
 def _pi(check: str, value: int, table: PrimeTable | None) -> list[int]:
-    """pi at the check's points, in their order, domain and cap checked first."""
-    xs = pi_points(check, value)
-    pi = table or prime_counts(xs)
-    return [pi.count(x) for x in xs]
+    """pi at the check's points, in their order. Without a table they are
+    pi_points, so the domain and then the sieve cap are checked. A given
+    table needs no sieve: only the domain is checked, and a point whose
+    exponent alone puts it past the table's largest point is refused
+    before its power is built."""
+    if table is None:
+        xs = pi_points(check, value)
+        table = prime_counts(xs)
+    else:
+        name, points = _declared(check, value)
+        if points[-1][1] > table._top.bit_length():
+            raise DomainError(f"{name} {value} reads pi past {table._top}, "
+                              "the table's largest point")
+        xs = [mult << exp for mult, exp in points]
+    return [table.count(x) for x in xs]
 
 
 def central_binom_bound(n: int, table: PrimeTable | None = None) -> BoundCheck:
@@ -120,6 +141,8 @@ class DensityPoint(Record):
 
 
 def density_bound_check(x: int, table: PrimeTable | None = None) -> DensityPoint:
+    from fractions import Fraction
+
     (pi_x,) = _pi("density_bound_check", x, table)
     ratio = Fraction(pi_x, x)
     log4x = math.log(x) / math.log(4)
@@ -131,12 +154,14 @@ def progression_composite_density(p: Progression, x: int) -> Fraction:
     """Exact fraction of n in [1, x] with |a*n + b| composite: neither
     prime nor at most 1. The largest |a*n + b|, at n = 1 or x, is checked
     against the sieve cap before anything is sieved."""
+    from fractions import Fraction
+
     if p.a < 1:
         raise DomainError("progression_composite_density requires a >= 1")
     if x < 1:
         raise DomainError("x must be >= 1")
     check_sieve("x", x, max(abs(p.term(1)), abs(p.term(x))))
-    primes = sum(mask.count(1) for _, mask in _prime_segments(p, 1, x))
+    primes = sum(_ones(mask) for _, mask in _prime_segments(p, 1, x))
     return Fraction(x - primes - len(_indices(p, (-1, 0, 1), 1, x)), x)
 
 
@@ -160,8 +185,8 @@ class RunScan(Record):
         end = start + self.max_length
         p = self.progression
         return RunRecord(p, start, self.max_length,
-                         tuple(p.term(n) for n in range(start, end)),
-                         truncated=end == self.n_max + 1)
+                         tuple(range(p.term(start), p.term(end), p.a)),
+                         end == self.n_max + 1)
 
     @property
     def best(self) -> RunRecord | None:
@@ -239,23 +264,32 @@ def _omega_histogram(x: int) -> list[int]:
     """hist[k] = #{3 <= n <= x : omega(n) = k} (x < 2**63, so k <= 15).
 
     Each segment of `numcore._SEGMENT` integers counts the primes
-    q <= r = isqrt(x) that divide each n. An n <= x has at most one prime
-    factor P > r, and then n = m*P with m <= r: for each m, the
-    pi(x // m) - pi(max(r, 2)) such n (the max leaves out n = 2 at x = 3)
+    q <= r = isqrt(x) that divide each n. It starts as a slice of one
+    pattern that holds those counts for the smallest primes (`_period`:
+    the primes up to 13, period 30030, past one segment), and only the
+    other primes are strided per segment. Each value k is counted by
+    `_ones` on the segment translated to a 0/1 mask of k.
+
+    An n <= x has at most one prime factor P > r, and then n = m*P with
+    m <= r: for each m, the pi(x // m) - pi(max(r, 2)) such n (the max leaves out n = 2 at x = 3)
     move up one bucket from omega(m). These points are all x // i or at
     most r, so one prime_counts call reads every pi off Lucy's table.
     """
     r = math.isqrt(x)
     primes = _small_primes(r)
     hist = [0] * 16
+    k, period = _period(primes, x - 2)
+    pattern = bytearray(period - 1 + min(numcore._SEGMENT, x - 2))
+    for q in primes[:k]:
+        pattern[::q] = pattern[::q].translate(_INC)
     for lo in range(3, x + 1, numcore._SEGMENT):
-        seg = bytearray(min(numcore._SEGMENT, x + 1 - lo))
-        for q in primes:
+        seg = pattern[lo % period : lo % period + min(numcore._SEGMENT, x + 1 - lo)]
+        for q in primes[k:]:
             seg[-lo % q :: q] = seg[-lo % q :: q].translate(_INC)
-        counted = k = 0
+        counted = value = 0
         while counted < len(seg):
-            hist[k] += (c := seg.count(k))
-            counted, k = counted + c, k + 1
+            hist[value] += (c := _ones(seg.translate(_ONE_OF[value])))
+            counted, value = counted + c, value + 1
     small = bytearray(r + 1)  # omega(m) for m <= r
     for q in primes:
         small[q::q] = small[q::q].translate(_INC)

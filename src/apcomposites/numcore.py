@@ -11,9 +11,13 @@ takes it whenever its points allow and returns pi at all of them as one
 `PrimeTable`. Every other count, and the progression scans of `analysis`,
 come from one index-space sieve, `_prime_segments`: it marks the n with
 |a*n + b| prime in bytearrays of `_SEGMENT` indices, one segment at a
-time, so a count or a scan holds one segment, not [0, x].
-`prime_counts` then sieves the odd numbers 2n + 1, and
-`prime_count_progression` only its residue class.
+time, so a count or a scan holds one segment, not [0, x]. Each mask
+starts as a slice of one pattern in which the classes of the smallest
+base primes are already cleared, so only the others are strided per
+segment; unlike a wheel, it skips no index. `prime_counts` then
+sieves the odd numbers 2n + 1, and `prime_count_progression` only its
+residue class, and both count the 1s of each mask by their Adler-32
+byte sums (`_ones`).
 """
 
 from __future__ import annotations
@@ -43,6 +47,10 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 TRIAL_BOUND = 1_000_000
 # Indices per segment of the index-space sieve: a 256 KB mask.
 _SEGMENT = 1 << 18
+# `_segment_counts` counts a slice of up to this many bytes by
+# bytearray.count, whose call costs less than `_ones`'s, and a longer one
+# by `_ones`.
+_COUNT_RUN = 2048
 
 
 class Record:
@@ -156,10 +164,11 @@ class Factorization(Record):
 
 class PrimeTable:
     """pi(x) at the points one prime_counts pass recorded; any other x is
-    a DomainError."""
+    a DomainError. _top is the largest point."""
 
     def __init__(self, counts: dict[int, int]):
         self._counts = counts
+        self._top = max(counts)
 
     def count(self, x: int) -> int:
         if x not in self._counts:
@@ -255,6 +264,22 @@ def _indices(p: Progression, values, lo: int, hi: int) -> list[int]:
             if (v - p.b) % p.a == 0 and lo <= (n := (v - p.b) // p.a) <= hi]
 
 
+def _period(qs: Iterable[int], n: int) -> tuple[int, int]:
+    """(k, P) for the masks of n indices: the k leading ascending qs whose
+    product P is the largest that stays <= _SEGMENT // 4. A pattern of
+    P - 1 + _SEGMENT bytes sieved by those k holds every segment, at an
+    offset of its start mod P, in at most 1.25 segments of memory. When
+    n fits in one segment, a pattern would save no stride: k = 0, P = 1.
+    """
+    k, period = 0, 1
+    if n > _SEGMENT:
+        for q in qs:
+            if period * q > _SEGMENT // 4:
+                break
+            k, period = k + 1, period * q
+    return k, period
+
+
 def _prime_segments(p: Progression, lo: int, hi: int) -> Iterator[tuple[int, bytearray]]:
     """(start, mask) over the indices lo <= n <= hi of a*n + b, a >= 1, in
     order and at most `_SEGMENT` at a time: mask[i] = 1 exactly when
@@ -264,9 +289,12 @@ def _prime_segments(p: Progression, lo: int, hi: int) -> Iterator[tuple[int, byt
     Sieved in index space, with no table of values: for a base prime
     q <= sqrt(max |term|), the terms it divides are the class
     n = -b/a (mod q) when q does not divide a, every term when q divides
-    a and b (each mask then starts cleared), and none otherwise. The terms
-    equal to +-q are restored afterwards, and those with |term| <= 1
-    cleared.
+    a and b (each mask then starts cleared), and none otherwise. The
+    smallest classes, of period P (`_period`), are cleared once in a
+    pattern, and each mask starts as its slice at start mod P; only the
+    other classes are strided per segment. Every index is still sieved:
+    unlike a wheel, the pattern skips none. The terms equal to +-q are
+    restored afterwards, and those with |term| <= 1 cleared.
     """
     if hi < lo:
         return
@@ -275,9 +303,14 @@ def _prime_segments(p: Progression, lo: int, hi: int) -> Iterator[tuple[int, byt
     classes = [(q, -p.b * pow(p.a, -1, q) % q) for q in base if coprime and p.a % q]
     fixes = sorted([(n, 1) for n in _indices(p, [s * q for q in base for s in (1, -1)], lo, hi)]
                    + [(n, 0) for n in _indices(p, (-1, 0, 1), lo, hi)], reverse=True)
+    k, period = _period((q for q, _ in classes), hi + 1 - lo)
+    pattern = bytearray([coprime]) * (period - 1 + min(_SEGMENT, hi + 1 - lo))
+    for q, r in classes[:k]:
+        pattern[r::q] = bytearray((len(pattern) - 1 - r) // q + 1)
+    del classes[:k]
     for start in range(lo, hi + 1, _SEGMENT):
         size = min(_SEGMENT, hi + 1 - start)
-        mask = bytearray([coprime]) * size
+        mask = pattern[start % period : start % period + size]
         for q, r in classes:
             first = (r - start) % q
             if first < size:
@@ -323,6 +356,22 @@ def _lucy(x: int) -> tuple[list[int], list[int]]:
     return small, large
 
 
+def _ones(mask: bytearray, lo: int = 0, hi: int | None = None) -> int:
+    """The number of 1s in mask[lo:hi], a 0/1 bytearray.
+
+    The count is the low 16 bits of zlib.adler32(chunk, 0), the chunk's
+    byte sum mod 65521, summed over chunks of at most 65520 bytes: each
+    sum is below the modulus, so it is exact. On a prime mask of 2**18
+    bytes that is about three times as fast as bytearray.count. zlib is
+    imported here, so a command that counts no mask never loads it.
+    """
+    import zlib
+
+    view = memoryview(mask)[lo:hi]
+    return sum(zlib.adler32(view[i : i + 65520], 0) & 0xFFFF
+               for i in range(0, len(view), 65520))
+
+
 def _segment_counts(todo: list[int]) -> Iterator[tuple[int, int]]:
     """(x, pi(x)) for the ascending x >= 2 in `todo`, from one pass of
     the odd numbers 2n + 1 up to the largest, one segment at a time."""
@@ -330,10 +379,10 @@ def _segment_counts(todo: list[int]) -> Iterator[tuple[int, int]]:
     for start, mask in _prime_segments(Progression(2, 1), 0, (todo[-1] - 1) // 2):
         at = 0  # mask[:at] is counted in pi
         while i < len(todo) and (end := (todo[i] - 1) // 2 - start + 1) <= len(mask):
-            pi += mask.count(1, at, end)
+            pi += mask.count(1, at, end) if end - at <= _COUNT_RUN else _ones(mask, at, end)
             yield todo[i], pi
             at, i = end, i + 1
-        pi += mask.count(1, at)
+        pi += _ones(mask, at)
 
 
 def prime_counts(points: Iterable[int]) -> PrimeTable:
@@ -378,5 +427,5 @@ def prime_count_progression(p: Progression, x: int) -> int:
         raise DomainError("prime_count_progression requires x >= 1")
     check_sieve("x", x)
     a, r = abs(p.a), p.residue
-    return sum(mask.count(1) for _, mask in
+    return sum(_ones(mask) for _, mask in
                _prime_segments(Progression(a, r), 0, (x - r) // a))

@@ -117,6 +117,27 @@ def test_checks_read_only_their_points(check, value):
         check(value, prime_counts([p + 1 for p in points]))
 
 
+def test_a_table_needs_no_sieve_cap():
+    # A table built under a raised cap is read once the cap is back: a
+    # check given a table runs no sieve, and only one without is refused.
+    x, k = 6 * 10**7, 26
+    with sieve_cap(2**k):
+        density_table, dyadic_table = prime_counts([x]), prime_counts([2**(k - 1), 2**k])
+    assert density_bound_check(x, density_table).pi_x == 3_562_115  # sympy.primepi
+    assert dyadic_gap_bound(k, dyadic_table).lhs == 3_957_809 - 2_063_689
+    for refused in (lambda: density_bound_check(x), lambda: dyadic_gap_bound(k)):
+        with pytest.raises(CapacityError):
+            refused()
+    # The domain is still checked first, and a point past the table's
+    # largest is refused by its exponent, before its power is built.
+    with pytest.raises(DomainError, match="requires k >= 2"):
+        dyadic_gap_bound(1, dyadic_table)
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=f"^k {10**12} reads pi past {2**k}, "):
+        dyadic_gap_bound(10**12, dyadic_table)
+    assert time.perf_counter() - start < 0.1
+
+
 class TestPiPower4Bound:
     def test_m3(self):
         bc = pi_power4_bound(3)
@@ -344,13 +365,14 @@ class TestErdosKac:
         *((x, segment)
           for x in (1000, *(r * r + d for r in (2, 3, 10, 64) for d in (-1, 0, 1)))
           for segment in (1, 7, 97, 2**18)),
-        (30_030, 97), (600_000, 2**18), (600_001, 7919),
+        (30_030, 97), (600_000, 2**18), (600_001, 7919), (600_001, 2**16),
     ], indirect=["segment"])
     def test_histogram_independent_of_segmentation(self, x, segment):
-        # Segment sizes that do and do not divide the primes, and x beside
-        # r**2, where a prime moves between the strided primes and the one
-        # large prime factor; at x = 3 = 2**2 - 1 that step must leave out
-        # n = 2.
+        # Segment sizes that do and do not divide the primes, and so
+        # patterns of the smallest primes of several periods (2310 at
+        # 2**16, 30030 at 2**18), and x beside r**2, where a prime moves
+        # between the strided primes and the one large prime factor; at
+        # x = 3 = 2**2 - 1 that step must leave out n = 2.
         expected = np.bincount(oracle_omega_array(x)[3:], minlength=16).tolist()
         assert _omega_histogram(x) == expected
 

@@ -21,6 +21,8 @@ from apcomposites.numcore import (
     prime_count,
     prime_count_progression,
     prime_counts,
+    _ones,
+    _period,
     _prime_segments,
     _small_primes,
 )
@@ -302,6 +304,41 @@ class TestPrimeSegments:
     def test_empty_range(self):
         assert list(_prime_segments(Progression(2, 1), 5, 4)) == []
 
+    def test_period(self):
+        # The leading classes whose product stays within a quarter segment,
+        # and none for a range of one segment.
+        more = (1 << 18) + 1
+        assert _period([2, 3, 5, 7, 11, 13, 17], more) == (6, 30030)
+        assert _period([3, 5, 7, 11, 13, 17], more) == (5, 15015)
+        assert _period([2, 3, 5, 7], more) == (4, 210)
+        assert _period([], more) == _period([2, 3], 1 << 18) == (0, 1)
+
+    @pytest.mark.parametrize("a, b, lo, hi", [
+        (6, 4, 0, 70_000),  # 2 divides a and b: every mask starts cleared
+        (10, 15, 1, 70_000),  # 5 divides a and b
+        (30, 7, 0, 300_000),  # 2, 3, 5 divide a, so no class of theirs
+        (2, -99_999, 0, 120_000),  # negative b: terms pass through 0
+        (4, -1_000_001, 5, 300_000),
+        (1, 0, 123_457, 400_001),  # lo > 0, across segment edges
+        (3, 2, 1_000_000, 1_000_050),  # short and far from 0
+        # Too short for every class of the full pattern to be sieved.
+        (1, 0, 0, 0), (1, 0, 0, 24), (1, 0, 0, 168), (2, 1, 0, 84), (2, 1, 3, 1000),
+    ])
+    def test_pattern_matches_reference_mask(self, monkeypatch, a, b, lo, hi):
+        # Past one segment, each mask starts as a slice of the pattern of
+        # the smallest classes, whose period follows the segment size:
+        # segments of 1 << 18 take the period 30030 (15015 for an even a),
+        # and the patched sizes are smaller than that, down to no pattern.
+        p = Progression(a, b)
+        terms = np.abs(a * np.arange(lo, hi + 1) + b)
+        expected = oracle_prime_mask(int(terms.max()))[terms]
+        for segment in (1, 7, 97, 1000, 1 << 16, 1 << 18):
+            if (hi - lo) // segment > 300:
+                continue
+            monkeypatch.setattr(numcore, "_SEGMENT", segment)
+            masks = b"".join(mask for _, mask in _prime_segments(p, lo, hi))
+            assert np.array_equal(np.frombuffer(masks, dtype=np.uint8), expected), segment
+
     def test_counts_independent_of_segmentation(self, segment):
         points = [2, 3, 97, 98, 4999, 5000]
         counts = prime_counts(points)
@@ -313,6 +350,33 @@ class TestPrimeSegments:
                 expected = sum(1 for q in range(5001) if oracle_is_prime(q)
                                and q % a == b % a)
                 assert prime_count_progression(p, 5000) == expected, p
+
+
+class TestOnes:
+    """_ones, the Adler-32 count of a 0/1 mask, against bytearray.count."""
+
+    @pytest.mark.parametrize("ones", [0, 1, 65_519, 65_520, 65_521, 131_040, 131_041, 1 << 18])
+    def test_all_ones(self, ones):
+        # 65520 ones are the most one Adler-32 sum holds below its modulus.
+        mask = bytearray([1]) * ones
+        assert _ones(mask) == _ones(bytearray(2) + mask + bytearray(5), 1) == ones
+        assert _ones(mask, 1, ones - 1) == max(0, ones - 2)
+
+    def test_empty(self):
+        mask = bytearray([1]) * 10
+        assert _ones(bytearray()) == _ones(mask, 4, 4) == _ones(mask, 7, 3) == _ones(mask, 10) == 0
+
+    def test_random_masks(self):
+        rng = random.Random(3)
+        for _ in range(60):
+            n = rng.choice((1, 2, 101, 65_520, 65_521, 200_001, 1 << 18))
+            below = rng.randrange(257)  # bytes below it become 1
+            mask = bytearray(rng.randbytes(n).translate(bytes(i < below for i in range(256))))
+            lo, hi = sorted(rng.randrange(n + 1) for _ in range(2))
+            lo |= 1  # odd, so every chunk starts at an odd offset
+            assert _ones(mask) == mask.count(1)
+            assert _ones(mask, lo) == mask.count(1, lo)
+            assert _ones(mask, lo, hi) == mask.count(1, lo, hi)
 
 
 class TestPrimeCountProgression:

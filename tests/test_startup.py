@@ -5,10 +5,12 @@ kernels that use it (`fermatreal`, `ratscan`), so every other command
 loads neither. `import apcomposites` and `--help` load none of the four
 library modules, and each command only those it runs: numcore alone for
 the counts. The CLI loads the stdlib's decimal and fractions only for a
-non-integer number and a Fraction result, and no command loads csv,
-click, inspect or dataclasses. Every
-case runs in a fresh interpreter, since sys.modules of the test process
-may already hold all of them.
+non-integer number and a Fraction result, zlib only for a command whose
+segment sieve counts masks, and no command loads csv, click, inspect or
+dataclasses. Every case runs in a fresh interpreter, since sys.modules of
+the test process may already hold all of them, and under `python -S`,
+since a .pth file that site processes may import any module first; the
+test process's sys.path is passed on PYTHONPATH in its place.
 """
 
 import importlib
@@ -40,7 +42,7 @@ layers = {"numcore", "analysis", "constructions", "explorer"}
 print(json.dumps({
     "layers": sorted({"numpy", "mpmath"} & set(sys.modules)
                      | {m for m in layers if f"apcomposites.{m}" in sys.modules}),
-    "stdlib": sorted({"decimal", "fractions", "csv"} & set(sys.modules)),
+    "stdlib": sorted({"decimal", "fractions", "csv", "zlib"} & set(sys.modules)),
     "slow": sorted({"click", "inspect", "dataclasses"} & set(sys.modules)),
 }))
 """
@@ -85,8 +87,8 @@ CASES = [
 
 def _probe(argv: list[str]) -> dict:
     """The modules loaded after running argv in a fresh interpreter."""
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), *sys.path])}
+    proc = subprocess.run([sys.executable, "-S", "-c", PROBE, *argv], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -101,12 +103,20 @@ def test_loads_only_what_the_kernel_needs(argv, loaded):
     assert probe["slow"] == []
 
 
-# fractions imports decimal itself.
+# fractions imports decimal itself. Lucy's counts, the run scan and the
+# witnesses count no mask, so they never load zlib.
 STDLIB_CASES = [
     (["--help"], []),
     (["count", "--x", "100"], []),
     (["count", "--x", "1e2"], ["decimal"]),
+    (["count", "--x", "1e6", "--a", "4", "--b", "3"], ["decimal", "zlib"]),
     (["sweep", "dyadic", "--k", "2..5", "--format", "csv"], ["decimal", "fractions"]),
+    (["ek", "--x", "1000"], ["zlib"]),
+    (["runs", "--a", "6", "--b", "1", "--n-max", "1000"], []),
+    (["density", "--x", "1000"], ["decimal", "fractions"]),
+    (["witness", "multiple", "--a", "3", "--b", "2", "--m", "5"], []),
+    (["witness", "power", "--a", "3", "--sign", "+1", "--k", "3"], []),
+    (["consecutive", "--a", "2", "--b", "1", "--count", "5"], []),
 ]
 
 
