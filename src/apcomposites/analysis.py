@@ -11,8 +11,6 @@ array spans the whole range. Masks are counted by numcore's `_ones`. Each entry 
 then the sieve cap, before any work. Nothing here loads numpy.
 """
 
-from __future__ import annotations
-
 import math
 
 from . import numcore
@@ -150,7 +148,7 @@ def density_bound_check(x: int, table: PrimeTable | None = None) -> DensityPoint
     return DensityPoint(x, pi_x, ratio, bound, float(ratio) < bound)
 
 
-def progression_composite_density(p: Progression, x: int) -> Fraction:
+def progression_composite_density(p: Progression, x: int) -> "Fraction":
     """Exact fraction of n in [1, x] with |a*n + b| composite: neither
     prime nor at most 1. The largest |a*n + b|, at n = 1 or x, is checked
     against the sieve cap before anything is sieved."""

@@ -22,7 +22,7 @@ or --config for the one command it runs, and restores it however it ends.
 
 Exit codes: 0 ok, 1 domain/precondition error, 2 usage error (also a
 malformed --config or a non-finite or non-integral number), 3 capacity
-error; `main` maps the library's errors to them.
+error, 141 stdout closed early; `main` maps the library's errors to them.
 
 Every command reaches the library through the package's lazy names
 (`lib.<name>`), which import a name's module on its first use, so
@@ -32,8 +32,6 @@ whatever the package or module attribute holds when it runs, as
 rebound by bench/tracer.py. Only the three names the package does not
 export, and the sieve cap's check, are imported from their modules.
 """
-
-from __future__ import annotations
 
 import json
 import math
@@ -202,11 +200,6 @@ def emit(run: dict, result, params: dict | None = None) -> None:
 def as_jsonable(obj):
     """json.dumps hook: the JSON form of a value json cannot write itself.
     json recurses into lists, tuples and dicts, and into what this returns."""
-    # A Fraction can exist only once its module is loaded.
-    fractions = sys.modules.get("fractions")
-    if fractions and isinstance(obj, fractions.Fraction):
-        return {"num": obj.numerator, "den": obj.denominator,
-                "float": float(obj)}
     # A value of these types comes from modules the command has loaded.
     from .constructions import DivisorPair
 
@@ -224,17 +217,25 @@ def as_jsonable(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def emit_sweep(run: dict, rows: list[dict], summary: dict, format: str) -> None:
-    """The rows and summary of the running sweep, in its --format."""
-    if format == "records":
-        for row in rows:
+def emit_sweep(run: dict, rows, format: str, flag: str | None = None) -> None:
+    """Each row in the sweep's --format as it is made (a sweep refuses before its first),
+    then the summary folded from them: the rows, and all_<flag> or the last row's density."""
+    count, every = 0, True
+    for row in rows:
+        if format == "records":
             emit(run, row)
+        else:  # every cell is an int, float or bool, which CSV writes unquoted
+            if not count:
+                print(",".join(row))  # the header: the first row's keys
+            print(",".join(map(str, row.values())))
+        count += 1
+        every = every and (flag is None or row[flag])
+    summary = {"rows": count,
+               **({f"all_{flag}": every} if flag else {"final_density": row["density"]})}
+    if format == "records":
         emit(run, {"summary": summary})
-        return
-    # Every cell is an int, float or bool, which CSV writes unquoted.
-    print("\n".join(",".join(map(str, line))
-                    for line in (rows[0], *(row.values() for row in rows))))
-    print("# summary: " + json.dumps(summary, sort_keys=True))
+    else:
+        print("# summary: " + json.dumps(summary, sort_keys=True))
 
 
 def sieve_cmd(run, limit):
@@ -341,16 +342,15 @@ def sweep_runs_cmd(run, a, b, n_max, format):
     if lo >= 1 and n_max >= 1:  # else the first point's DomainError comes first
         # The largest |a*n + b| is at a corner: a = lo or hi, n = 1 or n_max.
         check_sieve("n_max", n_max, max(abs(a * n + b) for a in (lo, hi) for n in (1, n_max)))
-    rows = []
-    for a in range(lo, hi + 1):
+
+    def row(a: int) -> dict:
         p = lib.Progression(a, b)
         scan = lib.longest_prime_run(p, n_max)
-        rows.append({"a": a, "b": b, "max_length": scan.max_length,
-                     "a_squared": a * a,
-                     "within_bound": scan.max_length <= a * a
-                     or scan.best.start_n <= run_length_threshold(p)})
-    emit_sweep(run, rows, {"all_within_bound": all(r["within_bound"] for r in rows),
-                           "rows": len(rows)}, format)
+        return {"a": a, "b": b, "max_length": scan.max_length, "a_squared": a * a,
+                "within_bound": scan.max_length <= a * a
+                or scan.best.start_n <= run_length_threshold(p)}
+
+    emit_sweep(run, map(row, range(lo, hi + 1)), format, "within_bound")
 
 
 def sweep_pdensity_cmd(run, a, b, x, geometric, format):
@@ -359,20 +359,23 @@ def sweep_pdensity_cmd(run, a, b, x, geometric, format):
         # The need, max(|a + b|, |a*x + b|), does not fall as x grows.
         *_, last = geometric_points(*x, geometric)
         check_sieve("x", last, max(abs(a + b), abs(a * last + b)))
-    rows = []
-    for point in geometric_points(*x, geometric):
+
+    def row(point: int) -> dict:
         frac = lib.progression_composite_density(p, point)
-        rows.append({"x": point, "density": float(frac),
-                     "num": frac.numerator, "den": frac.denominator})
-    emit_sweep(run, rows, {"rows": len(rows), "final_density": rows[-1]["density"]}, format)
+        return {"x": point, "density": float(frac),
+                "num": frac.numerator, "den": frac.denominator}
+
+    emit_sweep(run, map(row, geometric_points(*x, geometric)), format)
 
 
-def _density_row(pt) -> dict:
-    return {"x": pt.x, "pi": pt.pi_x, "ratio": pt.ratio,
-            "bound": pt.bound, "holds": pt.holds}
+def _density_row(pt, exact: bool = True) -> dict:
+    """A density check's row; a sweep's writes only the float of its ratio."""
+    r = pt.ratio
+    ratio = {"num": r.numerator, "den": r.denominator, "float": float(r)} if exact else float(r)
+    return {"x": pt.x, "pi": pt.pi_x, "ratio": ratio, "bound": pt.bound, "holds": pt.holds}
 
 
-def _bound_row(bc) -> dict:
+def _bound_row(bc, exact: bool = True) -> dict:  # a BoundCheck holds no ratio
     return {"param": bc.param, "lhs": bc.lhs, "rhs": bc.rhs, "holds": bc.holds,
             **dict(bc.detail)}
 
@@ -400,8 +403,6 @@ def _bound_entries(name, check, option, step_option, row, doc) -> tuple:
         emit(run, row(getattr(lib, check)(kw[option])))
 
     def sweep(run, format, geometric=None, step=1, **kw):
-        from fractions import Fraction
-
         from .analysis import pi_points
 
         lo, hi = kw[option]
@@ -414,10 +415,7 @@ def _bound_entries(name, check, option, step_option, row, doc) -> tuple:
         # One counting pass over the pi values every point's check reads.
         table = lib.prime_counts(x for p in points for x in pi_points(check, p))
         evaluate = getattr(lib, check)
-        rows = [{k: float(v) if isinstance(v, Fraction) else v
-                 for k, v in row(evaluate(p, table)).items()} for p in points]
-        emit_sweep(run, rows, {"all_holds": all(r["holds"] for r in rows),
-                               "rows": len(rows)}, format)
+        emit_sweep(run, (row(evaluate(p, table), exact=False) for p in points), format, "holds")
 
     return ((name, single, doc, (opt(option),)),
             (f"sweep {name}", sweep, f"{name} over a range of --{option}.",
@@ -567,6 +565,7 @@ def main(argv: list[str] | None = None) -> None:
                                                DEFAULT_SIEVE_CAP) if c is not None))
         try:
             fn({"command": path, "params": params}, **params)
+            sys.stdout.flush()  # so a closed pipe shows here, not at exit
         finally:
             SIEVE_CAP.reset(token)
         code = 0
@@ -583,6 +582,12 @@ def main(argv: list[str] | None = None) -> None:
     except lib.CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         code = 3
+    except BrokenPipeError:
+        # The reader closed stdout: exit as after SIGPIPE, flushing to devnull.
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
     raise SystemExit(code)
 
 

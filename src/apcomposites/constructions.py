@@ -6,8 +6,6 @@ the factorization cap, a pair of divisors both greater than 1. Every
 witness re-verifies its defining identity on construction.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Sequence
 

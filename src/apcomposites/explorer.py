@@ -2,14 +2,11 @@
 
 Root finding runs at 50 decimal digits of working precision via mpmath,
 so residual claims down to 1e-12 are honest. mpmath is imported only
-inside the functions that use it, so the integer searches here do not
-pay for loading it.
+inside the functions that use it, and fractions only in rational_scan,
+so the integer searches here pay for loading neither.
 """
 
-from __future__ import annotations
-
 import math
-from fractions import Fraction
 
 from .errors import BracketError, CapacityError, DomainError
 from .numcore import Record, is_prime
@@ -173,7 +170,7 @@ def _scan_window(f, root: RootResult, tol: float):
 
 def rational_scan(
     root: RootResult, q_max: int, tol: float = 1e-9
-) -> list[Fraction]:
+) -> "list[Fraction]":
     """Reduced rationals p/q (q <= q_max) strictly inside the root's
     original bracket with |f(p/q)| < tol, f evaluated at 50 digits.
 
@@ -183,6 +180,8 @@ def rational_scan(
     50-digit test, not just numerical evidence that the root is not a
     small rational. A q_max past SCAN_CAP is refused before the scan.
     """
+    from fractions import Fraction
+
     import mpmath as mp
 
     if q_max < 1:

@@ -20,8 +20,6 @@ residue class, and both count the 1s of each mask by their Adler-32
 byte sums (`_ones`).
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from collections.abc import Iterable, Iterator

@@ -1,9 +1,17 @@
+import contextlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from apcomposites import cli
 from conftest import run_cli, traced_peak
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def records(output: str):
@@ -109,6 +117,41 @@ class TestSweeps:
     def test_bad_range(self):
         res = run_cli(["sweep", "dyadic", "--k", "5"])
         assert res.code == 2
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("fmt", ["records", "csv"])
+    def test_sweep_holds_no_rows(self, fmt):
+        # Each of the 3,000 rows is written as it is made, to a sink that
+        # keeps nothing, so the peak is one row's, not the table's.
+        args = ["sweep", "runs", "--a", "1..3000", "--b", "1", "--n-max", "1", "--format", fmt]
+
+        def run():
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                with pytest.raises(SystemExit) as exc:
+                    cli.main(args)
+            assert exc.value.code == 0
+
+        run()  # loads the modules the sweep uses before tracing
+        assert traced_peak(run) <= 128 << 10
+
+    @pytest.mark.parametrize("args", [
+        ["sweep", "binom", "--n", "2..2e4", "--step", "1"],
+        ["sweep", "binom", "--n", "2..2e4", "--step", "1", "--format", "csv"],
+        ["runs", "--a", "3", "--b", "1", "--n-max", "1e5"],  # one record of 0.9 MB
+    ], ids=["records", "csv", "runs"])
+    def test_closed_stdout_exits_141(self, args):
+        # Each writes far more than a pipe holds, so it is still writing
+        # when the reader closes the pipe: exit 141, as after SIGPIPE, and
+        # no traceback and no domain-error exit code 1.
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), *sys.path])}
+        proc = subprocess.Popen([sys.executable, "-m", "apcomposites.cli", *args], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 class TestCapacityAndDomain:

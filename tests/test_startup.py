@@ -4,13 +4,14 @@ The package never imports numpy, and imports mpmath only inside the
 kernels that use it (`fermatreal`, `ratscan`), so every other command
 loads neither. `import apcomposites` and `--help` load none of the four
 library modules, and each command only those it runs: numcore alone for
-the counts. The CLI loads the stdlib's decimal and fractions only for a
-non-integer number and a Fraction result, zlib only for a command whose
-segment sieve counts masks, and no command loads csv, click, inspect or
-dataclasses. Every case runs in a fresh interpreter, since sys.modules of
-the test process may already hold all of them, and under `python -S`,
-since a .pth file that site processes may import any module first; the
-test process's sys.path is passed on PYTHONPATH in its place.
+the counts. The CLI loads the stdlib's decimal only for a non-integer
+number, fractions (and with it decimal) only for a command that computes
+an exact ratio, __future__ only with mpmath, zlib only for a command
+whose segment sieve counts masks, and no command loads csv, click,
+inspect or dataclasses. Every case runs in a fresh interpreter, since
+sys.modules of the test process may already hold all of them, and under
+`python -S`, since a .pth file that site processes may import any module
+first; the test process's sys.path is passed on PYTHONPATH in its place.
 """
 
 import importlib
@@ -42,7 +43,8 @@ layers = {"numcore", "analysis", "constructions", "explorer"}
 print(json.dumps({
     "layers": sorted({"numpy", "mpmath"} & set(sys.modules)
                      | {m for m in layers if f"apcomposites.{m}" in sys.modules}),
-    "stdlib": sorted({"decimal", "fractions", "csv", "zlib"} & set(sys.modules)),
+    "stdlib": sorted({"__future__", "decimal", "fractions", "csv", "zlib"}
+                     & set(sys.modules)),
     "slow": sorted({"click", "inspect", "dataclasses"} & set(sys.modules)),
 }))
 """
@@ -104,19 +106,24 @@ def test_loads_only_what_the_kernel_needs(argv, loaded):
 
 
 # fractions imports decimal itself. Lucy's counts, the run scan and the
-# witnesses count no mask, so they never load zlib.
+# witnesses count no mask, so they never load zlib. No package module
+# imports __future__; mpmath does, for fermatreal and ratscan.
 STDLIB_CASES = [
     (["--help"], []),
     (["count", "--x", "100"], []),
     (["count", "--x", "1e2"], ["decimal"]),
     (["count", "--x", "1e6", "--a", "4", "--b", "3"], ["decimal", "zlib"]),
-    (["sweep", "dyadic", "--k", "2..5", "--format", "csv"], ["decimal", "fractions"]),
+    (["sweep", "dyadic", "--k", "2..5", "--format", "csv"], []),
+    (["sweep", "binom", "--n", "2..50"], ["zlib"]),
     (["ek", "--x", "1000"], ["zlib"]),
     (["runs", "--a", "6", "--b", "1", "--n-max", "1000"], []),
     (["density", "--x", "1000"], ["decimal", "fractions"]),
     (["witness", "multiple", "--a", "3", "--b", "2", "--m", "5"], []),
     (["witness", "power", "--a", "3", "--sign", "+1", "--k", "3"], []),
     (["consecutive", "--a", "2", "--b", "1", "--count", "5"], []),
+    (["streak", "--c", "41"], []),
+    (["lucky", "--max", "100"], []),
+    (["fermatreal", "--x", "4", "--y", "5", "--z", "6"], ["__future__"]),
 ]
 
 
