@@ -72,39 +72,31 @@ PI_POINTS = {
 }
 
 
-def _declared(check: str, value: int) -> tuple[str, tuple]:
-    """The check's parameter and its (mult, exp) points at `value`; a
-    value below the check's least is a DomainError."""
+def pi_points(check: str, value: int, table: PrimeTable | None = None) -> tuple[int, ...]:
+    """The pi points `check` reads at `value`, the largest last. A value
+    below the check's least is a DomainError. Then, without a table, a
+    largest point past the sieve cap is a CapacityError; a given table
+    needs no sieve, and a point whose exponent alone puts it past the
+    table's largest point is a DomainError. Either comes before any power
+    is built."""
     name, least, points = PI_POINTS[check]
     if value < least:
         raise DomainError(f"{check} requires {name} >= {least}")
-    return name, points(value)
-
-
-def pi_points(check: str, value: int) -> tuple[int, ...]:
-    """The pi points `check` reads at `value`, the largest last. A value
-    below the check's least is a DomainError, and then a largest point
-    past the sieve cap a CapacityError, before any power is built."""
-    name, points = _declared(check, value)
-    check_sieve(name, value, *points[-1])
+    points = points(value)
+    if table is None:
+        check_sieve(name, value, *points[-1])
+    elif points[-1][1] > table._top.bit_length():
+        raise DomainError(f"{name} {value} reads pi past {table._top}, "
+                          "the table's largest point")
     return tuple(mult << exp for mult, exp in points)
 
 
 def _pi(check: str, value: int, table: PrimeTable | None) -> list[int]:
-    """pi at the check's points, in their order. Without a table they are
-    pi_points, so the domain and then the sieve cap are checked. A given
-    table needs no sieve: only the domain is checked, and a point whose
-    exponent alone puts it past the table's largest point is refused
-    before its power is built."""
+    """pi at the check's `pi_points`, in their order: read off the given
+    table, or off one prime_counts pass over them."""
+    xs = pi_points(check, value, table)
     if table is None:
-        xs = pi_points(check, value)
         table = prime_counts(xs)
-    else:
-        name, points = _declared(check, value)
-        if points[-1][1] > table._top.bit_length():
-            raise DomainError(f"{name} {value} reads pi past {table._top}, "
-                              "the table's largest point")
-        xs = [mult << exp for mult, exp in points]
     return [table.count(x) for x in xs]
 
 

@@ -185,7 +185,8 @@ def geometric_points(lo: int, hi: int, factor: int):
 
 def emit(run: dict, result, params: dict | None = None) -> None:
     """One record of the running command; params default to its parsed
-    options, all but --format."""
+    options, all but --format. An integer past Python's int-to-str digit
+    limit is a CapacityError, and the record is not written."""
     if params is None:
         params = {k: v for k, v in run["params"].items() if k != "format"}
     record = {
@@ -194,7 +195,13 @@ def emit(run: dict, result, params: dict | None = None) -> None:
         "params": params,
         "result": result,
     }
-    print(json.dumps(record, sort_keys=True, default=as_jsonable))
+    try:
+        line = json.dumps(record, sort_keys=True, default=as_jsonable)
+    except ValueError:
+        raise lib.CapacityError(f"the result holds an integer of more than "
+                                f"{sys.get_int_max_str_digits()} digits, Python's "
+                                "limit for writing one as text") from None
+    print(line)
 
 
 def as_jsonable(obj):

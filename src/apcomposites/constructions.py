@@ -7,6 +7,7 @@ witness re-verifies its defining identity on construction.
 """
 
 import math
+import sys
 from collections.abc import Sequence
 
 from .errors import (
@@ -14,6 +15,7 @@ from .errors import (
     DegenerateInputError,
     DomainError,
     WrongBranchError,
+    first,
 )
 from . import numcore
 from .numcore import (
@@ -201,10 +203,13 @@ def factorial_consecutive(m: int) -> list[CompositeWitness]:
     """Witnesses for the m-1 consecutive composites m!+2, ..., m!+m.
 
     j divides m!+j for 2 <= j <= m. Values past the cap carry the
-    divisor pair (j, m!/j + 1) instead of a full factorization.
+    divisor pair (j, m!/j + 1) instead of a full factorization. An m past
+    sys.maxsize, the most math.factorial takes, is a CapacityError.
     """
     if m < 3:
         raise DomainError("factorial_consecutive requires m >= 3")
+    if m > sys.maxsize:
+        raise CapacityError(f"m {m} exceeds {sys.maxsize}, the most math.factorial takes")
     fact = math.factorial(m)
     prog = Progression(1, 0)
     out = []
@@ -273,16 +278,6 @@ def _no_run(N: int, hi: int, detail: str) -> CapacityError:
     return CapacityError(f"no run of {N} composites found for n <= {hi}{detail}{past}")
 
 
-def _next_prime_term(p: Progression, m_start: int) -> tuple[int, int]:
-    m = m_start
-    while m <= SEARCH_CAP:
-        v = p.term(m)
-        if v > 1 and is_prime(v):
-            return m, v
-        m += 1
-    raise CapacityError(f"no prime term a*m+b found for m in [{m_start}, {SEARCH_CAP}]")
-
-
 def _extend_witness(w: KCompositeWitness, mode: str) -> KCompositeWitness:
     """One induction step: multiply by a prime s*a^2 + 1 via
 
@@ -293,14 +288,9 @@ def _extend_witness(w: KCompositeWitness, mode: str) -> KCompositeWitness:
     """
     a = w.progression.a
     floor = w.proof.gpf if mode == "distinct" else 1
-    s = 1
-    while s <= SEARCH_CAP:
-        q = s * a * a + 1
-        if q > floor and is_prime(q):
-            break
-        s += 1
-    else:
-        raise CapacityError(f"no admissible s <= {SEARCH_CAP} with s*{a}^2+1 prime")
+    s = first(lambda s: (q := s * a * a + 1) > floor and is_prime(q), 1, SEARCH_CAP,
+              f"no admissible s <= {SEARCH_CAP} with s*{a}^2+1 prime")
+    q = s * a * a + 1
     n = s * a * w.value + w.n
     value = q * w.value
     assert w.progression.term(n) == value
@@ -327,11 +317,11 @@ def k_composite_witnesses(
         raise DomainError(f"unknown mode {mode!r}")
 
     bases: list[KCompositeWitness] = []
-    m = 1
+    m = 0
     while len(bases) < count:
-        m, v = _next_prime_term(p, m)
-        bases.append(KCompositeWitness(p, m, v, factorize(v), 1, mode))
-        m += 1
+        m = first(lambda n: (v := p.term(n)) > 1 and is_prime(v), m + 1, SEARCH_CAP,
+                  f"no prime term a*m+b found for m in [{m + 1}, {SEARCH_CAP}]")
+        bases.append(KCompositeWitness(p, m, p.term(m), factorize(p.term(m)), 1, mode))
 
     if k == 1:
         return bases
@@ -367,11 +357,8 @@ def polynomial_composites(coeffs: Sequence[int], count: int) -> list[PolyComposi
     if count < 1:
         raise DomainError("count must be >= 1")
 
-    k = 0
-    while _poly_eval(coeffs, k) <= 1:
-        k += 1
-        if k > SEARCH_CAP:
-            raise CapacityError(f"no k <= {SEARCH_CAP} with f(k) > 1")
+    k = first(lambda k: _poly_eval(coeffs, k) > 1, 0, SEARCH_CAP,
+              f"no k <= {SEARCH_CAP} with f(k) > 1")
     d = _poly_eval(coeffs, k)
 
     out = []

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package, and the sieve cap.
+"""Exception hierarchy shared across the package, and its two limit
+rules: the sieve cap and the capped search.
 
 Exit-code mapping used by the CLI: DomainError (and subclasses) -> 1,
 usage errors -> 2 (handled by the argument parser), CapacityError -> 3.
@@ -8,6 +9,11 @@ prime counts, the chain's four checks, erdos_kac_samples and the two term
 scans accept: each calls `check_sieve` after its domain checks, before
 any work. It is DEFAULT_SIEVE_CAP until a caller sets it
 (`SIEVE_CAP.set`, then `reset`), as the CLI's --max-sieve does.
+
+`first` is the one open-ended search: the least n in [start, cap] that
+passes a test, else a CapacityError. The prime-term, admissible-s and
+f(k) > 1 searches of `constructions` pass it SEARCH_CAP, and
+`explorer.prime_streak` passes SCAN_CAP.
 """
 
 from contextvars import ContextVar
@@ -52,3 +58,12 @@ def check_sieve(param: str, value: int, mult: int | None = None, exp: int = 0) -
     elif (shown := (value if mult is None else mult) << exp) <= cap:
         return
     raise CapacityError(f"{param} {value} needs a sieve to {shown}, the sieve cap is {cap}")
+
+
+def first(pred, start: int, cap: int, refusal: str) -> int:
+    """The least n in [start, cap] with pred(n) true; when there is none,
+    a CapacityError(refusal)."""
+    for n in range(start, cap + 1):
+        if pred(n):
+            return n
+    raise CapacityError(refusal)

@@ -8,7 +8,7 @@ so the integer searches here pay for loading neither.
 
 import math
 
-from .errors import BracketError, CapacityError, DomainError
+from .errors import BracketError, CapacityError, DomainError, first
 from .numcore import Record, is_prime
 
 __all__ = [
@@ -46,13 +46,9 @@ def prime_streak(C: int) -> StreakResult:
     """Length of the initial run of n >= 0 with n^2 + n + C prime."""
     if C < 1:
         raise DomainError("C must be >= 1")
-    n = 0
-    while n <= SCAN_CAP:
-        v = n * n + n + C
-        if not is_prime(v):
-            return StreakResult(C, n, n, v)
-        n += 1
-    raise CapacityError(f"streak for C={C} exceeds scan cap {SCAN_CAP}")
+    n = first(lambda n: not is_prime(n * n + n + C), 0, SCAN_CAP,
+              f"streak for C={C} exceeds scan cap {SCAN_CAP}")
+    return StreakResult(C, n, n, n * n + n + C)
 
 
 class RootResult(Record):
@@ -79,7 +75,9 @@ def fermat_real_root(
 ) -> RootResult:
     """Bisect f(t) = x^t + y^t - z^t to bracket width <= tol.
 
-    Iteration count is the deterministic ceil(log2((hi-lo)/tol)).
+    Iteration count is the deterministic ceil(log2((hi-lo)/tol)); a
+    (hi-lo)/tol past float range is a CapacityError, raised after the
+    exact-endpoint returns and the sign check, before the first step.
     """
     import mpmath as mp
 
@@ -104,7 +102,10 @@ def fermat_real_root(
                 f"f({lo}) = {float(f_lo)} and f({hi}) = {float(f_hi)} "
                 "have the same sign"
             )
-        iterations = max(0, math.ceil(math.log2((hi - lo) / tol)))
+        if math.isinf(ratio := (hi - lo) / tol):
+            raise CapacityError(f"bracket width over tol, ({hi} - {lo}) / {tol}, "
+                                "is past float range")
+        iterations = max(0, math.ceil(math.log2(ratio)))
         a, b = mp.mpf(lo), mp.mpf(hi)
         fa = f_lo
         for _ in range(iterations):

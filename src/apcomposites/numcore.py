@@ -1,9 +1,9 @@
 """Deterministic primality, factorization, and prime counting.
 
 Everything here is exact integer arithmetic. Primality for arbitrary
-integers uses Miller-Rabin with a fixed witness set that is proven
-deterministic for n < 3.3e24, so no answer is probabilistic in the
-supported range.
+integers uses Miller-Rabin with the 13 prime bases up to 41, proven
+deterministic for n < 3.3e24 (Sorenson and Webster, 2017), and refuses
+larger n, so no answer is probabilistic.
 
 pi(x) at x and at the points x // i comes from Lucy_Hedgehog's dynamic
 program, `_lucy`, in O(x^(3/4)) time and O(sqrt(x)) memory; `prime_counts`
@@ -37,8 +37,11 @@ __all__ = [
     "prime_counts",
 ]
 
-# Deterministic Miller-Rabin witnesses for n < 3.317e24 (Sorenson-Webster).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witnesses for n < psi_13 = 3.317e24, the least
+# strong pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86,
+# 2017; OEIS A014233). The 12 bases up to 37 are deterministic only below
+# psi_12 = 318665857834031151167461, a strong pseudoprime to each of them.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 

@@ -112,6 +112,9 @@ GROUPS = {
         "ratscan --x 3 --y 4 --z 5 --bracket 1,3 --q-max 10",
         "ratscan --x 1 --y 1 --z 2 --bracket 0.5,1.5 --q-max 5 --tol 1e-6",
         "ratscan --x 5 --y 12 --z 13 --bracket 1.3,2.3 --q-max 1e4",
+        # psi_12, a strong pseudoprime to the 12 prime bases up to 37.
+        "streak --c 318665857834031151167461",
+        "kcomposite --a 1 --b 318665857834031151167460 --k 1",
     ),
     "sweeps": _both_formats(
         "sweep density --x 10..1e6 --geometric 10",
@@ -242,6 +245,14 @@ GROUPS = {
         "--max-sieve 100 witness unit --a 2 --b 1 --m 3",
         "ratscan --x 5 --y 12 --z 13 --bracket 1.3,2.3 --q-max 1e9",
         "--max-sieve abc sieve --limit 10",
+        # Past Python's int-to-str digit limit, math.factorial's argument
+        # limit and float range.
+        "factorial --m 1700",
+        "witness power --a 20 --sign 1 --k 3000",
+        "kcomposite --a 10 --b 1 --k 1000 --count 1",
+        "factorial --m 1e19",
+        "fermatreal --x 3 --y 4 --z 5 --bracket 1.5,2.5 --tol 5e-324",
+        "ratscan --x 3 --y 4 --z 5 --bracket -1e308,1e308 --q-max 10",
     ),
     "help": _help_pages(),
 }

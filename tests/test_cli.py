@@ -269,6 +269,20 @@ class TestCapacityAndDomain:
         assert param in res.err
 
 
+    @pytest.mark.parametrize("args", [
+        ["factorial", "--m", "1700"],
+        ["witness", "power", "--a", "20", "--sign", "1", "--k", "3000"],
+    ])
+    def test_result_past_the_int_digit_limit(self, args):
+        # json cannot write an int of more than sys.get_int_max_str_digits()
+        # digits (4300 by default): refused, with nothing written.
+        res = run_cli(args)
+        assert (res.code, res.out) == (3, "")
+        assert res.err == (f"capacity error: the result holds an integer of more than "
+                           f"{sys.get_int_max_str_digits()} digits, Python's limit for "
+                           "writing one as text\n")
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("args", [
         ["witness", "unit", "--a", "7", "--b", "-1", "--m", "4"],

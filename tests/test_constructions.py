@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +124,13 @@ class TestFactorialConsecutive:
     def test_m_below_3_rejected(self):
         with pytest.raises(DomainError):
             factorial_consecutive(2)
+
+    def test_m_past_maxsize_is_a_capacity_error(self):
+        # math.factorial takes at most sys.maxsize; the domain comes first.
+        with pytest.raises(CapacityError, match=f"^m {sys.maxsize + 1} exceeds "):
+            factorial_consecutive(sys.maxsize + 1)
+        with pytest.raises(DomainError):
+            factorial_consecutive(-(10**19))
 
     def test_divisibility_through_m20(self):
         import math
@@ -295,6 +303,27 @@ class TestKComposites:
         assert w.proof.factors == ((3001, 1), (22000001, 1), (24000001, 1))
         assert w.verify()
 
+    def test_strong_pseudoprime_is_no_prime_term(self):
+        # psi_12 = 318665857834031151167461 is a strong pseudoprime to the
+        # 12 prime bases up to 37; the first prime term is at m = 23.
+        (w,) = k_composite_witnesses(Progression(1, 318665857834031151167460), 1, 1)
+        assert (w.n, w.value) == (23, 318665857834031151167483)
+        assert w.verify()
+
+    def test_no_prime_term_below_the_search_cap(self, monkeypatch):
+        # m + 24 is not prime for m in [1, 4]; 29 is at m = 5.
+        monkeypatch.setattr(constructions, "SEARCH_CAP", 4)
+        with pytest.raises(CapacityError,
+                           match=r"^no prime term a\*m\+b found for m in \[1, 4\]$"):
+            k_composite_witnesses(Progression(1, 24), 1, 1)
+
+    def test_no_admissible_s_below_the_search_cap(self, monkeypatch):
+        # The base 5 = 3*1 + 2 needs a prime s*9 + 1 > 5: 10 is not, 19 is.
+        monkeypatch.setattr(constructions, "SEARCH_CAP", 1)
+        with pytest.raises(CapacityError,
+                           match=r"^no admissible s <= 1 with s\*3\^2\+1 prime$"):
+            k_composite_witnesses(Progression(3, 2), 2, 1)
+
 
 class TestPolynomialComposites:
     def test_x2_plus_1(self):
@@ -315,6 +344,12 @@ class TestPolynomialComposites:
     def test_constant_rejected(self):
         with pytest.raises(DomainError):
             polynomial_composites([5], 1)
+
+    def test_no_k_below_the_search_cap(self, monkeypatch):
+        # k - 5 <= 1 for k in [0, 3]; f(6) = 1 too, and f(7) = 2.
+        monkeypatch.setattr(constructions, "SEARCH_CAP", 3)
+        with pytest.raises(CapacityError, match=r"^no k <= 3 with f\(k\) > 1$"):
+            polynomial_composites([-5, 1], 1)
 
     @given(
         st.lists(st.integers(-9, 9), min_size=2, max_size=5).filter(

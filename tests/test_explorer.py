@@ -99,6 +99,24 @@ class TestFermatRealRoot:
         with pytest.raises(DomainError):
             fermat_real_root(4, 5, 6, (2, 3), 0)
 
+    @pytest.mark.parametrize("bracket, tol", [((1.5, 2.5), 5e-324), ((-1e308, 1e308), 1e-12)])
+    def test_width_over_tol_past_float_range_is_a_capacity_error(self, bracket, tol):
+        with pytest.raises(CapacityError, match="is past float range$"):
+            fermat_real_root(3, 4, 5, bracket, tol)
+
+    def test_exact_endpoint_comes_before_the_width_check(self):
+        r = fermat_real_root(3, 4, 5, (2, 3), 5e-324)
+        assert (r.s, r.residual, r.iterations) == (2.0, 0.0, 0)
+
+    def test_smallest_tol_within_float_range(self):
+        # 1 / 1e-300 is finite: ceil(log2(1e300)) = 997 steps.
+        r = fermat_real_root(3, 4, 5, (1.5, 2.5), 1e-300)
+        assert (r.s, r.iterations) == (2.0, 997)
+
+    def test_streak_of_a_strong_pseudoprime(self):
+        # psi_12 is a strong pseudoprime to the 12 prime bases up to 37.
+        assert prime_streak(318665857834031151167461).length == 0
+
 
 class TestRationalScan:
     def test_456_empty(self):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apcomposites import numcore
-from apcomposites.errors import DomainError
+from apcomposites.errors import CapacityError, DomainError
 from apcomposites.numcore import (
     Factorization,
     PrimeTable,
@@ -27,6 +27,15 @@ from apcomposites.numcore import (
     _small_primes,
 )
 from conftest import oracle_factorize, oracle_is_prime, oracle_prime_mask, sieve_cap, traced_peak
+
+# psi_t, the least strong pseudoprime to all of the first t prime bases,
+# t = 1..13 (OEIS A014233).
+STRONG_PSEUDOPRIMES = [
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+]
 
 
 class TestProgression:
@@ -122,6 +131,16 @@ class TestIsPrime:
         assert not is_prime(p * q)
         assert is_prime(p) and is_prime(q)
 
+    @pytest.mark.parametrize("psi", sorted(set(STRONG_PSEUDOPRIMES[:12])))
+    def test_strong_pseudoprimes_are_composite(self, psi):
+        # psi_t is a strong pseudoprime to the first t prime bases, so
+        # only the (t+1)-th base, up to 41 at psi_12, shows it composite.
+        assert not is_prime(psi)
+
+    def test_past_psi_13_is_refused(self):
+        with pytest.raises(CapacityError):
+            is_prime(STRONG_PSEUDOPRIMES[12])
+
 
 class TestFactorize:
     def test_examples(self):
@@ -160,6 +179,44 @@ class TestFactorize:
     def test_verify_catches_bad_product(self):
         assert not Factorization(12, ((2, 1), (3, 1))).verify()
         assert not Factorization(12, ((3, 1), (2, 2))).verify()  # not ascending
+
+    def test_psi_12_is_a_capacity_error(self):
+        # Both prime factors exceed the trial bound, and the cofactor
+        # psi_12 itself is not prime.
+        assert min(399_165_290_221, 798_330_580_441) > numcore.TRIAL_BOUND
+        with pytest.raises(CapacityError, match="^composite cofactor 318665857834031151167461 "):
+            factorize(STRONG_PSEUDOPRIMES[11])
+
+
+class TestAgainstSympy:
+    """The second, independent oracle: sympy's isprime and factorint, on a
+    seeded log-uniform sample up to 1e12, semiprimes of two primes below
+    the trial bound, and the strong pseudoprimes psi_t."""
+
+    @pytest.fixture(scope="class")
+    def sample(self):
+        rng = random.Random(2017)
+        xs = [rng.randrange(2, 10 ** rng.randint(1, 12) + 1) for _ in range(2000)]
+        primes = _small_primes(numcore.TRIAL_BOUND)
+        xs += [rng.choice(primes) * rng.choice(primes) for _ in range(200)]
+        return xs + STRONG_PSEUDOPRIMES[:12]
+
+    def test_is_prime(self, sample):
+        sympy = pytest.importorskip("sympy")
+        for n in sample:
+            assert is_prime(n) == sympy.isprime(n), n
+
+    def test_factorize(self, sample):
+        sympy = pytest.importorskip("sympy")
+        for n in sample:
+            expected = sympy.factorint(n)
+            try:
+                f = factorize(n)
+            except CapacityError:
+                # Refused only with two prime factors past the trial bound.
+                assert sum(e for q, e in expected.items() if q > numcore.TRIAL_BOUND) >= 2, n
+                continue
+            assert dict(f.factors) == expected, n
 
 
 class TestPrimeCount:
