@@ -44,6 +44,7 @@ __all__ = [
     "erdos_kac_samples",
     "gaussian_mass",
     "pi_points",
+    "scan_need",
 ]
 
 # bytes.translate tables: adding 1 to every byte, and _ONE_OF[k] mapping
@@ -89,6 +90,16 @@ def pi_points(check: str, value: int, table: PrimeTable | None = None) -> tuple[
         raise DomainError(f"{name} {value} reads pi past {table._top}, "
                           "the table's largest point")
     return tuple(mult << exp for mult, exp in points)
+
+
+def scan_need(scan: str, param: str, n: int, *progressions: Progression) -> None:
+    """The refusals of `scan` over m in [1, n] of each progression, up front."""
+    for p in progressions:
+        if p.a < 1:
+            raise DomainError(f"{scan} requires a >= 1")
+    if n < 1:
+        raise DomainError(f"{param} must be >= 1")
+    check_sieve(param, n, max(abs(p.term(m)) for p in progressions for m in (1, n)))
 
 
 def _pi(check: str, value: int, table: PrimeTable | None) -> list[int]:
@@ -142,15 +153,10 @@ def density_bound_check(x: int, table: PrimeTable | None = None) -> DensityPoint
 
 def progression_composite_density(p: Progression, x: int) -> "Fraction":
     """Exact fraction of n in [1, x] with |a*n + b| composite: neither
-    prime nor at most 1. The largest |a*n + b|, at n = 1 or x, is checked
-    against the sieve cap before anything is sieved."""
+    prime nor at most 1. Its `scan_need` comes before anything is sieved."""
     from fractions import Fraction
 
-    if p.a < 1:
-        raise DomainError("progression_composite_density requires a >= 1")
-    if x < 1:
-        raise DomainError("x must be >= 1")
-    check_sieve("x", x, max(abs(p.term(1)), abs(p.term(x))))
+    scan_need("progression_composite_density", "x", x, p)
     primes = sum(_ones(mask) for _, mask in _prime_segments(p, 1, x))
     return Fraction(x - primes - len(_indices(p, (-1, 0, 1), 1, x)), x)
 
@@ -204,13 +210,8 @@ def run_length_threshold(p: Progression) -> int:
 
 def longest_prime_run(p: Progression, n_max: int) -> RunScan:
     """Scan n in [1, n_max] for maximal runs of prime values, one sieve
-    segment at a time, once the largest |a*n + b| has passed the sieve cap
-    as in progression_composite_density."""
-    if p.a < 1:
-        raise DomainError("longest_prime_run requires a >= 1")
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
-    check_sieve("n_max", n_max, max(abs(p.term(1)), abs(p.term(n_max))))
+    segment at a time, once its `scan_need` has passed."""
+    scan_need("longest_prime_run", "n_max", n_max, p)
     length, starts = 0, []
     # The 0 before the open run (n = 0 at first), then the segments since.
     window = bytearray(1)

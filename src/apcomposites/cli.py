@@ -29,8 +29,8 @@ Every command reaches the library through the package's lazy names
 `--help` loads none of the library modules and `count` only numcore.
 No library function is bound at module level, so a command calls
 whatever the package or module attribute holds when it runs, as
-rebound by bench/tracer.py. Only the three names the package does not
-export, and the sieve cap's check, are imported from their modules.
+rebound by bench/tracer.py. Only the names the package does not
+export are imported from their modules.
 """
 
 import json
@@ -39,7 +39,7 @@ import sys
 
 import apcomposites as lib
 
-from .errors import DEFAULT_SIEVE_CAP, SIEVE_CAP, check_sieve
+from .errors import DEFAULT_SIEVE_CAP, SIEVE_CAP
 
 SCHEMA_VERSION = 1
 PROG = "apcomposites"
@@ -175,12 +175,11 @@ STEP = opt("step", at_least(1), 1)
 
 
 def geometric_points(lo: int, hi: int, factor: int):
-    """lo, lo*factor, ... <= hi, lazily: for lo < 1 it never ends, and the
-    caller's check must reject lo before asking for more."""
+    """lo, lo*factor, ... <= hi, lazily; a lo below 1 is the only point."""
     x = lo
     while x <= hi:
         yield x
-        x *= factor
+        x = x * factor if x >= 1 else hi + 1
 
 
 def emit(run: dict, result, params: dict | None = None) -> None:
@@ -198,10 +197,14 @@ def emit(run: dict, result, params: dict | None = None) -> None:
     try:
         line = json.dumps(record, sort_keys=True, default=as_jsonable)
     except ValueError:
-        raise lib.CapacityError(f"the result holds an integer of more than "
-                                f"{sys.get_int_max_str_digits()} digits, Python's "
-                                "limit for writing one as text") from None
+        raise _past_digit_limit() from None
     print(line)
+
+
+def _past_digit_limit() -> "lib.CapacityError":
+    return lib.CapacityError(f"the result holds an integer of more than "
+                             f"{sys.get_int_max_str_digits()} digits, Python's "
+                             "limit for writing one as text")
 
 
 def as_jsonable(obj):
@@ -279,6 +282,11 @@ def witness_power_cmd(run, a, sign, k):
 
 
 def factorial_cmd(run, m):
+    # m! has about lgamma(m + 1)/log(10) digits: a result a digit past the
+    # limit by that estimate is refused before it is built, the rest by emit.
+    limit = sys.get_int_max_str_digits()
+    if limit and 3 <= m <= sys.maxsize and math.lgamma(m + 1) / math.log(10) >= limit + 1:
+        raise _past_digit_limit()
     emit(run, lib.factorial_consecutive(m))
 
 
@@ -339,16 +347,15 @@ def ratscan_cmd(run, x, y, z, bracket, q_max, tol):
     emit(run, {"hits": [{"p": h.numerator, "q": h.denominator} for h in hits]})
 
 
-# The term-scan sweeps refuse up front what their scans would refuse at
-# the first point past the cap, with the scans' own check of their
-# largest |a*n + b|, at n = 1 or at the last n.
+# The term-scan sweeps refuse up front, by their scans' `scan_need`,
+# what the first refused point would.
 def sweep_runs_cmd(run, a, b, n_max, format):
-    from .analysis import run_length_threshold
+    from .analysis import run_length_threshold, scan_need
 
     lo, hi = a
-    if lo >= 1 and n_max >= 1:  # else the first point's DomainError comes first
-        # The largest |a*n + b| is at a corner: a = lo or hi, n = 1 or n_max.
-        check_sieve("n_max", n_max, max(abs(a * n + b) for a in (lo, hi) for n in (1, n_max)))
+    # The need is at a = lo or hi (hi = 0 is no step: lo < 0 refuses first).
+    scan_need("longest_prime_run", "n_max", n_max,
+              lib.Progression(lo, b), lib.Progression(hi or lo, b))
 
     def row(a: int) -> dict:
         p = lib.Progression(a, b)
@@ -361,18 +368,19 @@ def sweep_runs_cmd(run, a, b, n_max, format):
 
 
 def sweep_pdensity_cmd(run, a, b, x, geometric, format):
+    from .analysis import scan_need
+
     p = lib.Progression(a, b)
-    if a >= 1 and x[0] >= 1:  # else the first point's DomainError comes first
-        # The need, max(|a + b|, |a*x + b|), does not fall as x grows.
-        *_, last = geometric_points(*x, geometric)
-        check_sieve("x", last, max(abs(a + b), abs(a * last + b)))
+    points = list(geometric_points(*x, geometric))
+    # The need, max(|a + b|, |a*x + b|), does not fall as x grows.
+    scan_need("progression_composite_density", "x", points[-1], p)
 
     def row(point: int) -> dict:
         frac = lib.progression_composite_density(p, point)
         return {"x": point, "density": float(frac),
                 "num": frac.numerator, "den": frac.denominator}
 
-    emit_sweep(run, map(row, geometric_points(*x, geometric)), format)
+    emit_sweep(run, map(row, points), format)
 
 
 def _density_row(pt, exact: bool = True) -> dict:
@@ -414,7 +422,7 @@ def _bound_entries(name, check, option, step_option, row, doc) -> tuple:
 
         lo, hi = kw[option]
         pi_points(check, lo)  # the domain: every point is >= lo >= 1
-        # So a geometric walk ends, after logarithmically many points.
+        # So a geometric walk has logarithmically many points.
         points = (list(geometric_points(lo, hi, geometric)) if geometric
                   else range(lo, hi + 1, step))
         # The need is the last point's, whatever hi is.

@@ -88,15 +88,19 @@ def fermat_real_root(
     lo, hi = bracket
     if not lo < hi:
         raise DomainError("bracket must satisfy lo < hi")
+
+    def hit(t, iterations: int = 0) -> RootResult:
+        """f(t) = 0 exactly: a symmetric bracket of width 2*tol around t."""
+        return RootResult((x, y, z), float(t), 0.0, bracket,
+                          (float(t - tol), float(t + tol)), iterations)
+
     with mp.workdps(WORKING_DPS):
         f = _fermat_f(x, y, z)
         f_lo, f_hi = f(lo), f(hi)
         if f_lo == 0:
-            return RootResult((x, y, z), float(lo), 0.0, bracket,
-                              (lo - tol, lo + tol), 0)
+            return hit(lo)
         if f_hi == 0:
-            return RootResult((x, y, z), float(hi), 0.0, bracket,
-                              (hi - tol, hi + tol), 0)
+            return hit(hi)
         if mp.sign(f_lo) == mp.sign(f_hi):
             raise BracketError(
                 f"f({lo}) = {float(f_lo)} and f({hi}) = {float(f_hi)} "
@@ -112,11 +116,7 @@ def fermat_real_root(
             mid = (a + b) / 2
             fm = f(mid)
             if fm == 0:
-                # Exact hit: report a symmetric bracket of width 2*tol.
-                return RootResult(
-                    (x, y, z), float(mid), 0.0, bracket,
-                    (float(mid - tol), float(mid + tol)), iterations,
-                )
+                return hit(mid, iterations)
             if mp.sign(fm) == mp.sign(fa):
                 a, fa = mid, fm
             else:
@@ -141,19 +141,18 @@ def _scan_window(f, root: RootResult, tol: float):
 
     f has a root only if z > max(x, y) or z < min(x, y), and then
     g(t) = f(t)/z^t = (x/z)^t + (y/z)^t - 1 is strictly monotone. Once
-    f(wl) and f(wr) have opposite signs, its one zero lies between them,
-    so for t in [lo, wl], |f(t)| = z^t |g(t)| >= z^lo |g(wl)| =
-    |f(wl)| z^(lo - wl), and for t in [wr, hi], |f(t)| >= z^wr |g(wr)| =
-    |f(wr)|, as z >= 1. The window is [a - d, b + d] around the refined
-    bracket [a, b], clipped to the bracket, with d = tol doubled until
-    both bounds reach 2*tol or the window covers the bracket.
+    f(wl) and f(wr) have opposite signs, or one is 0 at a bracket end, its
+    one zero lies in [wl, wr], so for t in [lo, wl], |f(t)| = z^t |g(t)|
+    >= z^lo |g(wl)| = |f(wl)| z^(lo - wl), and for t in [wr, hi],
+    |f(t)| >= z^wr |g(wr)| = |f(wr)|, as z >= 1. The window is
+    [a - d, b + d] around the refined bracket [a, b], clipped to the
+    bracket, with d = tol doubled until both bounds reach 2*tol or the
+    window covers the bracket.
     """
     import mpmath as mp
 
-    x, y, z = root.triple
+    z = root.triple[2]
     lo, hi = (mp.mpf(v) for v in root.bracket)
-    if min(x, y) <= z <= max(x, y):
-        return lo, hi  # f > 0 throughout: no monotone g to bound it by
     a, b = root.refined_bracket
     d = mp.mpf(tol)
     while True:
@@ -162,7 +161,7 @@ def _scan_window(f, root: RootResult, tol: float):
             return lo, hi
         if wl < wr:
             f_l, f_r = f(wl), f(wr)
-            if (f_l * f_r < 0
+            if (f_l * f_r <= 0
                     and (wl == lo or abs(f_l) * mp.power(z, lo - wl) >= 2 * tol)
                     and (wr == hi or abs(f_r) >= 2 * tol)):
                 return wl, wr
@@ -198,9 +197,11 @@ def rational_scan(
         f = _fermat_f(x, y, z)
         (ln, ld), (rn, rd) = (_exact(w) for w in _scan_window(f, root, tol))
         for q in range(1, q_max + 1):
-            # The p of the whole bracket's scan with wl < p/q < wr, exactly.
-            p_lo = max(math.floor(lo * q), ln * q // ld) + 1
-            p_hi = min(math.ceil(hi * q), -(-rn * q // rd)) - 1
+            # The p of the whole bracket's scan with wl < p/q < wr, exactly;
+            # a bracket end times q past float range bounds nothing.
+            lo_q, hi_q = lo * q, hi * q
+            p_lo = max(ln * q // ld, math.floor(lo_q) if math.isfinite(lo_q) else -math.inf) + 1
+            p_hi = min(-(-rn * q // rd), math.ceil(hi_q) if math.isfinite(hi_q) else math.inf) - 1
             for p in range(p_lo, p_hi + 1):
                 if math.gcd(p, q) != 1:
                     continue

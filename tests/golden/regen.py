@@ -112,6 +112,9 @@ GROUPS = {
         "ratscan --x 3 --y 4 --z 5 --bracket 1,3 --q-max 10",
         "ratscan --x 1 --y 1 --z 2 --bracket 0.5,1.5 --q-max 5 --tol 1e-6",
         "ratscan --x 5 --y 12 --z 13 --bracket 1.3,2.3 --q-max 1e4",
+        # The root t = 2 at the lower bracket end.
+        "ratscan --x 3 --y 4 --z 5 --bracket 2,1e308 --q-max 10",
+        "ratscan --x 3 --y 4 --z 5 --bracket 2,3 --q-max 200",
         # psi_12, a strong pseudoprime to the 12 prime bases up to 37.
         "streak --c 318665857834031151167461",
         "kcomposite --a 1 --b 318665857834031151167460 --k 1",
@@ -253,6 +256,7 @@ GROUPS = {
         "factorial --m 1e19",
         "fermatreal --x 3 --y 4 --z 5 --bracket 1.5,2.5 --tol 5e-324",
         "ratscan --x 3 --y 4 --z 5 --bracket -1e308,1e308 --q-max 10",
+        "factorial --m 200000",
     ),
     "help": _help_pages(),
 }

@@ -17,6 +17,7 @@ from apcomposites.analysis import (
     pi_power4_bound,
     progression_composite_density,
     run_length_threshold,
+    scan_need,
 )
 from apcomposites.errors import CapacityError, DomainError
 from apcomposites.numcore import (
@@ -292,6 +293,25 @@ class TestPrimeTermMask:
             with pytest.raises(CapacityError):
                 call()
             assert time.perf_counter() - start < 0.1
+
+    def test_scan_need_refusal_order(self):
+        # A step below 1 first, at the first progression given that has one,
+        # then n below 1, then the largest |a*m + b| over both progressions
+        # and m in {1, n}: here |3*10 - 40| = 10 < |1*1 - 40| = 39.
+        lo, hi = Progression(1, -40), Progression(3, -40)
+        with pytest.raises(DomainError, match="^runs requires a >= 1$"):
+            scan_need("runs", "n_max", 0, Progression(-1, 0), hi)
+        with pytest.raises(DomainError, match="^runs requires a >= 1$"):
+            scan_need("runs", "n_max", 0, lo, Progression(-2, 0))
+        with pytest.raises(DomainError, match="^n_max must be >= 1$"):
+            scan_need("runs", "n_max", 0, lo, hi)
+        with sieve_cap(39):
+            scan_need("runs", "n_max", 10, lo, hi)
+        with sieve_cap(38), pytest.raises(
+                CapacityError, match="^n_max 10 needs a sieve to 39, the sieve cap is 38$"):
+            scan_need("runs", "n_max", 10, lo, hi)
+        with sieve_cap(49), pytest.raises(CapacityError, match="needs a sieve to 50,"):
+            scan_need("runs", "n_max", 30, lo, hi)  # 3*30 - 40
 
     @pytest.mark.parametrize("scan", [longest_prime_run, progression_composite_density])
     def test_peak_memory(self, scan):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -107,6 +108,12 @@ class TestSweeps:
         res = run_cli(["sweep", "runs", "--a", "1..5", "--b", "1", "--n-max", "1e4"])
         recs = records(res.out)
         assert recs[-1]["result"]["summary"]["all_within_bound"] is True
+
+    @pytest.mark.parametrize("lo", [0, -5])
+    def test_geometric_walk_below_1_ends(self, lo):
+        # 0 and a negative lo never grow past hi: lo is the only point, and
+        # the first point's check refuses it.
+        assert list(islice(cli.geometric_points(lo, 10, 2), 3)) == [lo]
 
     def test_csv_format(self):
         res = run_cli(["sweep", "dyadic", "--k", "2..6", "--format", "csv"])
@@ -272,11 +279,15 @@ class TestCapacityAndDomain:
     @pytest.mark.parametrize("args", [
         ["factorial", "--m", "1700"],
         ["witness", "power", "--a", "20", "--sign", "1", "--k", "3000"],
+        # m! has about 973,351 digits: refused before its witnesses are built.
+        ["factorial", "--m", "200000"],
     ])
     def test_result_past_the_int_digit_limit(self, args):
         # json cannot write an int of more than sys.get_int_max_str_digits()
         # digits (4300 by default): refused, with nothing written.
+        start = time.perf_counter()
         res = run_cli(args)
+        assert time.perf_counter() - start < 1.0
         assert (res.code, res.out) == (3, "")
         assert res.err == (f"capacity error: the result holds an integer of more than "
                            f"{sys.get_int_max_str_digits()} digits, Python's limit for "

@@ -183,6 +183,9 @@ def _random_brackets(seed: int, count: int):
 class TestRationalScanAgainstBruteForce:
     @pytest.mark.parametrize("triple, bracket", [
         ((3, 4, 5), (1.0, 3.0)),
+        # The root t = 2 at the lower and at the upper bracket end.
+        ((3, 4, 5), (2.0, 3.0)),
+        ((3, 4, 5), (1.0, 2.0)),
         ((5, 12, 13), (1.3, 2.3)),
         ((8, 15, 17), (1.5, 2.5)),
         ((1, 1, 2), (0.5, 1.5)),
@@ -197,6 +200,14 @@ class TestRationalScanAgainstBruteForce:
         # grows over most or all of it.
         root = fermat_real_root(x, y, z, bracket)
         assert [rational_scan(root, 20, tol) for tol in TOLS] == _brute_rational_scan(root, 20)
+
+    def test_window_around_a_root_at_the_bracket_end(self):
+        # f(2) = 0 at the lower end: the window stops where |f| >= 2*tol
+        # beyond it, and does not grow to the whole bracket.
+        root = fermat_real_root(3, 4, 5, (2.0, 3.0))
+        with mp.workdps(explorer.WORKING_DPS):
+            wl, wr = explorer._scan_window(explorer._fermat_f(3, 4, 5), root, 1e-9)
+        assert wl == 2 and wr - wl < 1e-6
 
     @staticmethod
     def _spy(monkeypatch) -> list:
