@@ -104,6 +104,9 @@ GROUPS = {
         "ek --x 3",
         "ek --x 1e4",
         "ek --x 1e5 --interval -2,0.5",
+        "ek --x 5e7",
+        # 3163**2, where 3163 moves between m's primes and the large prime.
+        "ek --x 10004569",
         "lucky --max 1000",
         "streak --c 17",
         "streak --c 1",
@@ -133,6 +136,9 @@ GROUPS = {
         "sweep pdensity --a 3 --b 2 --x 1..1e5 --geometric 10",
         "sweep pdensity --a 1 --b 0 --x 5..500 --geometric 2",
         "sweep runs --a 1..3 --b -7 --n-max 20",
+        # Scans of many segments, and scans with ~48k runs of length 1 per a.
+        "sweep runs --a 6..12 --b -7 --n-max 4e6",
+        "sweep runs --a 9..11 --b -1 --n-max 452813",
     ),
     # Documented refusals: 1 domain, 2 usage.
     "refusals": _argvs(
