@@ -229,10 +229,11 @@ def longest_prime_run(p: Progression, n_max: int) -> RunScan:
             longest, at = longest + 1, found
         if longest > length:
             length, starts = longest, []
-        run = b"\x00" + b"\x01" * length + b"\x00"
+        # No run in window[:end] is longer, so each 1^length is a whole run.
+        run = b"\x01" * length
         at = window.find(run, 0, end) if length else -1
         while at >= 0:
-            starts.append(base + at + 1)
+            starts.append(base + at)
             at = window.find(run, at + length + 1, end)
         window = window[end - 1 :]
     return RunScan(p, n_max, length, tuple(starts))
