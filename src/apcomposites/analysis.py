@@ -5,10 +5,10 @@ distinct-prime-factor statistic.
 The inequality checks are proven theorems: a single failure at any
 admissible input is an implementation bug, and tests treat it as such.
 The progression scans read numcore's index-space sieve one segment at
-a time, and the omega pass fills bytearray segments of the same size,
-each a slice of one pre-sieved pattern of the smallest primes, so no
-array spans the whole range. Masks are counted by numcore's `_ones`. Each entry point checks its domain,
-then the sieve cap, before any work. Nothing here loads numpy.
+a time, so no array spans the whole range, and the omega histogram is a
+walk over numcore's Lucy table, which holds O(sqrt(x)) counts. Each entry
+point checks its domain, then the sieve cap, before any work. Nothing
+here loads numpy.
 """
 
 import math
@@ -21,7 +21,6 @@ from .numcore import (
     Record,
     _indices,
     _ones,
-    _period,
     _prime_segments,
     _small_primes,
     prime_counts,
@@ -46,11 +45,6 @@ __all__ = [
     "pi_points",
     "scan_need",
 ]
-
-# bytes.translate tables: adding 1 to every byte, and _ONE_OF[k] mapping
-# k to 1 and every other byte to 0.
-_INC = bytes(range(1, 256)) + b"\0"
-_ONE_OF = [bytes(k) + b"\1" + bytes(255 - k) for k in range(16)]
 
 
 class BoundCheck(Record):
@@ -253,43 +247,43 @@ def gaussian_mass(lo: float, hi: float) -> float:
 
 
 def _omega_histogram(x: int) -> list[int]:
-    """hist[k] = #{3 <= n <= x : omega(n) = k} (x < 2**63, so k <= 15).
+    """hist[k] = #{3 <= n <= x : omega(n) = k} (x < 2**63, so k <= 15), by
+    a walk over Lucy's table (the second phase of min_25's sieve), in
+    O(x^(3/4)) time and O(sqrt(x)) memory.
 
-    Each segment of `numcore._SEGMENT` integers counts the primes
-    q <= r = isqrt(x) that divide each n. It starts as a slice of one
-    pattern that holds those counts for the smallest primes (`_period`:
-    the primes up to 13, period 30030, past one segment), and only the
-    other primes are strided per segment. Each value k is counted by
-    `_ones` on the segment translated to a 0/1 mask of k.
-
-    An n <= x has at most one prime factor P > r, and then n = m*P with
-    m <= r: for each m, the pi(x // m) - pi(max(r, 2)) such n (the max leaves out n = 2 at x = 3)
-    move up one bucket from omega(m). These points are all x // i or at
-    most r, so one prime_counts call reads every pi off Lucy's table.
+    The primes but 2 start bucket 1. The walk visits each m whose primes,
+    ascending, leave room for one more square: m*q*q <= x for a prime q
+    above them all, the i-th prime (0-based). For each such q and e >= 1
+    with m*q**(e+1) <= x, the n = m*q**e*P with P prime above q add
+    pi(x // (m*q**e)) - (i + 1) to bucket omega(m) + 2, n = m*q**(e+1)
+    counts itself in bucket omega(m) + 1, and m*q**e is visited next.
+    When m*q**3 > x, only e = 1 exists and m*q has no q to extend it, so
+    those q are summed at once.
     """
+    small, large = numcore._lucy(x)  # pi(v) for v <= r, and pi(x // i)
     r = math.isqrt(x)
     primes = _small_primes(r)
     hist = [0] * 16
-    k, period = _period(primes, x - 2)
-    pattern = bytearray(period - 1 + min(numcore._SEGMENT, x - 2))
-    for q in primes[:k]:
-        pattern[::q] = pattern[::q].translate(_INC)
-    for lo in range(3, x + 1, numcore._SEGMENT):
-        seg = pattern[lo % period : lo % period + min(numcore._SEGMENT, x + 1 - lo)]
-        for q in primes[k:]:
-            seg[-lo % q :: q] = seg[-lo % q :: q].translate(_INC)
-        counted = value = 0
-        while counted < len(seg):
-            hist[value] += (c := _ones(seg.translate(_ONE_OF[value])))
-            counted, value = counted + c, value + 1
-    small = bytearray(r + 1)  # omega(m) for m <= r
-    for q in primes:
-        small[q::q] = small[q::q].translate(_INC)
-    pi = prime_counts([max(r, 2), *(x // m for m in range(1, r + 1))])
-    for m in range(1, r + 1):
-        moved = pi.count(x // m) - pi.count(max(r, 2))
-        hist[small[m]] -= moved
-        hist[small[m] + 1] += moved
+    hist[1] = large[1] - 1
+    todo = [(1, 0, 0)]  # (m, index of the least prime above m's, omega(m))
+    while todo:
+        m, i, k = todo.pop()
+        v = x // m
+        end = small[math.isqrt(v)]  # the q with q*q <= v
+        while i < end and (q := primes[i]) ** 3 <= v:
+            mq = m * q
+            while mq * q <= x:
+                hist[k + 2] += (large[mq] if mq <= r else small[x // mq]) - i - 1
+                hist[k + 1] += 1
+                todo.append((mq, i + 1, k + 1))
+                mq *= q
+            i += 1
+        if i < end:
+            split = min(max(small[r // m], i), end)  # m*q <= r below it
+            hist[k + 1] += end - i
+            hist[k + 2] += (sum(large[m * q] for q in primes[i:split])
+                            + sum(small[v // q] for q in primes[split:end])
+                            - (i + 1 + end) * (end - i) // 2)
     return hist
 
 

@@ -392,10 +392,10 @@ def prime_counts(points: Iterable[int]) -> PrimeTable:
 
     With X the largest point, the table comes from `_lucy(X)` when every
     point is at most isqrt(X) or of the form X // i: a single x, the n and
-    2n of one binomial check, powers of 2 or 4, a geometric sweep, the
-    x // m of the omega pass. Any other set of points is counted by
-    `_segment_counts`, in one sieve pass up to X. An X past the sieve cap
-    is refused first (`errors.check_sieve`), and so is `prime_count`'s x.
+    2n of one binomial check, powers of 2 or 4, a geometric sweep. Any
+    other set of points is counted by `_segment_counts`, in one sieve pass
+    up to X. An X past the sieve cap is refused first
+    (`errors.check_sieve`), and so is `prime_count`'s x.
     """
     want = sorted(set(points))
     if not want:

@@ -69,6 +69,50 @@ def oracle_omega_array(x: int):
     return om
 
 
+def oracle_omega_histogram(x: int) -> list[int]:
+    """hist[k] = #{3 <= n <= x : omega(n) = k}, by the segment pass the
+    library used before its walk over Lucy's table.
+
+    Each segment of `numcore._SEGMENT` integers counts the primes
+    q <= r = isqrt(x) that divide each n. It starts as a slice of one
+    pattern that holds those counts for the smallest primes (`_period`),
+    and only the other primes are strided per segment. Each value k is
+    counted by `_ones` on the segment translated to a 0/1 mask of k. An
+    n <= x has at most one prime factor P > r, and then n = m*P with
+    m <= r: for each m, the pi(x // m) - pi(max(r, 2)) such n (the max
+    leaves out n = 2 at x = 3) move up one bucket from omega(m).
+    """
+    from apcomposites import numcore
+    from apcomposites.numcore import _ones, _period, _small_primes, prime_counts
+
+    inc = bytes(range(1, 256)) + b"\0"  # adds 1 to every byte
+    one_of = [bytes(k) + b"\1" + bytes(255 - k) for k in range(16)]  # k -> 1, else 0
+    r = math.isqrt(x)
+    primes = _small_primes(r)
+    hist = [0] * 16
+    k, period = _period(primes, x - 2)
+    pattern = bytearray(period - 1 + min(numcore._SEGMENT, x - 2))
+    for q in primes[:k]:
+        pattern[::q] = pattern[::q].translate(inc)
+    for lo in range(3, x + 1, numcore._SEGMENT):
+        seg = pattern[lo % period : lo % period + min(numcore._SEGMENT, x + 1 - lo)]
+        for q in primes[k:]:
+            seg[-lo % q :: q] = seg[-lo % q :: q].translate(inc)
+        counted = value = 0
+        while counted < len(seg):
+            hist[value] += (c := _ones(seg.translate(one_of[value])))
+            counted, value = counted + c, value + 1
+    small = bytearray(r + 1)  # omega(m) for m <= r
+    for q in primes:
+        small[q::q] = small[q::q].translate(inc)
+    pi = prime_counts([max(r, 2), *(x // m for m in range(1, r + 1))])
+    for m in range(1, r + 1):
+        moved = pi.count(x // m) - pi.count(max(r, 2))
+        hist[small[m]] -= moved
+        hist[small[m] + 1] += moved
+    return hist
+
+
 @pytest.fixture(scope="session")
 def oracle_primes_1000():
     return [n for n in range(2, 1001) if oracle_is_prime(n)]
@@ -76,8 +120,8 @@ def oracle_primes_1000():
 
 @pytest.fixture(params=[1, 7, 97, 1 << 18])
 def segment(request, monkeypatch):
-    """numcore's segment size, of the sieve and of the omega pass, for one
-    test: sizes that do and do not divide a progression's step, down to
+    """numcore's segment size, of the sieve and of the omega oracle, for
+    one test: sizes that do and do not divide a progression's step, down to
     one index."""
     monkeypatch.setattr("apcomposites.numcore._SEGMENT", request.param)
     return request.param

@@ -31,6 +31,7 @@ from apcomposites.numcore import (
 from conftest import (
     oracle_is_prime,
     oracle_omega_array,
+    oracle_omega_histogram,
     oracle_prime_mask,
     oracle_runs,
     sieve_cap,
@@ -388,13 +389,27 @@ class TestErdosKac:
         (30_030, 97), (600_000, 2**18), (600_001, 7919), (600_001, 2**16),
     ], indirect=["segment"])
     def test_histogram_independent_of_segmentation(self, x, segment):
-        # Segment sizes that do and do not divide the primes, and so
-        # patterns of the smallest primes of several periods (2310 at
-        # 2**16, 30030 at 2**18), and x beside r**2, where a prime moves
-        # between the strided primes and the one large prime factor; at
-        # x = 3 = 2**2 - 1 that step must leave out n = 2.
+        # The segment oracle at segment sizes that do and do not divide
+        # the primes, and so patterns of the smallest primes of several
+        # periods (2310 at 2**16, 30030 at 2**18), and x beside r**2, where
+        # a prime moves between the strided primes and the one large prime
+        # factor; at x = 3 = 2**2 - 1 that step must leave out n = 2. The
+        # walk reads no segment and must agree at every size.
         expected = np.bincount(oracle_omega_array(x)[3:], minlength=16).tolist()
+        assert oracle_omega_histogram(x) == expected
         assert _omega_histogram(x) == expected
+
+    @pytest.mark.parametrize("r", [2, 3, 10, 31, 1000, 3163])
+    def test_walk_matches_oracle_beside_squares(self, r):
+        # At r**2 the prime r joins the primes whose square fits, and the
+        # walk's bound m*q*q <= x moves with it.
+        for x in (r * r - 1, r * r, r * r + 1):
+            assert _omega_histogram(x) == oracle_omega_histogram(x), x
+
+    def test_walk_matches_oracle_at_seeded_x(self):
+        rng = np.random.default_rng(20_241)
+        for x in np.exp(rng.uniform(math.log(3), math.log(1e7), 200)).astype(int).tolist():
+            assert _omega_histogram(x) == oracle_omega_histogram(x), x
 
     def test_gaussian_mass(self):
         assert gaussian_mass(-1, 1) == pytest.approx(0.6827, abs=1e-4)
@@ -440,9 +455,8 @@ class TestErdosKac:
         assert [iv.sample_fraction for iv in summary.intervals] == fractions
 
     def test_peak_memory(self):
-        # One bytearray segment of omega values at a time, whatever x is,
-        # with the slices each translate copies: about 2**18 bytes, then
-        # Lucy's lists of sqrt(x) ints for the prime_counts call. A
-        # whole-range omega array fails at 4e6.
-        for x in (500_000, 4_000_000):
-            assert traced_peak(lambda: erdos_kac_samples(x)) <= 3 << 19, x
+        # Lucy's lists of sqrt(x) ints, the primes up to sqrt(x) and the
+        # walk's stack: about 0.5 MiB at 1e7. A segment pass, which holds
+        # 2**18 bytes and the slices each translate copies, fails at 4e6.
+        for x in (500_000, 4_000_000, 10_000_000):
+            assert traced_peak(lambda: erdos_kac_samples(x)) <= 3 << 18, x

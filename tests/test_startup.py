@@ -105,8 +105,8 @@ def test_loads_only_what_the_kernel_needs(argv, loaded):
     assert probe["slow"] == []
 
 
-# fractions imports decimal itself. Lucy's counts, the run scan and the
-# witnesses count no mask, so they never load zlib. No package module
+# fractions imports decimal itself. Lucy's counts, the omega walk, the run
+# scan and the witnesses count no mask, so they never load zlib. No package module
 # imports __future__; mpmath does, for fermatreal and ratscan.
 STDLIB_CASES = [
     (["--help"], []),
@@ -115,7 +115,7 @@ STDLIB_CASES = [
     (["count", "--x", "1e6", "--a", "4", "--b", "3"], ["decimal", "zlib"]),
     (["sweep", "dyadic", "--k", "2..5", "--format", "csv"], []),
     (["sweep", "binom", "--n", "2..50"], ["zlib"]),
-    (["ek", "--x", "1000"], ["zlib"]),
+    (["ek", "--x", "1000"], []),
     (["runs", "--a", "6", "--b", "1", "--n-max", "1000"], []),
     (["density", "--x", "1000"], ["decimal", "fractions"]),
     (["witness", "multiple", "--a", "3", "--b", "2", "--m", "5"], []),
