@@ -257,8 +257,8 @@ def _omega_histogram(x: int) -> list[int]:
     with m*q**(e+1) <= x, the n = m*q**e*P with P prime above q add
     pi(x // (m*q**e)) - (i + 1) to bucket omega(m) + 2, n = m*q**(e+1)
     counts itself in bucket omega(m) + 1, and m*q**e is visited next.
-    When m*q**3 > x, only e = 1 exists and m*q has no q to extend it, so
-    those q are summed at once.
+    When m*q**3 > x, e is 1 and m*q has nothing to visit, so those q,
+    five in six of all at x = 1e7, are summed at once.
     """
     small, large = numcore._lucy(x)  # pi(v) for v <= r, and pi(x // i)
     r = math.isqrt(x)
@@ -269,7 +269,7 @@ def _omega_histogram(x: int) -> list[int]:
     while todo:
         m, i, k = todo.pop()
         v = x // m
-        end = small[math.isqrt(v)]  # the q with q*q <= v
+        end = small[math.isqrt(v)]  # primes[:end] are the q with q*q <= v
         while i < end and (q := primes[i]) ** 3 <= v:
             mq = m * q
             while mq * q <= x:

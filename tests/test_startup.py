@@ -106,8 +106,8 @@ def test_loads_only_what_the_kernel_needs(argv, loaded):
 
 
 # fractions imports decimal itself. Lucy's counts, the omega walk, the run
-# scan and the witnesses count no mask, so they never load zlib. No package module
-# imports __future__; mpmath does, for fermatreal and ratscan.
+# scan and the witnesses count no mask, so they never load zlib. No package
+# module imports __future__; mpmath does, for fermatreal and ratscan.
 STDLIB_CASES = [
     (["--help"], []),
     (["count", "--x", "100"], []),
