@@ -23,6 +23,7 @@ from .numcore import (
     Progression,
     Record,
     _indices,
+    _of_primes,
     _prime_segments,
     factorize,
     is_prime,
@@ -45,10 +46,10 @@ __all__ = [
     "three_composites_4n3",
 ]
 
-# Full factorization is attempted below this, the range factorize always
-# completes; above it, witnesses carry a divisor pair instead (trial
-# division would be too slow).
-FACTORIZATION_CAP = numcore.TRIAL_BOUND**2
+# Witnesses up to this value carry a full factorization, past it a divisor
+# pair. factorize completes below psi_13 = 3.3e24, but a higher cap would
+# change the proof, and so the output, of every witness past 1e12.
+FACTORIZATION_CAP = 10**12
 # Indices scanned for a run of composites, and for a prime term, an
 # admissible s or a k with f(k) > 1, before a CapacityError.
 CONSECUTIVE_SCAN_CAP = 10**7
@@ -321,7 +322,7 @@ def k_composite_witnesses(
     while len(bases) < count:
         m = first(lambda n: (v := p.term(n)) > 1 and is_prime(v), m + 1, SEARCH_CAP,
                   f"no prime term a*m+b found for m in [{m + 1}, {SEARCH_CAP}]")
-        bases.append(KCompositeWitness(p, m, p.term(m), factorize(p.term(m)), 1, mode))
+        bases.append(KCompositeWitness(p, m, p.term(m), _of_primes([p.term(m)]), 1, mode))
 
     if k == 1:
         return bases
@@ -398,6 +399,6 @@ def three_composites_4n3(count: int, k_max: int) -> Twin3Result:
             value = prog.term(n)
             assert value == 5 * lo * hi
             out.append(
-                KCompositeWitness(prog, n, value, factorize(value), 3, "multiplicity")
+                KCompositeWitness(prog, n, value, _of_primes([5, lo, hi]), 3, "multiplicity")
             )
     return Twin3Result(tuple(out), shortfall=len(out) < count)

@@ -3,7 +3,9 @@
 Everything here is exact integer arithmetic. Primality for arbitrary
 integers uses Miller-Rabin with the 13 prime bases up to 41, proven
 deterministic for n < 3.3e24 (Sorenson and Webster, 2017), and refuses
-larger n, so no answer is probabilistic.
+larger n, so no answer is probabilistic. `factorize` keeps no state: it
+certifies each part by that test or splits it by Pollard's rho, so it
+completes for every n < 3.3e24, whatever was factored before.
 
 pi(x) at x and at the points x // i comes from Lucy_Hedgehog's dynamic
 program, `_lucy`, in O(x^(3/4)) time and O(sqrt(x)) memory; `prime_counts`
@@ -45,7 +47,6 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
-TRIAL_BOUND = 1_000_000
 # Indices per segment of the index-space sieve: a 256 KB mask.
 _SEGMENT = 1 << 18
 # `_segment_counts` counts a slice of up to this many bytes by
@@ -215,48 +216,45 @@ def is_prime(n: int) -> bool:
     return True
 
 
-_trial_primes: list[int] = []
-_trial_limit = 0
+def _split(m: int) -> int:
+    """A divisor 1 < d < m of a composite m: its least prime factor up to
+    47, else one found by Pollard's rho (BIT 15, 1975), x -> x*x + c from
+    x = 2 with Floyd's cycle check, for c = 1, 2, ... until one splits m."""
+    for p in _SMALL_PRIMES:
+        if m % p == 0:
+            return p
+    for c in itertools.count(1):
+        x, y, d = 2, 2, 1
+        while d == 1:
+            x = (x * x + c) % m
+            y = (y * y + c) % m
+            y = (y * y + c) % m
+            d = math.gcd(x - y, m)
+        if d != m:
+            return d
 
 
-def _trial_primes_upto(bound: int) -> list[int]:
-    global _trial_primes, _trial_limit
-    if bound > _trial_limit:
-        new_limit = max(bound, 2 * _trial_limit, 1 << 16)
-        _trial_primes = _small_primes(new_limit)
-        _trial_limit = new_limit
-    return _trial_primes
+def _of_primes(primes: list[int]) -> Factorization:
+    """The Factorization of the product of proven `primes`, in any order."""
+    primes = sorted(primes)
+    return Factorization(math.prod(primes),
+                         tuple((p, len(list(g))) for p, g in itertools.groupby(primes)))
 
 
 def factorize(n: int) -> Factorization:
-    """Full factorization by trial division over sieved primes.
-
-    Any cofactor surviving trial division up to min(sqrt(n), TRIAL_BOUND)
-    must itself be prime (certified deterministically), otherwise the
-    input is beyond capacity.
-    """
+    """Full factorization of n >= 2: each part is certified by `is_prime`
+    or split in two by `_split`. A part of at least psi_13 with no prime
+    factor <= 47 is refused by `is_prime`, as a CapacityError."""
     if n < 2:
         raise DomainError("factorize requires n >= 2")
-    value = n
-    factors: list[tuple[int, int]] = []
-    bound = min(math.isqrt(n), TRIAL_BOUND)
-    for p in _trial_primes_upto(bound + 1):
-        if p * p > n:
-            break
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            factors.append((p, e))
-    if n > 1:
-        if is_prime(n):
-            factors.append((n, 1))
+    primes, parts = [], [n]
+    while parts:
+        m = parts.pop()
+        if is_prime(m):
+            primes.append(m)
         else:
-            raise CapacityError(
-                f"composite cofactor {n} has no prime factor <= {TRIAL_BOUND}"
-            )
-    return Factorization(value, tuple(factors))
+            parts += (d := _split(m), m // d)
+    return _of_primes(primes)
 
 
 def _indices(p: Progression, values, lo: int, hi: int) -> list[int]:

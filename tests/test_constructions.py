@@ -297,10 +297,11 @@ class TestKComposites:
                         assert w.verify()
 
     def test_factors_past_the_trial_bound(self):
-        # Both new primes exceed factorize's trial bound of 1e6, so a
-        # fresh factorization of the value is a CapacityError.
+        # Both new primes exceed 1e6, so factorize needs rho to split the
+        # value; it must still equal the proof the recursion built.
         (w,) = k_composite_witnesses(Progression(1000, 1), 3, 1)
         assert w.proof.factors == ((3001, 1), (22000001, 1), (24000001, 1))
+        assert w.proof == factorize(w.value)
         assert w.verify()
 
     def test_strong_pseudoprime_is_no_prime_term(self):

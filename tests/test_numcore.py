@@ -2,8 +2,11 @@ import bisect
 import copy
 import json
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -160,15 +163,20 @@ class TestFactorize:
         assert f.verify()
         assert dict(f.factors) == oracle_factorize(n)
 
-    def test_trial_table_grows(self, monkeypatch):
-        # From an empty table: the first n needs primes just past 1 << 16,
-        # the second needs them up to ~1e6.
-        monkeypatch.setattr(numcore, "_trial_primes", [])
-        monkeypatch.setattr(numcore, "_trial_limit", 0)
-        for n in (65537 * 65539, 999_983 * 1_000_003):
-            f = factorize(n)
-            assert dict(f.factors) == oracle_factorize(n)
-        assert numcore._trial_limit > 1 << 16
+    def test_same_result_fresh_and_warm(self):
+        # The answer may not depend on the calls made before it: in a
+        # fresh process, and after factoring two other semiprimes.
+        n = 1_000_003 * 1_000_033
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        fresh = subprocess.run(
+            [sys.executable, "-c", "import sys; from apcomposites.numcore import factorize; "
+                                   "print(factorize(int(sys.argv[1])).factors)", str(n)],
+            env=env, capture_output=True, text=True, check=True).stdout
+        factorize(600_011 * 600_043)
+        factorize(999_983 * 999_979)
+        warm = factorize(n).factors
+        assert warm == ((1_000_003, 1), (1_000_033, 1))
+        assert fresh == f"{warm}\n"
 
     def test_derived_counts(self):
         f = factorize(2**5 * 3 * 49)
@@ -180,25 +188,42 @@ class TestFactorize:
         assert not Factorization(12, ((2, 1), (3, 1))).verify()
         assert not Factorization(12, ((3, 1), (2, 2))).verify()  # not ascending
 
-    def test_psi_12_is_a_capacity_error(self):
-        # Both prime factors exceed the trial bound, and the cofactor
-        # psi_12 itself is not prime.
-        assert min(399_165_290_221, 798_330_580_441) > numcore.TRIAL_BOUND
-        with pytest.raises(CapacityError, match="^composite cofactor 318665857834031151167461 "):
-            factorize(STRONG_PSEUDOPRIMES[11])
+    def test_psi_12_splits(self):
+        # A strong pseudoprime to the 12 bases up to 37, with two 12-digit
+        # prime factors that only rho reaches.
+        assert factorize(STRONG_PSEUDOPRIMES[11]).factors == (
+            (399_165_290_221, 1), (798_330_580_441, 1))
+
+    def test_psi_13_edge(self):
+        # Past psi_13, a part with a prime factor <= 47 is still split,
+        # but one with none is refused by is_prime.
+        assert factorize(2**100).factors == ((2, 100),)
+        with pytest.raises(CapacityError, match="^n beyond the deterministic witness range$"):
+            factorize(53**15)
 
 
 class TestAgainstSympy:
     """The second, independent oracle: sympy's isprime and factorint, on a
     seeded log-uniform sample up to 1e12, semiprimes of two primes below
-    the trial bound, and the strong pseudoprimes psi_t."""
+    1e6 and of two 9- to 11-digit primes, prime powers, a product of two
+    13-digit primes, and the strong pseudoprimes psi_t."""
 
     @pytest.fixture(scope="class")
     def sample(self):
         rng = random.Random(2017)
         xs = [rng.randrange(2, 10 ** rng.randint(1, 12) + 1) for _ in range(2000)]
-        primes = _small_primes(numcore.TRIAL_BOUND)
+        primes = _small_primes(10**6)
         xs += [rng.choice(primes) * rng.choice(primes) for _ in range(200)]
+
+        def big_prime():
+            digits = rng.randint(9, 11)
+            q = rng.randrange(10 ** (digits - 1), 10**digits)
+            while not is_prime(q):
+                q += 1
+            return q
+
+        xs += [big_prime() * big_prime() for _ in range(20)]
+        xs += [1009**3, 1_000_003**2, 1_000_000_000_039 * 1_000_000_000_061]
         return xs + STRONG_PSEUDOPRIMES[:12]
 
     def test_is_prime(self, sample):
@@ -209,14 +234,7 @@ class TestAgainstSympy:
     def test_factorize(self, sample):
         sympy = pytest.importorskip("sympy")
         for n in sample:
-            expected = sympy.factorint(n)
-            try:
-                f = factorize(n)
-            except CapacityError:
-                # Refused only with two prime factors past the trial bound.
-                assert sum(e for q, e in expected.items() if q > numcore.TRIAL_BOUND) >= 2, n
-                continue
-            assert dict(f.factors) == expected, n
+            assert dict(factorize(n).factors) == sympy.factorint(n), n
 
 
 class TestPrimeCount:
