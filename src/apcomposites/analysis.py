@@ -20,7 +20,6 @@ from .numcore import (
     Progression,
     Record,
     _indices,
-    _ones,
     _prime_segments,
     _small_primes,
     prime_counts,
@@ -151,7 +150,7 @@ def progression_composite_density(p: Progression, x: int) -> "Fraction":
     from fractions import Fraction
 
     scan_need("progression_composite_density", "x", x, p)
-    primes = sum(_ones(mask) for _, mask in _prime_segments(p, 1, x))
+    primes = next(numcore._segment_counts(p, 1, [x]))
     return Fraction(x - primes - len(_indices(p, (-1, 0, 1), 1, x)), x)
 
 

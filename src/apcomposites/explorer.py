@@ -159,12 +159,11 @@ def _scan_window(f, root: RootResult, tol: float):
         wl, wr = max(a - d, lo), min(b + d, hi)
         if wl == lo and wr == hi:
             return lo, hi
-        if wl < wr:
-            f_l, f_r = f(wl), f(wr)
-            if (f_l * f_r <= 0
-                    and (wl == lo or abs(f_l) * mp.power(z, lo - wl) >= 2 * tol)
-                    and (wr == hi or abs(f_r) >= 2 * tol)):
-                return wl, wr
+        f_l, f_r = f(wl), f(wr)
+        if (f_l * f_r <= 0
+                and (wl == lo or abs(f_l) * mp.power(z, lo - wl) >= 2 * tol)
+                and (wr == hi or abs(f_r) >= 2 * tol)):
+            return wl, wr
         d *= 2
 
 
@@ -190,22 +189,13 @@ def rational_scan(
         return []  # no |f| is below it
     if q_max > SCAN_CAP:
         raise CapacityError(f"q_max {q_max} exceeds the scan cap {SCAN_CAP}")
-    x, y, z = root.triple
-    lo, hi = root.bracket
     hits = []
     with mp.workdps(WORKING_DPS):
-        f = _fermat_f(x, y, z)
+        f = _fermat_f(*root.triple)
         (ln, ld), (rn, rd) = (_exact(w) for w in _scan_window(f, root, tol))
         for q in range(1, q_max + 1):
-            # The p of the whole bracket's scan with wl < p/q < wr, exactly;
-            # a bracket end times q past float range bounds nothing.
-            lo_q, hi_q = lo * q, hi * q
-            p_lo = max(ln * q // ld, math.floor(lo_q) if math.isfinite(lo_q) else -math.inf) + 1
-            p_hi = min(-(-rn * q // rd), math.ceil(hi_q) if math.isfinite(hi_q) else math.inf) - 1
-            for p in range(p_lo, p_hi + 1):
-                if math.gcd(p, q) != 1:
-                    continue
-                t = mp.mpf(p) / q
-                if lo < t < hi and abs(f(t)) < tol:
+            # The p with wl < p/q < wr, exactly; the window is in the bracket.
+            for p in range(ln * q // ld + 1, -(-rn * q // rd)):
+                if math.gcd(p, q) == 1 and abs(f(mp.mpf(p) / q)) < tol:
                     hits.append(Fraction(p, q))
     return sorted(hits)

@@ -16,10 +16,12 @@ come from one index-space sieve, `_prime_segments`: it marks the n with
 time, so a count or a scan holds one segment, not [0, x]. Each mask
 starts as a slice of one pattern in which the classes of the smallest
 base primes are already cleared, so only the others are strided per
-segment; unlike a wheel, it skips no index. `prime_counts` then
-sieves the odd numbers 2n + 1, and `prime_count_progression` only its
-residue class, and both count the 1s of each mask by their Adler-32
-byte sums (`_ones`).
+segment; unlike a wheel, it skips no index. Every count reads it through
+`_segment_counts`, the 1s up to each of ascending ends, stopping at the
+last: `prime_counts` over the odd numbers 2n + 1, `prime_count_progression`
+over its residue class and analysis's composite density over its
+progression. `_ones` counts a slice by its Adler-32 byte sums, and loads
+zlib only for one of more than 2,048 bytes.
 """
 
 import itertools
@@ -49,9 +51,8 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 # Indices per segment of the index-space sieve: a 256 KB mask.
 _SEGMENT = 1 << 18
-# `_segment_counts` counts a slice of up to this many bytes by
-# bytearray.count, whose call costs less than `_ones`'s, and a longer one
-# by `_ones`.
+# `_ones` counts a slice of up to this many bytes by bytearray.count,
+# whose call costs less than its Adler-32 sums.
 _COUNT_RUN = 2048
 
 
@@ -358,30 +359,35 @@ def _lucy(x: int) -> tuple[list[int], list[int]]:
 def _ones(mask: bytearray, lo: int = 0, hi: int | None = None) -> int:
     """The number of 1s in mask[lo:hi], a 0/1 bytearray.
 
-    The count is the low 16 bits of zlib.adler32(chunk, 0), the chunk's
-    byte sum mod 65521, summed over chunks of at most 65520 bytes: each
-    sum is below the modulus, so it is exact. On a prime mask of 2**18
-    bytes that is about three times as fast as bytearray.count. zlib is
-    imported here, so a command that counts no mask never loads it.
+    Past `_COUNT_RUN` bytes, the count is the low 16 bits of
+    zlib.adler32(chunk, 0), the chunk's byte sum mod 65521, summed over
+    chunks of at most 65520 bytes: each sum is below the modulus, so it is
+    exact. On a prime mask of 2**18 bytes that is about three times as
+    fast as bytearray.count. zlib is imported only then, so a command that
+    counts no longer slice never loads it.
     """
+    view = memoryview(mask)[lo:hi]
+    if len(view) <= _COUNT_RUN:
+        return mask.count(1, lo, hi)
     import zlib
 
-    view = memoryview(mask)[lo:hi]
     return sum(zlib.adler32(view[i : i + 65520], 0) & 0xFFFF
                for i in range(0, len(view), 65520))
 
 
-def _segment_counts(todo: list[int]) -> Iterator[tuple[int, int]]:
-    """(x, pi(x)) for the ascending x >= 2 in `todo`, from one pass of
-    the odd numbers 2n + 1 up to the largest, one segment at a time."""
-    pi, i = 1, 0  # the prime 2, then the odd primes counted so far
-    for start, mask in _prime_segments(Progression(2, 1), 0, (todo[-1] - 1) // 2):
-        at = 0  # mask[:at] is counted in pi
-        while i < len(todo) and (end := (todo[i] - 1) // 2 - start + 1) <= len(mask):
-            pi += mask.count(1, at, end) if end - at <= _COUNT_RUN else _ones(mask, at, end)
-            yield todo[i], pi
-            at, i = end, i + 1
-        pi += _ones(mask, at)
+def _segment_counts(p: Progression, lo: int, ends: list[int]) -> Iterator[int]:
+    """For each of the ascending `ends`, all >= lo - 1, the number of n in
+    [lo, end] with |a*n + b| prime, a >= 1, from one `_prime_segments`
+    pass that reads no further than each end as it is asked for."""
+    count, start, mask, at = 0, lo, bytearray(), 0  # mask[:at] is counted
+    segments = _prime_segments(p, lo, ends[-1])
+    for end in ends:
+        while (stop := end - start + 1) > len(mask):
+            count += _ones(mask, at)
+            (start, mask), at = next(segments), 0
+        count += _ones(mask, at, stop)
+        at = stop
+        yield count
 
 
 def prime_counts(points: Iterable[int]) -> PrimeTable:
@@ -406,8 +412,9 @@ def prime_counts(points: Iterable[int]) -> PrimeTable:
         if all(x <= r or top // (top // x) == x for x in todo):
             small, large = _lucy(top)
             counts.update((x, small[x] if x <= r else large[top // x]) for x in todo)
-        else:
-            counts.update(_segment_counts(todo))
+        else:  # the odd primes 2n + 1 <= x, and the prime 2
+            odd = _segment_counts(Progression(2, 1), 0, [(x - 1) // 2 for x in todo])
+            counts.update(zip(todo, (c + 1 for c in odd)))
     return PrimeTable(counts)
 
 
@@ -426,5 +433,4 @@ def prime_count_progression(p: Progression, x: int) -> int:
         raise DomainError("prime_count_progression requires x >= 1")
     check_sieve("x", x)
     a, r = abs(p.a), p.residue
-    return sum(_ones(mask) for _, mask in
-               _prime_segments(Progression(a, r), 0, (x - r) // a))
+    return next(_segment_counts(Progression(a, r), 0, [(x - r) // a]))

@@ -118,6 +118,11 @@ GROUPS = {
         # The root t = 2 at the lower bracket end.
         "ratscan --x 3 --y 4 --z 5 --bracket 2,1e308 --q-max 10",
         "ratscan --x 3 --y 4 --z 5 --bracket 2,3 --q-max 200",
+        # Roots strictly inside a bracket whose float end times q rounds
+        # onto the root's p.
+        "ratscan --x 1 --y 1 --z 8 --bracket 0.3333333333333333,1 --q-max 10",
+        "ratscan --x 1 --y 1 --z 1024 --bracket 0.05,0.1 --q-max 20",
+        "ratscan --x 27 --y 64 --z 125 --bracket 0.6666666666666666,1 --q-max 5",
         # psi_12, a strong pseudoprime to the 12 prime bases up to 37.
         "streak --c 318665857834031151167461",
         "kcomposite --a 1 --b 318665857834031151167460 --k 1",

@@ -259,7 +259,7 @@ class TestPrimeTermMask:
         cases = [  # (call, its kernel, "param value", need)
             (lambda: longest_prime_run(p, n_max), (analysis, "_prime_segments"),
              f"n_max {n_max}", top),
-            (lambda: progression_composite_density(p, n_max), (analysis, "_prime_segments"),
+            (lambda: progression_composite_density(p, n_max), (numcore, "_segment_counts"),
              f"x {n_max}", top),
             (lambda: prime_count(n_max), (numcore, "_lucy"), f"x {n_max}", n_max),
             # n_max - 1 is not n_max // i, so this pass takes the segments.

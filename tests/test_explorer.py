@@ -137,11 +137,11 @@ TOLS = (1e-9, 1e-3, 1e-1, 10)
 
 
 def _brute_rational_scan(root, q_max, tols=TOLS):
-    """The hits at each tol in `tols` of the scan of every reduced p/q in
-    the bracket, one 50-digit evaluation each: the reference
-    rational_scan must agree with."""
+    """The hits at each tol in `tols` of the scan of every reduced p/q
+    strictly inside the bracket, taken exactly, one 50-digit evaluation
+    each: the reference rational_scan must agree with."""
     x, y, z = root.triple
-    lo, hi = root.bracket
+    lo, hi = (Fraction(end) for end in root.bracket)
     hits = [[] for _ in tols]
     with mp.workdps(explorer.WORKING_DPS):
         f = explorer._fermat_f(x, y, z)
@@ -149,12 +149,10 @@ def _brute_rational_scan(root, q_max, tols=TOLS):
             for p in range(math.floor(lo * q) + 1, math.ceil(hi * q)):
                 if math.gcd(p, q) != 1:
                     continue
-                t = mp.mpf(p) / q
-                if lo < t < hi:
-                    value = abs(f(t))
-                    for found, tol in zip(hits, tols):
-                        if value < tol:
-                            found.append(Fraction(p, q))
+                value = abs(f(mp.mpf(p) / q))
+                for found, tol in zip(hits, tols):
+                    if value < tol:
+                        found.append(Fraction(p, q))
     return [sorted(found) for found in hits]
 
 
@@ -180,6 +178,27 @@ def _random_brackets(seed: int, count: int):
     return out
 
 
+def _roots_at_bracket_ends(seed: int, count: int):
+    """(x, y, z, bracket, s/m): f has the rational root s/m, m <= 9, with one
+    bracket end at float(s/m) or a float next to it, and the other end on
+    the root's side of it, so the bracket holds the root."""
+    rng = random.Random(seed)
+    # a^s + b^s = c^s, so (a^m, b^m, c^m) has its root at t = s/m.
+    solutions = [((1, 1, 2), 1), ((1, 2, 3), 1), ((3, 4, 5), 2),
+                 ((2, 2, 1), -1), ((3, 6, 2), -1), ((20, 15, 12), -2)]
+    out = []
+    for _ in range(count):
+        (a, b, c), s = rng.choice(solutions)
+        m = rng.randint(1, 9)
+        root = Fraction(s, m)
+        end = rng.choice([math.nextafter(float(root), -math.inf), float(root),
+                          math.nextafter(float(root), math.inf)])
+        side = (root > end) - (root < end) or rng.choice((-1, 1))
+        other = end + side * rng.uniform(0.05, 1)
+        out.append((a**m, b**m, c**m, (min(end, other), max(end, other)), root))
+    return out
+
+
 class TestRationalScanAgainstBruteForce:
     @pytest.mark.parametrize("triple, bracket", [
         ((3, 4, 5), (1.0, 3.0)),
@@ -200,6 +219,26 @@ class TestRationalScanAgainstBruteForce:
         # grows over most or all of it.
         root = fermat_real_root(x, y, z, bracket)
         assert [rational_scan(root, 20, tol) for tol in TOLS] == _brute_rational_scan(root, 20)
+
+    @pytest.mark.parametrize("triple, bracket, q_max, hit", [
+        ((1, 1, 8), (0.3333333333333333, 1.0), 10, Fraction(1, 3)),
+        ((1, 1, 1024), (0.05, 0.1), 20, Fraction(1, 10)),
+        ((27, 64, 125), (0.6666666666666666, 1.0), 5, Fraction(2, 3)),
+    ])
+    def test_root_just_inside_a_float_end(self, triple, bracket, q_max, hit):
+        # f(hit) = 0, and hit is strictly inside the bracket, though the
+        # float end times hit's q rounds onto hit's p.
+        root = fermat_real_root(*triple, bracket)
+        assert rational_scan(root, q_max) == [hit]
+
+    @pytest.mark.parametrize("x, y, z, bracket, exact", _roots_at_bracket_ends(23, 40))
+    def test_roots_at_float_bracket_ends(self, x, y, z, bracket, exact):
+        root = fermat_real_root(x, y, z, bracket)
+        hits = [rational_scan(root, 12, tol) for tol in TOLS]
+        assert hits == _brute_rational_scan(root, 12)
+        # The root is a hit exactly when it is strictly inside the bracket.
+        lo, hi = map(Fraction, bracket)
+        assert (exact in hits[0]) == (lo < exact < hi)
 
     def test_window_around_a_root_at_the_bracket_end(self):
         # f(2) = 0 at the lower end: the window stops where |f| >= 2*tol

@@ -454,6 +454,22 @@ class TestOnes:
             assert _ones(mask, lo, hi) == mask.count(1, lo, hi)
 
 
+class TestSegmentCounts:
+    @pytest.mark.parametrize("a, b, lo", [(2, 1, 0), (3, -20, 1), (12, -1, 5)])
+    def test_matches_trial_division(self, monkeypatch, a, b, lo):
+        # Ends at lo - 1, repeated, on segment edges and past _COUNT_RUN
+        # bytes of one segment.
+        p = Progression(a, b)
+        ends = sorted([lo - 1, lo - 1, lo, lo + 6, lo + 96, lo + 97, lo + 2050, lo + 2050]
+                      + random.Random(a).sample(range(lo, lo + 3000), 20))
+        bits = [oracle_is_prime(abs(p.term(n))) for n in range(lo, lo + 3000)]
+        expected = [sum(bits[: end + 1 - lo]) for end in ends]
+        for segment in (7, 97, 1 << 18):
+            monkeypatch.setattr(numcore, "_SEGMENT", segment)
+            assert list(numcore._segment_counts(p, lo, ends)) == expected, segment
+        assert list(numcore._segment_counts(p, lo, [lo - 1])) == [0]
+
+
 class TestPrimeCountProgression:
     def test_examples(self):
         assert prime_count_progression(Progression(4, 3), 20) == 4  # 3,7,11,19
