@@ -19,7 +19,7 @@ from apcomposites import (
     pi_power4_bound,
     prime_counts,
     prime_streak,
-    progression_composite_density,
+    progression_composite_densities,
     rational_scan,
 )
 from apcomposites.analysis import pi_points
@@ -52,8 +52,9 @@ for j in range(1, 8):
     print(f"  x=1e{j}: ratio={float(pt.ratio):.6f}  bound={pt.bound:.4f}")
 
 print("\nComposite density of 2n+1 creeps toward 1 (1/log x slow):")
-for j in range(2, 7):
-    d = progression_composite_density(Progression(2, 1), 10**j)
+# One sieve pass for all five points.
+densities = progression_composite_densities(Progression(2, 1), [10**j for j in range(2, 7)])
+for j, d in zip(range(2, 7), densities):
     print(f"  x=1e{j}: {float(d):.5f}")
 
 print("\nLongest prime runs (bound a^2; 3,5,7 is the one length-3 run in 2n+1):")

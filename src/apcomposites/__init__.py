@@ -25,7 +25,7 @@ _LAZY = {
         "erdos_kac_samples",
         "longest_prime_run",
         "pi_power4_bound",
-        "progression_composite_density",
+        "progression_composite_densities",
     ), "analysis"),
     **dict.fromkeys((
         "CompositeWitness",

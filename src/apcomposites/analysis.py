@@ -36,7 +36,7 @@ __all__ = [
     "dyadic_gap_bound",
     "pi_power4_bound",
     "density_bound_check",
-    "progression_composite_density",
+    "progression_composite_densities",
     "longest_prime_run",
     "run_length_threshold",
     "erdos_kac_samples",
@@ -144,14 +144,19 @@ def density_bound_check(x: int, table: PrimeTable | None = None) -> DensityPoint
     return DensityPoint(x, pi_x, ratio, bound, float(ratio) < bound)
 
 
-def progression_composite_density(p: Progression, x: int) -> "Fraction":
-    """Exact fraction of n in [1, x] with |a*n + b| composite: neither
-    prime nor at most 1. Its `scan_need` comes before anything is sieved."""
+def progression_composite_densities(p: Progression, points: list[int]) -> "list[Fraction]":
+    """Exact fraction of n in [1, x] with |a*n + b| composite, neither
+    prime nor at most 1, at each x of the non-decreasing `points`, from
+    one sieve pass; the first's domain and the last's `scan_need` first."""
     from fractions import Fraction
 
-    scan_need("progression_composite_density", "x", x, p)
-    primes = next(numcore._segment_counts(p, 1, [x]))
-    return Fraction(x - primes - len(_indices(p, (-1, 0, 1), 1, x)), x)
+    if not points or any(y < x for x, y in zip(points, points[1:])):
+        raise DomainError("points must be a non-empty, non-decreasing list")
+    scan_need("progression_composite_density", "x",
+              points[-1] if points[0] >= 1 else points[0], p)
+    units = _indices(p, (-1, 0, 1), 1, points[-1])
+    return [Fraction(x - primes - sum(n <= x for n in units), x)
+            for x, primes in zip(points, numcore._segment_counts(p, 1, points))]
 
 
 class RunRecord(Record):

@@ -39,7 +39,7 @@ import sys
 
 import apcomposites as lib
 
-from .errors import DEFAULT_SIEVE_CAP, SIEVE_CAP
+from .errors import DEFAULT_SIEVE_CAP, SIEVE_CAP, check_digits
 
 SCHEMA_VERSION = 1
 PROG = "apcomposites"
@@ -185,7 +185,7 @@ def geometric_points(lo: int, hi: int, factor: int):
 def emit(run: dict, result, params: dict | None = None) -> None:
     """One record of the running command; params default to its parsed
     options, all but --format. An integer past Python's int-to-str digit
-    limit is a CapacityError, and the record is not written."""
+    limit is refused by `check_digits`, and the record is not written."""
     if params is None:
         params = {k: v for k, v in run["params"].items() if k != "format"}
     record = {
@@ -196,15 +196,10 @@ def emit(run: dict, result, params: dict | None = None) -> None:
     }
     try:
         line = json.dumps(record, sort_keys=True, default=as_jsonable)
-    except ValueError:
-        raise _past_digit_limit() from None
+    except ValueError:  # json's one ValueError here: an int past the digit limit
+        check_digits(math.inf)
+        raise
     print(line)
-
-
-def _past_digit_limit() -> "lib.CapacityError":
-    return lib.CapacityError(f"the result holds an integer of more than "
-                             f"{sys.get_int_max_str_digits()} digits, Python's "
-                             "limit for writing one as text")
 
 
 def as_jsonable(obj):
@@ -282,11 +277,6 @@ def witness_power_cmd(run, a, sign, k):
 
 
 def factorial_cmd(run, m):
-    # m! has about lgamma(m + 1)/log(10) digits: a result a digit past the
-    # limit by that estimate is refused before it is built, the rest by emit.
-    limit = sys.get_int_max_str_digits()
-    if limit and 3 <= m <= sys.maxsize and math.lgamma(m + 1) / math.log(10) >= limit + 1:
-        raise _past_digit_limit()
     emit(run, lib.factorial_consecutive(m))
 
 
@@ -347,13 +337,12 @@ def ratscan_cmd(run, x, y, z, bracket, q_max, tol):
     emit(run, {"hits": [{"p": h.numerator, "q": h.denominator} for h in hits]})
 
 
-# The term-scan sweeps refuse up front, by their scans' `scan_need`,
-# what the first refused point would.
 def sweep_runs_cmd(run, a, b, n_max, format):
     from .analysis import run_length_threshold, scan_need
 
     lo, hi = a
-    # The need is at a = lo or hi (hi = 0 is no step: lo < 0 refuses first).
+    # Refused up front as the first refused point would be: the need is at
+    # a = lo or hi (hi = 0 is no step: lo < 0 refuses first).
     scan_need("longest_prime_run", "n_max", n_max,
               lib.Progression(lo, b), lib.Progression(hi or lo, b))
 
@@ -368,19 +357,10 @@ def sweep_runs_cmd(run, a, b, n_max, format):
 
 
 def sweep_pdensity_cmd(run, a, b, x, geometric, format):
-    from .analysis import scan_need
-
-    p = lib.Progression(a, b)
     points = list(geometric_points(*x, geometric))
-    # The need, max(|a + b|, |a*x + b|), does not fall as x grows.
-    scan_need("progression_composite_density", "x", points[-1], p)
-
-    def row(point: int) -> dict:
-        frac = lib.progression_composite_density(p, point)
-        return {"x": point, "density": float(frac),
-                "num": frac.numerator, "den": frac.denominator}
-
-    emit_sweep(run, map(row, points), format)
+    fracs = lib.progression_composite_densities(lib.Progression(a, b), points)
+    emit_sweep(run, ({"x": point, "density": float(frac), "num": frac.numerator,
+                      "den": frac.denominator} for point, frac in zip(points, fracs)), format)
 
 
 def _density_row(pt, exact: bool = True) -> dict:

@@ -15,6 +15,7 @@ from .errors import (
     DegenerateInputError,
     DomainError,
     WrongBranchError,
+    check_digits,
     first,
 )
 from . import numcore
@@ -189,6 +190,7 @@ def witness_power(a: int, sign: int, k: int) -> CompositeWitness:
         raise DomainError("sign must be +-1")
     if k < 1:
         raise DomainError("k must be >= 1")
+    check_digits((2 * min(k, 10**9) + 1) * math.log10(3 * a))  # a clamped k: a finite float
     n = 3 ** (2 * k + 1) * a ** (2 * k)
     value = (3 * a) ** (2 * k + 1) + sign
     prog = Progression(a, sign)
@@ -205,12 +207,13 @@ def factorial_consecutive(m: int) -> list[CompositeWitness]:
 
     j divides m!+j for 2 <= j <= m. Values past the cap carry the
     divisor pair (j, m!/j + 1) instead of a full factorization. An m past
-    sys.maxsize, the most math.factorial takes, is a CapacityError.
+    sys.maxsize, the most math.factorial takes, is refused, as is an m! past `check_digits`.
     """
     if m < 3:
         raise DomainError("factorial_consecutive requires m >= 3")
     if m > sys.maxsize:
         raise CapacityError(f"m {m} exceeds {sys.maxsize}, the most math.factorial takes")
+    check_digits(math.lgamma(m + 1) / math.log(10))
     fact = math.factorial(m)
     prog = Progression(1, 0)
     out = []
@@ -316,6 +319,7 @@ def k_composite_witnesses(
         raise DomainError("k and count must be >= 1")
     if mode not in ("distinct", "multiplicity"):
         raise DomainError(f"unknown mode {mode!r}")
+    check_digits((min(k, 10**9) - 1) * math.log10(p.a * p.a + 1))
 
     bases: list[KCompositeWitness] = []
     m = 0

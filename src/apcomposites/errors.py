@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, and its two limit
-rules: the sieve cap and the capped search.
+"""Exception hierarchy shared across the package, and its three limit
+rules: the sieve cap, the capped search and the output digits.
 
 Exit-code mapping used by the CLI: DomainError (and subclasses) -> 1,
 usage errors -> 2 (handled by the argument parser), CapacityError -> 3.
@@ -16,6 +16,7 @@ f(k) > 1 searches of `constructions` pass it SEARCH_CAP, and
 `explorer.prime_streak` passes SCAN_CAP.
 """
 
+import sys
 from contextvars import ContextVar
 
 DEFAULT_SIEVE_CAP = 50_000_000
@@ -67,3 +68,12 @@ def first(pred, start: int, cap: int, refusal: str) -> int:
         if pred(n):
             return n
     raise CapacityError(refusal)
+
+
+def check_digits(digits: float) -> None:
+    """Refuse a result with an integer of at least `digits` digits, an
+    estimate from below, a digit past Python's int-to-str limit; a limit
+    of 0 disables it. Three builders call it before building, and emit."""
+    if (limit := sys.get_int_max_str_digits()) and digits >= limit + 1:
+        raise CapacityError(f"the result holds an integer of more than {limit} digits, "
+                            "Python's limit for writing one as text")

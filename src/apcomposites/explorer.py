@@ -136,7 +136,7 @@ def _exact(v) -> tuple[int, int]:
     return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
 
 
-def _scan_window(f, root: RootResult, tol: float):
+def _scan_window(f, root: RootResult, tol: float, q_max: int):
     """Ends wl < wr, within the bracket, outside which |f| >= 2*tol on it.
 
     f has a root only if z > max(x, y) or z < min(x, y), and then
@@ -147,7 +147,8 @@ def _scan_window(f, root: RootResult, tol: float):
     |f(t)| >= z^wr |g(wr)| = |f(wr)|, as z >= 1. The window is
     [a - d, b + d] around the refined bracket [a, b], clipped to the
     bracket, with d = tol doubled until both bounds reach 2*tol or the
-    window covers the bracket.
+    window covers the bracket. Once (wr - wl)*q_max*(q_max + 1)/2, its room
+    for p/q, passes SCAN_CAP, it is refused, as the final one would be.
     """
     import mpmath as mp
 
@@ -157,6 +158,9 @@ def _scan_window(f, root: RootResult, tol: float):
     d = mp.mpf(tol)
     while True:
         wl, wr = max(a - d, lo), min(b + d, hi)
+        if (wr - wl) * q_max * (q_max + 1) / 2 > SCAN_CAP:
+            raise CapacityError(f"q_max {q_max} on a window over {float(wr - wl):.3g} wide "
+                                f"passes the scan cap of {SCAN_CAP} candidates")
         if wl == lo and wr == hi:
             return lo, hi
         f_l, f_r = f(wl), f(wr)
@@ -177,7 +181,8 @@ def rational_scan(
     of them where the whole bracket holds O(q_max^2). Every p/q skipped
     is proven to have |f| >= 2*tol, so an empty result is exact for the
     50-digit test, not just numerical evidence that the root is not a
-    small rational. A q_max past SCAN_CAP is refused before the scan.
+    small rational. A q_max past SCAN_CAP is refused before the scan, and
+    a window with room for more candidates than that as it is found.
     """
     from fractions import Fraction
 
@@ -192,7 +197,7 @@ def rational_scan(
     hits = []
     with mp.workdps(WORKING_DPS):
         f = _fermat_f(*root.triple)
-        (ln, ld), (rn, rd) = (_exact(w) for w in _scan_window(f, root, tol))
+        (ln, ld), (rn, rd) = (_exact(w) for w in _scan_window(f, root, tol, q_max))
         for q in range(1, q_max + 1):
             # The p with wl < p/q < wr, exactly; the window is in the bracket.
             for p in range(ln * q // ld + 1, -(-rn * q // rd)):

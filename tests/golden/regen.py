@@ -268,6 +268,13 @@ GROUPS = {
         "fermatreal --x 3 --y 4 --z 5 --bracket 1.5,2.5 --tol 5e-324",
         "ratscan --x 3 --y 4 --z 5 --bracket -1e308,1e308 --q-max 10",
         "factorial --m 200000",
+        # Refused up front by their digit estimates, before anything is built.
+        "witness power --a 1 --sign +1 --k 1e7",
+        "kcomposite --a 10 --b 1 --k 10000 --count 1",
+        # Scan windows with room for more candidates than the scan cap: the
+        # root 2 is the upper end, and |f| is below tol far to its left.
+        "ratscan --x 3 --y 4 --z 5 --bracket -1e308,2 --q-max 10",
+        "ratscan --x 3 --y 4 --z 5 --bracket -100,2.5 --q-max 1e5",
     ),
     "help": _help_pages(),
 }

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from apcomposites.analysis import (
     gaussian_mass,
     longest_prime_run,
     pi_power4_bound,
-    progression_composite_density,
+    progression_composite_densities,
     run_length_threshold,
     scan_need,
 )
@@ -182,33 +183,67 @@ class TestDensityBound:
         assert all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
 
 
+def _oracle_densities(p: Progression, points: list[int]) -> list[Fraction]:
+    """The composite density at each point, by trial division of every term."""
+    composite = [0]  # composite[n]: the composite |a*m + b| for m <= n
+    for n in range(1, max(points) + 1):
+        v = abs(p.term(n))
+        composite.append(composite[-1] + (v > 1 and not oracle_is_prime(v)))
+    return [Fraction(composite[x], x) for x in points]
+
+
 class TestProgressionCompositeDensity:
     def test_odd_x10(self):
-        assert progression_composite_density(Progression(2, 1), 10) == Fraction(3, 10)
+        assert progression_composite_densities(Progression(2, 1), [10]) == [Fraction(3, 10)]
 
     def test_integers_x4(self):
-        assert progression_composite_density(Progression(1, 0), 4) == Fraction(1, 4)
+        assert progression_composite_densities(Progression(1, 0), [4]) == [Fraction(1, 4)]
 
     def test_trend_toward_one(self):
         # Convergence is 1/log x slow: at 1e6 the density sits near 0.85
         # for every small step a, so the threshold reflects that.
         for a, b in [(1, 0), (2, 1), (7, 3), (10, 1)]:
             p = Progression(a, b)
-            prev = progression_composite_density(p, 100)
-            for j in range(3, 7):
-                cur = progression_composite_density(p, 10**j)
+            densities = progression_composite_densities(p, [100, *(10**j for j in range(3, 7))])
+            for prev, cur in zip(densities, densities[1:]):
                 assert cur >= prev - Fraction(1, 100)
-                prev = cur
-            assert float(prev) > 0.8
+            assert float(densities[-1]) > 0.8
 
     def test_matches_enumeration(self):
         p = Progression(3, -5)
-        x = 500
-        expected = sum(
-            1 for n in range(1, x + 1)
-            if abs(p.term(n)) > 1 and not oracle_is_prime(abs(p.term(n)))
-        )
-        assert progression_composite_density(p, x) == Fraction(expected, x)
+        assert progression_composite_densities(p, [500]) == _oracle_densities(p, [500])
+
+    @pytest.mark.parametrize("segment_size", [7, 97, 1 << 18])
+    def test_points_match_trial_division(self, monkeypatch, segment_size):
+        # Repeated points, points on and beside segment edges, and offsets
+        # whose terms pass through -1, 0 and 1.
+        monkeypatch.setattr(numcore, "_SEGMENT", segment_size)
+        edges = [e for k in range(1, 4) for e in range(k * segment_size - 1, k * segment_size + 2)]
+        rng = random.Random(f"densities:{segment_size}")
+        for _ in range(60):
+            p = Progression(rng.randint(1, 12), rng.randint(-60, 60))
+            points = rng.choices([*range(1, 400), *(e for e in edges if e < 400)], k=6)
+            points = sorted(points + points[:2])
+            assert progression_composite_densities(p, points) == _oracle_densities(p, points), (
+                p, points)
+
+    @pytest.mark.parametrize("points, refusal", [
+        ([], "^points must be a non-empty, non-decreasing list$"),
+        ([5, 4], "^points must be a non-empty, non-decreasing list$"),
+        ([0, 10**12], "^x must be >= 1$"),
+        ([-3, -1], "^x must be >= 1$"),
+    ])
+    def test_points_refused_before_any_work(self, monkeypatch, points, refusal):
+        monkeypatch.setattr(numcore, "_segment_counts", None)
+        with sieve_cap(10), pytest.raises(DomainError, match=refusal):
+            progression_composite_densities(Progression(3, 1), points)
+
+    def test_step_then_points_then_need_of_the_last(self):
+        with pytest.raises(DomainError, match="requires a >= 1"):
+            progression_composite_densities(Progression(-1, 1), [0, 5])
+        with sieve_cap(31), pytest.raises(
+                CapacityError, match="^x 10 needs a sieve to 32, the sieve cap is 31$"):
+            progression_composite_densities(Progression(3, 2), [1, 2, 10])
 
 
 class TestPrimeTermMask:
@@ -229,7 +264,8 @@ class TestPrimeTermMask:
         scan = longest_prime_run(p, n_max)
         assert (scan.max_length, list(scan.starts)) == oracle_runs(bits), (p, n_max)
         composite = n_max - np.count_nonzero(bits) - np.count_nonzero(terms <= 1)
-        assert progression_composite_density(p, n_max) == Fraction(composite, n_max), (p, n_max)
+        assert progression_composite_densities(p, [n_max]) == [Fraction(composite, n_max)], (
+            p, n_max)
 
     @pytest.mark.parametrize("a", range(1, A_MAX + 1))
     def test_matches_value_sieve(self, membership, a):
@@ -259,7 +295,7 @@ class TestPrimeTermMask:
         cases = [  # (call, its kernel, "param value", need)
             (lambda: longest_prime_run(p, n_max), (analysis, "_prime_segments"),
              f"n_max {n_max}", top),
-            (lambda: progression_composite_density(p, n_max), (numcore, "_segment_counts"),
+            (lambda: progression_composite_densities(p, [n_max]), (numcore, "_segment_counts"),
              f"x {n_max}", top),
             (lambda: prime_count(n_max), (numcore, "_lucy"), f"x {n_max}", n_max),
             # n_max - 1 is not n_max // i, so this pass takes the segments.
@@ -314,7 +350,9 @@ class TestPrimeTermMask:
         with sieve_cap(49), pytest.raises(CapacityError, match="needs a sieve to 50,"):
             scan_need("runs", "n_max", 30, lo, hi)  # 3*30 - 40
 
-    @pytest.mark.parametrize("scan", [longest_prime_run, progression_composite_density])
+    @pytest.mark.parametrize("scan", [
+        longest_prime_run, lambda p, n_max: progression_composite_densities(p, [n_max])],
+        ids=["longest_prime_run", "progression_composite_densities"])
     def test_peak_memory(self, scan):
         # One segment of 2**18 indices (the run scan also holds its window),
         # the zeros of one stride and the base primes, whatever n_max is: a

@@ -109,6 +109,21 @@ class TestSweeps:
         recs = records(res.out)
         assert recs[-1]["result"]["summary"]["all_within_bound"] is True
 
+    def test_pdensity_sweep_makes_one_pass(self, monkeypatch):
+        # One sieve pass to the last point, 2**21: one per point re-sieved
+        # [1, x] 22 times.
+        from apcomposites import numcore
+
+        passes = []
+        segments = numcore._prime_segments
+        monkeypatch.setattr(numcore, "_prime_segments",
+                            lambda *args: passes.append(args[1:]) or segments(*args))
+        res = run_cli(["sweep", "pdensity", "--a", "3", "--b", "2", "--x", "1..4e6",
+                       "--geometric", "2"])
+        assert res.code == 0
+        assert passes == [(1, 2**21)]
+        assert records(res.out)[-1]["result"]["summary"]["rows"] == 22
+
     @pytest.mark.parametrize("lo", [0, -5])
     def test_geometric_walk_below_1_ends(self, lo):
         # 0 and a negative lo never grow past hi: lo is the only point, and
@@ -281,6 +296,9 @@ class TestCapacityAndDomain:
         ["witness", "power", "--a", "20", "--sign", "1", "--k", "3000"],
         # m! has about 973,351 digits: refused before its witnesses are built.
         ["factorial", "--m", "200000"],
+        # Each refused by its builder's digit estimate, before it builds.
+        ["witness", "power", "--a", "1", "--sign", "+1", "--k", "1e7"],
+        ["kcomposite", "--a", "10", "--b", "1", "--k", "10000", "--count", "1"],
     ])
     def test_result_past_the_int_digit_limit(self, args):
         # json cannot write an int of more than sys.get_int_max_str_digits()
@@ -292,6 +310,18 @@ class TestCapacityAndDomain:
         assert res.err == (f"capacity error: the result holds an integer of more than "
                            f"{sys.get_int_max_str_digits()} digits, Python's limit for "
                            "writing one as text\n")
+
+    def test_emit_refuses_what_the_estimate_lets_through(self):
+        # k - 1 = 199 steps, each by a prime of at least a^2 + 1 = 101, give
+        # at least 399 digits; the value built has 884.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            res = run_cli(["kcomposite", "--a", "10", "--b", "1", "--k", "200"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (res.code, res.out) == (3, "")
+        assert "more than 640 digits" in res.err
 
 
 class TestDeterminism:

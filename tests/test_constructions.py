@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -324,6 +325,58 @@ class TestKComposites:
         with pytest.raises(CapacityError,
                            match=r"^no admissible s <= 1 with s\*3\^2\+1 prime$"):
             k_composite_witnesses(Progression(3, 2), 2, 1)
+
+
+class TestDigitLimit:
+    """The three builders whose results grow without bound refuse, by an
+    estimate from below of their digits, what Python would not write."""
+
+    REFUSAL = (f"^the result holds an integer of more than {sys.get_int_max_str_digits()} "
+               "digits, Python's limit for writing one as text$")
+
+    @pytest.mark.parametrize("call", [
+        lambda: witness_power(1, 1, 10**400),
+        lambda: k_composite_witnesses(Progression(10, 1), 10**4, 1),
+        lambda: k_composite_witnesses(Progression(-10, 1), 10**400, 1, "multiplicity"),
+        lambda: factorial_consecutive(200000),
+    ], ids=["witness_power", "k_composite_witnesses", "k_composite_witnesses_huge_k",
+            "factorial_consecutive"])
+    def test_refused_before_anything_is_built(self, call):
+        def refused():
+            with pytest.raises(CapacityError, match=self.REFUSAL):
+                call()
+
+        start = time.perf_counter()
+        assert traced_peak(refused) < 1 << 16
+        assert time.perf_counter() - start < 0.5
+
+    def test_domain_comes_first(self):
+        with pytest.raises(DomainError):
+            witness_power(1, 2, 10**400)
+        with pytest.raises(DomainError):
+            k_composite_witnesses(Progression(10, 1), 10**4, 1, "other")
+
+    def test_largest_size_that_fits_is_answered(self):
+        # (2k + 1) * log10(60) is 4,297.8 at k = 1208 and 4,301.3 at 1209,
+        # so the rule refuses exactly what has more digits than the limit.
+        limit = sys.get_int_max_str_digits()
+        for k in (1200, 1208):
+            w = witness_power(20, 1, k)
+            assert w.verify() and len(str(w.value)) <= limit
+        with pytest.raises(CapacityError, match=self.REFUSAL):
+            witness_power(20, 1, 1209)
+        assert 60**2419 > 10**limit  # so its value has more than limit digits
+        ws = factorial_consecutive(1500)  # m! holds 4,115 digits
+        assert len(ws) == 1499 and ws[-1].verify()
+
+    def test_a_limit_of_zero_disables_the_rule(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            w = witness_power(20, 1, 3000)
+            assert w.verify() and len(str(w.value)) > limit
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestPolynomialComposites:

@@ -1,6 +1,8 @@
+import sys
+
 import pytest
 
-from apcomposites.errors import CapacityError, first
+from apcomposites.errors import CapacityError, check_digits, first
 
 
 class TestFirst:
@@ -24,3 +26,23 @@ class TestFirst:
         with pytest.raises(CapacityError, match="^past the cap$"):
             first(seen.append, 11, 10, "past the cap")
         assert seen == []
+
+
+class TestCheckDigits:
+    def test_refused_from_a_digit_past_the_limit(self):
+        limit = sys.get_int_max_str_digits()
+        check_digits(limit + 0.999)
+        with pytest.raises(CapacityError, match=f"^the result holds an integer of more than "
+                                                f"{limit} digits, Python's limit for "
+                                                "writing one as text$"):
+            check_digits(limit + 1)
+        with pytest.raises(CapacityError):
+            check_digits(float("inf"))
+
+    def test_a_limit_of_zero_disables_the_rule(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            check_digits(float("inf"))
+        finally:
+            sys.set_int_max_str_digits(limit)

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -245,7 +246,7 @@ class TestRationalScanAgainstBruteForce:
         # beyond it, and does not grow to the whole bracket.
         root = fermat_real_root(3, 4, 5, (2.0, 3.0))
         with mp.workdps(explorer.WORKING_DPS):
-            wl, wr = explorer._scan_window(explorer._fermat_f(3, 4, 5), root, 1e-9)
+            wl, wr = explorer._scan_window(explorer._fermat_f(3, 4, 5), root, 1e-9, 10)
         assert wl == 2 and wr - wl < 1e-6
 
     @staticmethod
@@ -283,3 +284,21 @@ class TestRationalScanAgainstBruteForce:
         with pytest.raises(CapacityError, match="q_max 11 exceeds the scan cap 10$"):
             rational_scan(root, 11)
         assert calls == []
+
+    @pytest.mark.parametrize("bracket, q_max", [((-1e308, 2.0), 10), ((-100.0, 2.5), 10**5)])
+    def test_window_with_room_past_the_cap_is_refused_as_it_grows(self, bracket, q_max):
+        # The root 2 is the upper end, and |f| < tol far to its left, so the
+        # window would grow to the whole bracket: it is refused once it has
+        # room for more than SCAN_CAP candidates, before any is evaluated.
+        start = time.perf_counter()
+        root = fermat_real_root(3, 4, 5, bracket)
+        with pytest.raises(CapacityError, match=f"^q_max {q_max} on a window over .* wide "
+                                                "passes the scan cap of 1000000 candidates$"):
+            rational_scan(root, q_max)
+        assert time.perf_counter() - start < 2.0
+
+    def test_whole_bracket_window_within_the_cap_is_scanned(self):
+        # The window is [-100, 2.5], with room for 102.5 * 55 candidates:
+        # every p/q far enough left of the root is a hit.
+        root = fermat_real_root(3, 4, 5, (-100.0, 2.5))
+        assert len(rational_scan(root, 10)) == 2596

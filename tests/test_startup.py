@@ -138,7 +138,7 @@ def test_stdlib_modules_load_on_demand(argv, loaded):
 EXPORTS = {
     "analysis": ["central_binom_bound", "density_bound_check", "dyadic_gap_bound",
                  "erdos_kac_samples", "longest_prime_run", "pi_power4_bound",
-                 "progression_composite_density"],
+                 "progression_composite_densities"],
     "constructions": ["CompositeWitness", "KCompositeWitness", "consecutive_in_progression",
                       "factorial_consecutive", "k_composite_witnesses",
                       "polynomial_composites", "three_composites_4n3",
