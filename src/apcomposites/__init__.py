@@ -52,7 +52,6 @@ _LAZY = {
         "factorize",
         "is_prime",
         "prime_count",
-        "prime_count_progression",
         "prime_counts",
     ), "numcore"),
 }

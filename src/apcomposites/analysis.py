@@ -152,11 +152,11 @@ def progression_composite_densities(p: Progression, points: list[int]) -> "list[
 
     if not points or any(y < x for x, y in zip(points, points[1:])):
         raise DomainError("points must be a non-empty, non-decreasing list")
-    scan_need("progression_composite_density", "x",
+    scan_need("progression_composite_densities", "x",
               points[-1] if points[0] >= 1 else points[0], p)
     units = _indices(p, (-1, 0, 1), 1, points[-1])
     return [Fraction(x - primes - sum(n <= x for n in units), x)
-            for x, primes in zip(points, numcore._segment_counts(p, 1, points))]
+            for x, primes in zip(points, numcore._segment_counts(p, 1, points[-1], points))]
 
 
 class RunRecord(Record):

@@ -255,12 +255,11 @@ def sieve_cmd(run, limit):
 def count_cmd(run, x, a, b):
     if a is None and b is not None:
         raise UsageError("--b needs --a")
-    prog = None if a is None else lib.Progression(a, b or 0)
-    if prog is None:
+    if a is None:
         emit(run, {"pi": lib.prime_count(x)}, {"x": x})
     else:
-        emit(run, {"pi_ab": lib.prime_count_progression(prog, x)},
-             {"x": x, "a": a, "b": prog.b})
+        prog = lib.Progression(a, b or 0)
+        emit(run, {"pi_ab": lib.prime_count(x, prog)}, {"x": x, "a": a, "b": prog.b})
 
 
 def _witness(builder: str):

@@ -7,21 +7,21 @@ larger n, so no answer is probabilistic. `factorize` keeps no state: it
 certifies each part by that test or splits it by Pollard's rho, so it
 completes for every n < 3.3e24, whatever was factored before.
 
-pi(x) at x and at the points x // i comes from Lucy_Hedgehog's dynamic
-program, `_lucy`, in O(x^(3/4)) time and O(sqrt(x)) memory; `prime_counts`
-takes it whenever its points allow and returns pi at all of them as one
-`PrimeTable`. Every other count, and the progression scans of `analysis`,
-come from one index-space sieve, `_prime_segments`: it marks the n with
-|a*n + b| prime in bytearrays of `_SEGMENT` indices, one segment at a
-time, so a count or a scan holds one segment, not [0, x]. Each mask
-starts as a slice of one pattern in which the classes of the smallest
-base primes are already cleared, so only the others are strided per
-segment; unlike a wheel, it skips no index. Every count reads it through
-`_segment_counts`, the 1s up to each of ascending ends, stopping at the
-last: `prime_counts` over the odd numbers 2n + 1, `prime_count_progression`
-over its residue class and analysis's composite density over its
-progression. `_ones` counts a slice by its Adler-32 byte sums, and loads
-zlib only for one of more than 2,048 bytes.
+`prime_counts(points, p=None)` is the one counting entry: pi(x), or
+pi(x; |a|, b) given a progression p, at every point, as one `PrimeTable`.
+Without p, pi at x and at the points x // i comes from Lucy_Hedgehog's
+dynamic program, `_lucy`, in O(x^(3/4)) time and O(sqrt(x)) memory.
+Every other count, and the progression scans of `analysis`, come from
+one index-space sieve, `_prime_segments`: it marks the n with |a*n + b|
+prime in bytearrays of `_SEGMENT` indices, one segment at a time, so a
+count or a scan holds one segment, not [0, x]. Each mask starts as a
+slice of one pattern in which the classes of the smallest base primes
+are already cleared, so only the others are strided per segment; unlike
+a wheel, it skips no index. Every count reads it through
+`_segment_counts`, the 1s up to each of ascending ends: `prime_counts`
+over one residue class, |a|*n + (b mod |a|) or the odd numbers 2n + 1,
+and analysis's composite density over its progression. `_ones` counts a
+slice by its Adler-32 byte sums, and loads zlib only past 2,048 bytes.
 """
 
 import itertools
@@ -37,7 +37,6 @@ __all__ = [
     "is_prime",
     "factorize",
     "prime_count",
-    "prime_count_progression",
     "prime_counts",
 ]
 
@@ -166,8 +165,8 @@ class Factorization(Record):
 
 
 class PrimeTable:
-    """pi(x) at the points one prime_counts pass recorded; any other x is
-    a DomainError. _top is the largest point."""
+    """pi(x), or pi(x; |a|, b), at the points one prime_counts pass
+    recorded; any other x is a DomainError. _top is the largest point."""
 
     def __init__(self, counts: dict[int, int]):
         self._counts = counts
@@ -375,12 +374,13 @@ def _ones(mask: bytearray, lo: int = 0, hi: int | None = None) -> int:
                for i in range(0, len(view), 65520))
 
 
-def _segment_counts(p: Progression, lo: int, ends: list[int]) -> Iterator[int]:
-    """For each of the ascending `ends`, all >= lo - 1, the number of n in
-    [lo, end] with |a*n + b| prime, a >= 1, from one `_prime_segments`
-    pass that reads no further than each end as it is asked for."""
+def _segment_counts(p: Progression, lo: int, hi: int, ends: Iterable[int]) -> Iterator[int]:
+    """For each of the ascending `ends`, all in [lo - 1, hi], the number of
+    n in [lo, end] with |a*n + b| prime, a >= 1, from one `_prime_segments`
+    pass over [lo, hi] that reads no further than each end as it is asked
+    for, so the ends may come lazily."""
     count, start, mask, at = 0, lo, bytearray(), 0  # mask[:at] is counted
-    segments = _prime_segments(p, lo, ends[-1])
+    segments = _prime_segments(p, lo, hi)
     for end in ends:
         while (stop := end - start + 1) > len(mask):
             count += _ones(mask, at)
@@ -390,16 +390,18 @@ def _segment_counts(p: Progression, lo: int, ends: list[int]) -> Iterator[int]:
         yield count
 
 
-def prime_counts(points: Iterable[int]) -> PrimeTable:
-    """pi(x) at every x in `points` (any order, repeats allowed; pi(x) = 0
-    for x < 2).
+def prime_counts(points: Iterable[int], p: Progression | None = None) -> PrimeTable:
+    """pi(x) at every x in `points` (any order, repeats allowed; 0 for
+    x < 2), or with `p`, pi(x; |a|, b): the primes <= x congruent to b
+    mod |a|.
 
-    With X the largest point, the table comes from `_lucy(X)` when every
-    point is at most isqrt(X) or of the form X // i: a single x, the n and
-    2n of one binomial check, powers of 2 or 4, a geometric sweep. Any
-    other set of points is counted by `_segment_counts`, in one sieve pass
-    up to X. An X past the sieve cap is refused first
-    (`errors.check_sieve`), and so is `prime_count`'s x.
+    Without p, with X the largest point, the table comes from `_lucy(X)`
+    when every point is at most isqrt(X) or of the form X // i: a single
+    x, the n and 2n of one binomial check, powers of 2 or 4, a geometric
+    sweep. Any other count is one `_segment_counts` pass up to X over a
+    residue class: |a|*n + (b mod |a|), or without p the odd numbers
+    2n + 1, with the prime 2 added. An X past the sieve cap is refused
+    first (`errors.check_sieve`), and so is `prime_count`'s x.
     """
     want = sorted(set(points))
     if not want:
@@ -408,29 +410,21 @@ def prime_counts(points: Iterable[int]) -> PrimeTable:
     counts = dict.fromkeys(want, 0)
     todo = [x for x in want if x >= 2]
     if todo:
-        top, r = todo[-1], math.isqrt(todo[-1])
-        if all(x <= r or top // (top // x) == x for x in todo):
+        top, root = todo[-1], math.isqrt(todo[-1])
+        if p is None and all(x <= root or top // (top // x) == x for x in todo):
             small, large = _lucy(top)
-            counts.update((x, small[x] if x <= r else large[top // x]) for x in todo)
-        else:  # the odd primes 2n + 1 <= x, and the prime 2
-            odd = _segment_counts(Progression(2, 1), 0, [(x - 1) // 2 for x in todo])
-            counts.update(zip(todo, (c + 1 for c in odd)))
+            counts.update((x, small[x] if x <= root else large[top // x]) for x in todo)
+        else:  # one residue class; without p, the odd primes and the prime 2
+            a, r, two = (2, 1, 1) if p is None else (abs(p.a), p.residue, 0)
+            in_class = _segment_counts(Progression(a, r), 0, (top - r) // a,
+                                       ((x - r) // a for x in todo))
+            counts.update(zip(todo, (c + two for c in in_class)))
     return PrimeTable(counts)
 
 
-def prime_count(x: int) -> int:
-    """pi(x): number of primes <= x, by `_lucy` in O(x^(3/4)) time."""
+def prime_count(x: int, p: Progression | None = None) -> int:
+    """pi(x) by `_lucy` in O(x^(3/4)) time, or with `p` pi(x; |a|, b) by a
+    segment pass over |a|*n + (b mod |a|), 1/|a| of the integers to x."""
     if x < 1:
         raise DomainError("prime_count requires x >= 1")
-    return prime_counts((x,)).count(x)
-
-
-def prime_count_progression(p: Progression, x: int) -> int:
-    """pi_{a,b}(x): primes q <= x with q congruent to b mod |a|, counted
-    segment by segment over the indices of |a|*n + (b mod |a|), 1/|a| of
-    the integers up to x; an x past the sieve cap is refused first."""
-    if x < 1:
-        raise DomainError("prime_count_progression requires x >= 1")
-    check_sieve("x", x)
-    a, r = abs(p.a), p.residue
-    return next(_segment_counts(Progression(a, r), 0, [(x - r) // a]))
+    return prime_counts((x,), p).count(x)

@@ -157,6 +157,7 @@ GROUPS = {
         "pow4 --m 0",
         "pow4 --m -1",
         "count --x 0",
+        "count --x 0 --a 4 --b 3",
         "sieve --limit 1",
         "witness multiple --a 3 --b 1 --m 2",
         "witness unit --a 3 --b 2 --m 2",
@@ -180,6 +181,7 @@ GROUPS = {
         "sweep runs --a 0..2 --b 1 --n-max 10",
         "sweep pdensity --a 0 --b 1 --x 1..10",
         "sweep pdensity --a 3 --b 2 --x 0..10",
+        "sweep pdensity --a -1 --b 1 --x 1..10",
         "nosuchcmd",
         "",
         "sieve",

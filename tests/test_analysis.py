@@ -26,7 +26,6 @@ from apcomposites.numcore import (
     Progression,
     factorize,
     prime_count,
-    prime_count_progression,
     prime_counts,
 )
 from conftest import (
@@ -301,7 +300,7 @@ class TestPrimeTermMask:
             # n_max - 1 is not n_max // i, so this pass takes the segments.
             (lambda: prime_counts([n_max - 1, n_max]), (numcore, "_segment_counts"),
              f"x {n_max}", n_max),
-            (lambda: prime_count_progression(p, n_max), (numcore, "_prime_segments"),
+            (lambda: prime_count(n_max, p), (numcore, "_prime_segments"),
              f"x {n_max}", n_max),
             (lambda: erdos_kac_samples(n_max), (analysis, "_omega_histogram"),
              f"x {n_max}", n_max),
@@ -323,7 +322,7 @@ class TestPrimeTermMask:
         # At the default cap, far past it: refused at once, without
         # building 2**k or starting an unbounded count.
         for call in (lambda: prime_count(10**12),
-                     lambda: prime_count_progression(Progression(4, 1), 10**12),
+                     lambda: prime_count(10**12, Progression(4, 1)),
                      lambda: erdos_kac_samples(10**12),
                      lambda: dyadic_gap_bound(10**12)):
             start = time.perf_counter()

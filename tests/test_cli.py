@@ -61,6 +61,14 @@ class TestBasicCommands:
         res = run_cli(["count", "--x", "20", "--a", "4", "--b", "3"])
         assert records(res.out)[0]["result"]["pi_ab"] == 4
 
+    @pytest.mark.parametrize("args, message", [
+        (["count", "--x", "0", "--a", "4", "--b", "3"], "prime_count requires x >= 1"),
+        (["sweep", "pdensity", "--a", "-1", "--b", "1", "--x", "1..10"],
+         "progression_composite_densities requires a >= 1"),
+    ])
+    def test_refusal_names_the_library_function(self, args, message):
+        assert run_cli(args) == (1, "", f"error: {message}\n")
+
     def test_scientific_notation(self):
         res = run_cli(["count", "--x", "1e4"])
         assert records(res.out)[0]["result"]["pi"] == 1229
@@ -156,6 +164,20 @@ class TestStreaming:
 
         run()  # loads the modules the sweep uses before tracing
         assert traced_peak(run) <= 128 << 10
+
+    def test_dense_sweep_holds_no_list_of_ends(self):
+        # About 30,000 pi points: the segment pass reads their ends lazily,
+        # where a list of them raised the traced peak to 4.7 MiB.
+        args = ["sweep", "binom", "--n", "2..2e4", "--step", "1", "--format", "csv"]
+
+        def run():
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                with pytest.raises(SystemExit) as exc:
+                    cli.main(args)
+            assert exc.value.code == 0
+
+        run()
+        assert traced_peak(run) <= 4 << 20
 
     @pytest.mark.parametrize("args", [
         ["sweep", "binom", "--n", "2..2e4", "--step", "1"],

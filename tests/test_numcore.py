@@ -22,7 +22,6 @@ from apcomposites.numcore import (
     factorize,
     is_prime,
     prime_count,
-    prime_count_progression,
     prime_counts,
     _ones,
     _period,
@@ -292,9 +291,7 @@ class TestPrimeCount:
         for x in (2_000_000, 20_000_000):
             assert traced_peak(lambda: prime_count(x)) <= 1 << 20, x
             assert traced_peak(lambda: prime_counts((x - 1, x))) <= 1 << 20, x
-            assert traced_peak(
-                lambda: prime_count_progression(Progression(4, 3), x)
-            ) <= 1 << 20, x
+            assert traced_peak(lambda: prime_count(x, Progression(4, 3))) <= 1 << 20, x
 
 
 class TestPrimeCounts:
@@ -424,7 +421,7 @@ class TestPrimeSegments:
                 p = Progression(a, b)
                 expected = sum(1 for q in range(5001) if oracle_is_prime(q)
                                and q % a == b % a)
-                assert prime_count_progression(p, 5000) == expected, p
+                assert prime_count(5000, p) == expected, p
 
 
 class TestOnes:
@@ -466,28 +463,25 @@ class TestSegmentCounts:
         expected = [sum(bits[: end + 1 - lo]) for end in ends]
         for segment in (7, 97, 1 << 18):
             monkeypatch.setattr(numcore, "_SEGMENT", segment)
-            assert list(numcore._segment_counts(p, lo, ends)) == expected, segment
-        assert list(numcore._segment_counts(p, lo, [lo - 1])) == [0]
+            assert list(numcore._segment_counts(p, lo, ends[-1], ends)) == expected, segment
+            assert list(numcore._segment_counts(p, lo, ends[-1], iter(ends))) == expected
+        assert list(numcore._segment_counts(p, lo, lo - 1, [lo - 1])) == [0]
 
 
 class TestPrimeCountProgression:
     def test_examples(self):
-        assert prime_count_progression(Progression(4, 3), 20) == 4  # 3,7,11,19
-        assert prime_count_progression(Progression(2, 0), 100) == 1  # just 2
-        assert prime_count_progression(Progression(1, 0), 100) == 25
+        assert prime_count(20, Progression(4, 3)) == 4  # 3,7,11,19
+        assert prime_count(100, Progression(2, 0)) == 1  # just 2
+        assert prime_count(100, Progression(1, 0)) == 25
 
     @pytest.mark.parametrize("a", [1, 2, 3, 5, 12])
     def test_residues_partition_pi(self, a):
         x = 3000
-        total = sum(
-            prime_count_progression(Progression(a, b), x) for b in range(a)
-        )
+        total = sum(prime_count(x, Progression(a, b)) for b in range(a))
         assert total == prime_count(x)
 
     def test_negative_b_reduced(self):
-        assert prime_count_progression(
-            Progression(4, -1), 20
-        ) == prime_count_progression(Progression(4, 3), 20)
+        assert prime_count(20, Progression(4, -1)) == prime_count(20, Progression(4, 3))
 
     def test_matches_residue_filter(self):
         # Unreduced and negative offsets, and negative steps.
@@ -497,7 +491,37 @@ class TestPrimeCountProgression:
             for b in (-2 * a - 1, -1, 0, 3, abs(a) + 5, 7 * abs(a) - 2):
                 p = Progression(a, b)
                 expected = int(np.count_nonzero(primes % abs(a) == p.residue))
-                assert prime_count_progression(p, x) == expected
+                assert prime_count(x, p) == expected
+
+    def test_points_match_trial_division(self, monkeypatch):
+        # One pass over a class at many points: steps of both signs, offsets
+        # inside and outside [0, |a|), gcd(a, b) > 1, and points repeated,
+        # below 2, and on and beside the segment edges of the class's
+        # indices |a|*n + (b mod |a|). A progression never takes Lucy's path.
+        primes = [q for q in range(3001) if oracle_is_prime(q)]
+        monkeypatch.setattr(numcore, "_lucy", None)
+        rng = random.Random(26)
+        for segment in (7, 97, 1 << 18):
+            monkeypatch.setattr(numcore, "_SEGMENT", segment)
+            for a in (1, -1, 2, 3, 4, 6, 10, 12, 30):
+                m = abs(a)
+                for b in (0, m - 1, m + 2, -m - 1, *rng.sample(range(-3 * m, 3 * m + 1), 3)):
+                    p = Progression(a, b)
+                    edges = [m * k * segment + p.residue + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+                    points = [x for x in edges if x <= 3000] + rng.choices(range(-5, 3001), k=12)
+                    points += rng.choices(points, k=4)
+                    counts = prime_counts(rng.sample(points, len(points)), p)
+                    assert [counts.count(x) for x in points] == [
+                        sum(q <= x and q % m == p.residue for q in primes) for x in points
+                    ], (a, b, segment)
+
+    def test_chebyshev_bias(self):
+        # Typed in: the class 4n + 3 leads 4n + 1 (Rubinstein and Sarnak,
+        # Experimental Math. 3, 1994), and with the prime 2 they are pi(x).
+        one, three = (prime_counts([10**6, 10**7], Progression(4, b)) for b in (1, 3))
+        assert [(one.count(x), three.count(x)) for x in (10**6, 10**7)] == [
+            (39_175, 39_322), (332_180, 332_398)]
+        assert [1 + one.count(x) + three.count(x) for x in (10**6, 10**7)] == [78_498, 664_579]
 
     def test_every_class_start(self, oracle_primes_1000):
         # b in -2a..2a covers gcd(a, b) > 1 and b = 0 or 1 mod a: the classes
@@ -508,4 +532,4 @@ class TestPrimeCountProgression:
                 for x in (1, 2, abs(b) + 1, 1000):
                     expected = sum(1 for q in oracle_primes_1000
                                    if q <= x and q % abs(a) == b % abs(a))
-                    assert prime_count_progression(p, x) == expected, (a, b, x)
+                    assert prime_count(x, p) == expected, (a, b, x)

@@ -147,7 +147,7 @@ EXPORTS = {
                "DegenerateInputError", "DomainError", "WrongBranchError"],
     "explorer": ["euler_lucky_search", "fermat_real_root", "prime_streak", "rational_scan"],
     "numcore": ["Factorization", "PrimeTable", "Progression", "factorize", "is_prime",
-                "prime_count", "prime_count_progression", "prime_counts"],
+                "prime_count", "prime_counts"],
 }
 
 

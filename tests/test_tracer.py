@@ -27,6 +27,7 @@ CASES = [
     (["dyadic", "--k", "10"], ["analysis.dyadic_gap_bound", "numcore.prime_counts"]),
     (["sweep", "dyadic", "--k", "2..10"], ["analysis.dyadic_gap_bound", "numcore.prime_counts"]),
     (["count", "--x", "100"], ["numcore.prime_count"]),
+    (["count", "--x", "1000", "--a", "4", "--b", "3"], ["numcore.prime_count"]),
 ]
 
 
