@@ -16,6 +16,7 @@ from .errors import (
     DomainError,
     WrongBranchError,
     check_digits,
+    check_sieve,
     first,
 )
 from . import numcore
@@ -387,22 +388,24 @@ def three_composites_4n3(count: int, k_max: int) -> Twin3Result:
     """Terms 4n+3 with exactly three prime factors (with multiplicity),
     from twin-prime pairs: n = 5k^2 - 2 gives 4n+3 = 5*(2k-1)*(2k+1).
 
-    If fewer than `count` twin pairs exist below k_max the partial list
-    is returned with the shortfall flag set.
+    The pairs are read off the segment sieve of 2j + 1, to the count-th.
+    If fewer have k <= k_max, the partial list has the shortfall flag set.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
-    prog = Progression(4, 3)
-    out = []
-    for k in range(2, k_max + 1):
-        if len(out) == count:
-            break
-        lo, hi = 2 * k - 1, 2 * k + 1
-        if is_prime(lo) and is_prime(hi):
-            n = 5 * k * k - 2
+    check_sieve("k_max", k_max, 2 * k_max + 1)
+    # Index j is 2j + 1: the pair (2k - 1, 2k + 1) is the 1s at k - 1 and k.
+    prog, out, window = Progression(4, 3), [], b"\x00"  # index 0: 1 is not prime
+    for start, mask in _prime_segments(Progression(2, 1), 1, k_max):
+        window, at = window[-1:] + mask, -1  # window[i] is index start - 1 + i
+        while len(out) < count and (at := window.find(b"\x01\x01", at + 1)) >= 0:
+            k = start + at
+            lo, hi, n = 2 * k - 1, 2 * k + 1, 5 * k * k - 2
             value = prog.term(n)
             assert value == 5 * lo * hi
             out.append(
                 KCompositeWitness(prog, n, value, _of_primes([5, lo, hi]), 3, "multiplicity")
             )
+        if len(out) == count:
+            break
     return Twin3Result(tuple(out), shortfall=len(out) < count)

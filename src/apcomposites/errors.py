@@ -5,10 +5,10 @@ Exit-code mapping used by the CLI: DomainError (and subclasses) -> 1,
 usage errors -> 2 (handled by the argument parser), CapacityError -> 3.
 
 SIEVE_CAP is the largest sieve limit (or progression term) that the
-prime counts, the chain's four checks, erdos_kac_samples and the two term
-scans accept: each calls `check_sieve` after its domain checks, before
-any work. It is DEFAULT_SIEVE_CAP until a caller sets it
-(`SIEVE_CAP.set`, then `reset`), as the CLI's --max-sieve does.
+prime counts, the chain's four checks, erdos_kac_samples, the two term
+scans and three_composites_4n3 accept: each calls `check_sieve` after
+its domain checks, before any work. It is DEFAULT_SIEVE_CAP until a
+caller sets it (`SIEVE_CAP.set`, then `reset`), as --max-sieve does.
 
 `first` is the one open-ended search: the least n in [start, cap] that
 passes a test, else a CapacityError. The prime-term, admissible-s and

@@ -11,7 +11,7 @@ completes for every n < 3.3e24, whatever was factored before.
 pi(x; |a|, b) given a progression p, at every point, as one `PrimeTable`.
 Without p, pi at x and at the points x // i comes from Lucy_Hedgehog's
 dynamic program, `_lucy`, in O(x^(3/4)) time and O(sqrt(x)) memory.
-Every other count, and the progression scans of `analysis`, come from
+Every other count, and every scan over a range of n, come from
 one index-space sieve, `_prime_segments`: it marks the n with |a*n + b|
 prime in bytearrays of `_SEGMENT` indices, one segment at a time, so a
 count or a scan holds one segment, not [0, x]. Each mask starts as a

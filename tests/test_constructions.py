@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apcomposites import constructions
+from apcomposites import constructions, numcore
 from apcomposites.constructions import (
     FACTORIZATION_CAP,
     DivisorPair,
@@ -26,7 +26,7 @@ from apcomposites.errors import (
     WrongBranchError,
 )
 from apcomposites.numcore import Factorization, Progression, factorize
-from conftest import oracle_is_prime, oracle_prime_mask, traced_peak
+from conftest import oracle_is_prime, oracle_prime_mask, sieve_cap, traced_peak
 
 
 class TestWitnessMultipleOfB:
@@ -448,3 +448,35 @@ class TestThreeComposites4n3:
             k = int(((w.value // 5 + 1) // 4) ** 0.5)
             assert w.value == 5 * (2 * k - 1) * (2 * k + 1)
             assert oracle_is_prime(2 * k - 1) and oracle_is_prime(2 * k + 1)
+
+    def test_pairs_match_trial_division(self, monkeypatch):
+        # The pairs are read off segments of 2j + 1: pairs that straddle a
+        # segment edge (k = 15 at segment 7), a count reached on a
+        # segment's last index (the 6th pair, k = 21, at segment 7), a
+        # k_max on and past an edge, and shortfalls.
+        twins = [k for k in range(2, 5001)
+                 if oracle_is_prime(2 * k - 1) and oracle_is_prime(2 * k + 1)]
+        for segment in (7, 97):
+            monkeypatch.setattr(numcore, "_SEGMENT", segment)
+            for k_max in (-1, 0, 1, 2, 3, 6, 7, 8, 13, 14, 15, 97, 98, 5000):
+                for count in (1, 2, 5, 6, 37, 10**6):
+                    res = three_composites_4n3(count, k_max)
+                    want = [k for k in twins if k <= k_max][:count]
+                    assert [(w.n, w.value) for w in res.witnesses] == [
+                        (5 * k * k - 2, 5 * (2 * k - 1) * (2 * k + 1)) for k in want
+                    ], (segment, k_max, count)
+                    assert res.shortfall == (len(want) < count)
+
+    def test_k_max_past_the_cap_refused_before_anything_is_built(self):
+        def refused():
+            with pytest.raises(CapacityError, match=r"^k_max 1000000000 needs a sieve to "
+                                                    r"2000000001, the sieve cap is 50000000$"):
+                three_composites_4n3(3, 10**9)
+
+        start = time.perf_counter()
+        assert traced_peak(refused) < 1 << 16
+        assert time.perf_counter() - start < 0.5
+
+    def test_count_refused_first(self):
+        with sieve_cap(0), pytest.raises(DomainError, match="^count must be >= 1$"):
+            three_composites_4n3(0, 10**9)
