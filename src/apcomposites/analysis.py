@@ -12,6 +12,7 @@ here loads numpy.
 """
 
 import math
+from collections.abc import Iterator, Sequence
 
 from . import numcore
 from .errors import DomainError, check_sieve
@@ -33,11 +34,13 @@ __all__ = [
     "EKIntervalStat",
     "EKSummary",
     "central_binom_bound",
+    "chain_sweep",
     "dyadic_gap_bound",
     "pi_power4_bound",
     "density_bound_check",
     "progression_composite_densities",
     "longest_prime_run",
+    "run_length_bounds",
     "run_length_threshold",
     "erdos_kac_samples",
     "gaussian_mass",
@@ -144,6 +147,22 @@ def density_bound_check(x: int, table: PrimeTable | None = None) -> DensityPoint
     return DensityPoint(x, pi_x, ratio, bound, float(ratio) < bound)
 
 
+def chain_sweep(check: str, points: Sequence[int]) -> Iterator[BoundCheck | DensityPoint]:
+    """`check`, a key of PI_POINTS, at each of the non-empty `points`, read
+    off one prime_counts pass over the pi values they all read. Before the
+    pass, `pi_points` refuses the first point's domain, then the last
+    point's sieve need: for non-decreasing points, the refusals of a sweep
+    that checked its points one by one."""
+    if not points:
+        raise DomainError("points must be non-empty")
+    pi_points(check, points[0])
+    pi_points(check, points[-1])
+    table = prime_counts(x for point in points for x in pi_points(check, point))
+    evaluate = globals()[check]  # as rebound, if it is
+    for point in points:
+        yield evaluate(point, table)
+
+
 def progression_composite_densities(p: Progression, points: list[int]) -> "list[Fraction]":
     """Exact fraction of n in [1, x] with |a*n + b| composite, neither
     prime nor at most 1, at each x of the non-decreasing `points`, from
@@ -170,8 +189,8 @@ class RunRecord(Record):
 
 
 class RunScan(Record):
-    """The maximal runs of the greatest length, by their first indices
-    (ascending); their records are built only when read."""
+    """Every maximal run of the greatest length, by its first index
+    (ascending); the runs' records are built only when read."""
 
     __slots__ = ("progression", "n_max", "max_length", "starts")
 
@@ -206,11 +225,13 @@ def run_length_threshold(p: Progression) -> int:
     return p.a * (p.a * m0 + p.b) + m0
 
 
-def longest_prime_run(p: Progression, n_max: int) -> RunScan:
-    """Scan n in [1, n_max] for maximal runs of prime values, one sieve
-    segment at a time, once its `scan_need` has passed."""
-    scan_need("longest_prime_run", "n_max", n_max, p)
-    length, starts = 0, []
+def _run_windows(p: Progression, n_max: int) -> Iterator[tuple[int, int, int, bytearray, int]]:
+    """The run scan of n in [1, n_max], one sieve segment at a time: per
+    segment (length, first, base, window, end), where window[:end] holds
+    whole maximal runs, window[0] being n = base, length is the longest
+    run so far and first the start of its first run of that length (0
+    while length is 0). Past n_max the scan reads a 0."""
+    length = first = 0
     # The 0 before the open run (n = 0 at first), then the segments since.
     window = bytearray(1)
     for start, mask in _prime_segments(p, 1, n_max):
@@ -222,9 +243,22 @@ def longest_prime_run(p: Progression, n_max: int) -> RunScan:
         # maximal run 0 1^L 0.
         end = window.rfind(0) + 1
         # The first run of length L + 1 starts no earlier than the first of L.
-        longest, at = length, 0
-        while (found := window.find(b"\x01" * (longest + 1), at, end)) >= 0:
-            longest, at = longest + 1, found
+        at = 0
+        while (found := window.find(b"\x01" * (length + 1), at, end)) >= 0:
+            length, at = length + 1, found
+        if at:  # the length grew here; no run starts at the 0 of window[0]
+            first = base + at
+        yield length, first, base, window, end
+        window = window[end - 1 :]
+
+
+def longest_prime_run(p: Progression, n_max: int) -> RunScan:
+    """Scan n in [1, n_max] for maximal runs of prime values, one sieve
+    segment at a time, once its `scan_need` has passed, and keep the start
+    of every run of the greatest length."""
+    scan_need("longest_prime_run", "n_max", n_max, p)
+    length, starts = 0, []
+    for longest, _, base, window, end in _run_windows(p, n_max):
         if longest > length:
             length, starts = longest, []
         # No run in window[:end] is longer, so each 1^length is a whole run.
@@ -233,8 +267,31 @@ def longest_prime_run(p: Progression, n_max: int) -> RunScan:
         while at >= 0:
             starts.append(base + at)
             at = window.find(run, at + length + 1, end)
-        window = window[end - 1 :]
     return RunScan(p, n_max, length, tuple(starts))
+
+
+def run_length_bounds(steps: range, b: int, n_max: int) -> Iterator[BoundCheck]:
+    """For each step a of the non-empty range `steps`, the longest run of
+    prime values of a*n + b over n in [1, n_max] against the a^2 the
+    construction allows past `run_length_threshold`:
+    BoundCheck(a, max_length, a*a, within_bound), where a longer run is
+    within bound only when its first run of that length starts at or
+    before the threshold. Each step's scan keeps that length and start
+    alone, not every run as `longest_prime_run` does.
+
+    Every step's `scan_need` refusal comes before the first scan: a step
+    below 1 is at an end of the range, and since |a*m + b| is convex in a,
+    so is the largest term."""
+    if not steps:
+        raise DomainError("steps must be a non-empty range")
+    lo, hi = sorted((steps[0], steps[-1]))
+    # hi = 0 is no step: lo < 0 refuses first.
+    scan_need("longest_prime_run", "n_max", n_max, Progression(lo, b), Progression(hi or lo, b))
+    for a in steps:
+        p = Progression(a, b)
+        for length, first, *_ in _run_windows(p, n_max):
+            pass  # the last segment's length and first start are the scan's
+        yield BoundCheck(a, length, a * a, length <= a * a or first <= run_length_threshold(p))
 
 
 class EKIntervalStat(Record):

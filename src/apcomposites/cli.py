@@ -14,8 +14,9 @@ options as `--name value` or `--name=value` in any order, the last
 repeat winning. A value is always the next argv item, even one that
 starts with `-`, so `--interval -1,1` and `--b -3` parse. The four
 checks of the inequality chain are listed once, in BOUNDS, and each
-yields both `<name>` and `sweep <name>`; each check's domain and sieve
-need come from `analysis.pi_points`.
+yields both `<name>` and `sweep <name>`; a sweep is one
+`analysis.chain_sweep` call, and `sweep runs` one `analysis.run_length_bounds`
+call, each of which makes its own refusals.
 
 `main` sets the library's sieve cap (`errors.SIEVE_CAP`) from --max-sieve
 or --config for the one command it runs, and restores it however it ends.
@@ -337,22 +338,11 @@ def ratscan_cmd(run, x, y, z, bracket, q_max, tol):
 
 
 def sweep_runs_cmd(run, a, b, n_max, format):
-    from .analysis import run_length_threshold, scan_need
+    from .analysis import run_length_bounds
 
-    lo, hi = a
-    # Refused up front as the first refused point would be: the need is at
-    # a = lo or hi (hi = 0 is no step: lo < 0 refuses first).
-    scan_need("longest_prime_run", "n_max", n_max,
-              lib.Progression(lo, b), lib.Progression(hi or lo, b))
-
-    def row(a: int) -> dict:
-        p = lib.Progression(a, b)
-        scan = lib.longest_prime_run(p, n_max)
-        return {"a": a, "b": b, "max_length": scan.max_length, "a_squared": a * a,
-                "within_bound": scan.max_length <= a * a
-                or scan.best.start_n <= run_length_threshold(p)}
-
-    emit_sweep(run, map(row, range(lo, hi + 1)), format, "within_bound")
+    checks = run_length_bounds(range(a[0], a[1] + 1), b, n_max)
+    emit_sweep(run, ({"a": c.param, "b": b, "max_length": c.lhs, "a_squared": c.rhs,
+                      "within_bound": c.holds} for c in checks), format, "within_bound")
 
 
 def sweep_pdensity_cmd(run, a, b, x, geometric, format):
@@ -397,19 +387,14 @@ def _bound_entries(name, check, option, step_option, row, doc) -> tuple:
         emit(run, row(getattr(lib, check)(kw[option])))
 
     def sweep(run, format, geometric=None, step=1, **kw):
-        from .analysis import pi_points
+        from .analysis import chain_sweep
 
         lo, hi = kw[option]
-        pi_points(check, lo)  # the domain: every point is >= lo >= 1
-        # So a geometric walk has logarithmically many points.
+        # A geometric walk from lo < 1 is that one point, refused by its domain.
         points = (list(geometric_points(lo, hi, geometric)) if geometric
                   else range(lo, hi + 1, step))
-        # The need is the last point's, whatever hi is.
-        pi_points(check, points[-1])
-        # One counting pass over the pi values every point's check reads.
-        table = lib.prime_counts(x for p in points for x in pi_points(check, p))
-        evaluate = getattr(lib, check)
-        emit_sweep(run, (row(evaluate(p, table), exact=False) for p in points), format, "holds")
+        emit_sweep(run, (row(c, exact=False) for c in chain_sweep(check, points)),
+                   format, "holds")
 
     return ((name, single, doc, (opt(option),)),
             (f"sweep {name}", sweep, f"{name} over a range of --{option}.",

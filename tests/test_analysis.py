@@ -8,8 +8,10 @@ import pytest
 
 from apcomposites import analysis, numcore
 from apcomposites.analysis import (
+    BoundCheck,
     _omega_histogram,
     central_binom_bound,
+    chain_sweep,
     density_bound_check,
     dyadic_gap_bound,
     erdos_kac_samples,
@@ -17,6 +19,7 @@ from apcomposites.analysis import (
     longest_prime_run,
     pi_power4_bound,
     progression_composite_densities,
+    run_length_bounds,
     run_length_threshold,
     scan_need,
 )
@@ -138,6 +141,38 @@ def test_a_table_needs_no_sieve_cap():
     with pytest.raises(DomainError, match=f"^k {10**12} reads pi past {2**k}, "):
         dyadic_gap_bound(10**12, dyadic_table)
     assert time.perf_counter() - start < 0.1
+
+
+class TestChainSweep:
+    @pytest.mark.parametrize("check, points", [
+        (central_binom_bound, range(2, 300, 7)),
+        (dyadic_gap_bound, range(2, 16)),
+        (pi_power4_bound, [1, 2, 2, 5]),
+        (density_bound_check, [2, 10, 100, 1000, 10**4]),
+    ])
+    def test_each_point_as_its_check_alone(self, monkeypatch, check, points):
+        # One counting pass over the pi points of every point.
+        passes = []
+
+        def recording_prime_counts(xs):
+            passes.append(1)
+            return prime_counts(xs)
+
+        expected = [check(point) for point in points]
+        monkeypatch.setattr(analysis, "prime_counts", recording_prime_counts)
+        assert list(chain_sweep(check.__name__, points)) == expected
+        assert passes == [1]
+
+    @pytest.mark.parametrize("points, refusal", [
+        ([], (DomainError, "^points must be non-empty$")),
+        # The first point's domain before the last point's need.
+        (range(1, 10**9), (DomainError, "^central_binom_bound requires n >= 2$")),
+        (range(2, 10**9, 3), (CapacityError, f"^n {10**9 - 2} needs a sieve to {2 * 10**9 - 4}, ")),
+    ])
+    def test_refused_before_the_pass(self, monkeypatch, points, refusal):
+        monkeypatch.setattr(analysis, "prime_counts", None)
+        with pytest.raises(refusal[0], match=refusal[1]):
+            next(chain_sweep("central_binom_bound", points))
 
 
 class TestPiPower4Bound:
@@ -410,6 +445,47 @@ class TestLongestPrimeRun:
     def test_threshold_needs_positive_step(self):
         with pytest.raises(DomainError):
             run_length_threshold(Progression(-2, 1))
+
+
+class TestRunLengthBounds:
+    @pytest.mark.parametrize("segment", [7, 97])
+    def test_matches_longest_prime_run(self, monkeypatch, segment):
+        # Runs that cross segment edges; odd a, whose terms alternate in
+        # parity, with b = +-1; negative b, whose terms pass through -1, 0
+        # and 1; and scans with no prime term at all (4n, 6n + 3, n_max 1).
+        monkeypatch.setattr(numcore, "_SEGMENT", segment)
+        rng = random.Random(f"run_length_bounds:{segment}")
+        zero = 0
+        for b in [*range(-12, 13), *rng.sample(range(-60, -12), 4)]:
+            for n_max in (1, 2, segment, segment + 1, rng.randint(3, 20 * segment)):
+                checks = list(run_length_bounds(range(1, 13), b, n_max))
+                assert [c.param for c in checks] == list(range(1, 13))
+                for a, check in zip(range(1, 13), checks):
+                    p = Progression(a, b)
+                    scan = longest_prime_run(p, n_max)
+                    length, first = [w[:2] for w in analysis._run_windows(p, n_max)][-1]
+                    assert (length, first) == (scan.max_length, (scan.starts or [0])[0])
+                    within = (scan.max_length <= a * a
+                              or scan.best.start_n <= run_length_threshold(p))
+                    assert check == BoundCheck(a, scan.max_length, a * a, within), (a, b, n_max)
+                    zero += not scan.max_length
+        assert zero
+
+    def test_refused_before_the_first_scan(self, monkeypatch):
+        # scan_need's refusals over the range's ends: a step below 1, then
+        # n_max below 1, then the largest term, here at the last step.
+        monkeypatch.setattr(analysis, "_prime_segments", None)
+        cases = [
+            (range(5, 5), 10, DomainError, "^steps must be a non-empty range$"),
+            (range(-3, 1), 10, DomainError, "^longest_prime_run requires a >= 1$"),
+            (range(-2, 6), 0, DomainError, "^longest_prime_run requires a >= 1$"),
+            (range(1, 6), 0, DomainError, "^n_max must be >= 1$"),
+            (range(1, 6), 11, CapacityError, "^n_max 11 needs a sieve to 56, the sieve cap is 55$"),
+            (range(5, 0, -1), 11, CapacityError, "needs a sieve to 56,"),
+        ]
+        for steps, n_max, error, refusal in cases:
+            with sieve_cap(55), pytest.raises(error, match=refusal):
+                next(run_length_bounds(steps, 1, n_max))
 
 
 class TestErdosKac:

@@ -150,25 +150,11 @@ class TestSweeps:
 
 
 class TestStreaming:
-    @pytest.mark.parametrize("fmt", ["records", "csv"])
-    def test_sweep_holds_no_rows(self, fmt):
-        # Each of the 3,000 rows is written as it is made, to a sink that
-        # keeps nothing, so the peak is one row's, not the table's.
-        args = ["sweep", "runs", "--a", "1..3000", "--b", "1", "--n-max", "1", "--format", fmt]
-
-        def run():
-            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-                with pytest.raises(SystemExit) as exc:
-                    cli.main(args)
-            assert exc.value.code == 0
-
-        run()  # loads the modules the sweep uses before tracing
-        assert traced_peak(run) <= 128 << 10
-
-    def test_dense_sweep_holds_no_list_of_ends(self):
-        # About 30,000 pi points: the segment pass reads their ends lazily,
-        # where a list of them raised the traced peak to 4.7 MiB.
-        args = ["sweep", "binom", "--n", "2..2e4", "--step", "1", "--format", "csv"]
+    @staticmethod
+    def sink_peak(args: list[str]) -> int:
+        """Traced peak of `apcomposites ARGS`, exit 0, writing to a sink
+        that keeps nothing, after an untraced run that loads the modules
+        the command uses."""
 
         def run():
             with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
@@ -177,7 +163,27 @@ class TestStreaming:
             assert exc.value.code == 0
 
         run()
-        assert traced_peak(run) <= 4 << 20
+        return traced_peak(run)
+
+    @pytest.mark.parametrize("fmt", ["records", "csv"])
+    def test_sweep_holds_no_rows(self, fmt):
+        # Each of the 3,000 rows is written as it is made, to a sink that
+        # keeps nothing, so the peak is one row's, not the table's.
+        args = ["sweep", "runs", "--a", "1..3000", "--b", "1", "--n-max", "1", "--format", fmt]
+        assert self.sink_peak(args) <= 128 << 10
+
+    def test_sweep_runs_keeps_no_run_starts(self):
+        # At a = 3 the terms alternate in parity, so each of the 108,339
+        # prime terms is a longest run. The sweep keeps one start per step;
+        # keeping them all peaked at 5.2 MiB traced.
+        args = ["sweep", "runs", "--a", "1..3", "--b", "1", "--n-max", "1e6"]
+        assert self.sink_peak(args) <= 2 << 20
+
+    def test_dense_sweep_holds_no_list_of_ends(self):
+        # About 30,000 pi points: the segment pass reads their ends lazily,
+        # where a list of them raised the traced peak to 4.7 MiB.
+        args = ["sweep", "binom", "--n", "2..2e4", "--step", "1", "--format", "csv"]
+        assert self.sink_peak(args) <= 4 << 20
 
     @pytest.mark.parametrize("args", [
         ["sweep", "binom", "--n", "2..2e4", "--step", "1"],
