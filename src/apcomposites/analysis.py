@@ -20,9 +20,7 @@ from .numcore import (
     PrimeTable,
     Progression,
     Record,
-    _indices,
     _prime_segments,
-    _small_primes,
     prime_counts,
 )
 
@@ -173,9 +171,8 @@ def progression_composite_densities(p: Progression, points: list[int]) -> "list[
         raise DomainError("points must be a non-empty, non-decreasing list")
     scan_need("progression_composite_densities", "x",
               points[-1] if points[0] >= 1 else points[0], p)
-    units = _indices(p, (-1, 0, 1), 1, points[-1])
-    return [Fraction(x - primes - sum(n <= x for n in units), x)
-            for x, primes in zip(points, numcore._segment_counts(p, 1, points[-1], points))]
+    return [Fraction(x - c, x)
+            for x, c in zip(points, numcore._segment_counts(p, 1, points[-1], points, 1))]
 
 
 class RunRecord(Record):
@@ -323,7 +320,7 @@ def _omega_histogram(x: int) -> list[int]:
     """
     small, large = numcore._lucy(x)  # pi(v) for v <= r, and pi(x // i)
     r = math.isqrt(x)
-    primes = _small_primes(r)
+    primes = [v for v in range(2, r + 1) if small[v] > small[v - 1]]
     hist = [0] * 16
     hist[1] = large[1] - 1
     todo = [(1, 0, 0)]  # (m, index of the least prime above m's, omega(m))

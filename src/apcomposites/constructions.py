@@ -24,7 +24,6 @@ from .numcore import (
     Factorization,
     Progression,
     Record,
-    _indices,
     _of_primes,
     _prime_segments,
     factorize,
@@ -254,14 +253,10 @@ def consecutive_in_progression(p: Progression, N: int) -> ConsecutiveResult:
     # In the masks, 1 marks a term that is not composite: a prime, or
     # one of |value| <= 1. A run is N zeros.
     run = bytes(N)
-    units = _indices(p, (-1, 0, 1), 1, hi)
     window = bytearray()  # the last N - 1 indices read, then a segment
     lo, size = 1, numcore._SEGMENT
     while lo <= hi:
-        for start, mask in _prime_segments(p, lo, min(lo + size - 1, hi)):
-            for n in units:
-                if start <= n < start + len(mask):
-                    mask[n - start] = 1
+        for start, mask in _prime_segments(p, lo, min(lo + size - 1, hi), 1):
             base = start - len(window)  # the n of window[0]
             window += mask
             if (at := window.find(run)) >= 0:

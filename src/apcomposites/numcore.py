@@ -17,11 +17,14 @@ prime in bytearrays of `_SEGMENT` indices, one segment at a time, so a
 count or a scan holds one segment, not [0, x]. Each mask starts as a
 slice of one pattern in which the classes of the smallest base primes
 are already cleared, so only the others are strided per segment; unlike
-a wheel, it skips no index. Every count reads it through
-`_segment_counts`, the 1s up to each of ascending ends: `prime_counts`
-over one residue class, |a|*n + (b mod |a|) or the odd numbers 2n + 1,
-and analysis's composite density over its progression. `_ones` counts a
-slice by its Adler-32 byte sums, and loads zlib only past 2,048 bytes.
+a wheel, it skips no index. The n with |a*n + b| <= r, the square root
+of the largest term, read their bits off the sieve of the base primes,
+whose 0 and 1 read `units`: 0 to count primes, 1 to scan for composites.
+Every count reads it through `_segment_counts`, the 1s up to each of
+ascending ends: `prime_counts` over one residue class, |a|*n + (b mod |a|)
+or the odd numbers 2n + 1, and analysis's composite density over its
+progression. `_ones` counts a slice by its Adler-32 byte sums, and loads
+zlib only past 2,048 bytes.
 """
 
 import itertools
@@ -178,13 +181,13 @@ class PrimeTable:
         return self._counts[x]
 
 
-def _small_primes(limit: int) -> list[int]:
-    """Primes <= limit, ascending, from a bytearray sieve (no numpy)."""
+def _small_sieve(limit: int) -> bytearray:
+    """mask[v] = 1 exactly when v <= limit is prime: at least 2 bytes, no numpy."""
     mask = bytearray(2) + bytearray([1]) * (limit - 1)
     for p in range(2, math.isqrt(limit) + 1):
         if mask[p]:
             mask[p * p :: p] = bytes((limit - p * p) // p + 1)
-    return list(itertools.compress(range(limit + 1), mask))
+    return mask
 
 
 def is_prime(n: int) -> bool:
@@ -257,12 +260,6 @@ def factorize(n: int) -> Factorization:
     return _of_primes(primes)
 
 
-def _indices(p: Progression, values, lo: int, hi: int) -> list[int]:
-    """The n in [lo, hi] with a*n + b in `values`, for a >= 1."""
-    return [n for v in values
-            if (v - p.b) % p.a == 0 and lo <= (n := (v - p.b) // p.a) <= hi]
-
-
 def _period(qs: Iterable[int], n: int) -> tuple[int, int]:
     """(k, P) for the masks of n indices: the k leading ascending qs whose
     product P is the largest that stays <= _SEGMENT // 4. A pattern of
@@ -279,45 +276,53 @@ def _period(qs: Iterable[int], n: int) -> tuple[int, int]:
     return k, period
 
 
-def _prime_segments(p: Progression, lo: int, hi: int) -> Iterator[tuple[int, bytearray]]:
+def _prime_segments(p: Progression, lo: int, hi: int,
+                    units: int = 0) -> Iterator[tuple[int, bytearray]]:
     """(start, mask) over the indices lo <= n <= hi of a*n + b, a >= 1, in
     order and at most `_SEGMENT` at a time: mask[i] = 1 exactly when
-    |a*(start + i) + b| is prime. Every caller reads the masks one by one,
-    so none holds more than a segment of the range.
+    |a*(start + i) + b| is prime, or with units = 1 at most 1. Every caller
+    reads the masks one by one, so none holds more than a segment.
 
     Sieved in index space, with no table of values: for a base prime
-    q <= sqrt(max |term|), the terms it divides are the class
+    q <= r = isqrt(max |term|), the terms it divides are the class
     n = -b/a (mod q) when q does not divide a, every term when q divides
     a and b (each mask then starts cleared), and none otherwise. The
     smallest classes, of period P (`_period`), are cleared once in a
     pattern, and each mask starts as its slice at start mod P; only the
     other classes are strided per segment. Every index is still sieved:
-    unlike a wheel, the pattern skips none. The terms equal to +-q are
-    restored afterwards, and those with |term| <= 1 cleared.
+    unlike a wheel, the pattern skips none. A term with |term| > r is
+    prime exactly when it is still marked. The terms with |term| <= r,
+    base primes and units among them, lie in one range of indices, whose
+    bits are read off the small sieve of the base primes.
     """
     if hi < lo:
         return
-    base = _small_primes(math.isqrt(max(abs(p.term(lo)), abs(p.term(hi)))))
-    coprime = all(p.a % q or p.b % q for q in base)
-    classes = [(q, -p.b * pow(p.a, -1, q) % q) for q in base if coprime and p.a % q]
-    fixes = sorted([(n, 1) for n in _indices(p, [s * q for q in base for s in (1, -1)], lo, hi)]
-                   + [(n, 0) for n in _indices(p, (-1, 0, 1), lo, hi)], reverse=True)
+    r = math.isqrt(max(abs(p.term(lo)), abs(p.term(hi))))
+    small = _small_sieve(r)
+    # A prime that divides a and b is at most a.
+    coprime = all(p.a % q or p.b % q for q in itertools.compress(range(min(r, p.a) + 1), small))
+    classes = [(q, -p.b * pow(p.a, -1, q) % q)
+               for q in itertools.compress(range(r + 1), small) if coprime and p.a % q]
+    small[:2] = units, units
+    # near[n - n0] = small[|a*n + b|], off the mirror image of small.
+    n0, n1 = max(lo, -((r + p.b) // p.a)), min(hi, (r - p.b) // p.a)
+    near = ((small[r:0:-1] + small[: r + 1])[p.term(n0) + r : p.term(n1) + r + 1 : p.a]
+            if n0 <= n1 else b"")
     k, period = _period((q for q, _ in classes), hi + 1 - lo)
     pattern = bytearray([coprime]) * (period - 1 + min(_SEGMENT, hi + 1 - lo))
-    for q, r in classes[:k]:
-        pattern[r::q] = bytearray((len(pattern) - 1 - r) // q + 1)
+    for q, c in classes[:k]:
+        pattern[c::q] = bytearray((len(pattern) - 1 - c) // q + 1)
     del classes[:k]
     for start in range(lo, hi + 1, _SEGMENT):
         size = min(_SEGMENT, hi + 1 - start)
         mask = pattern[start % period : start % period + size]
-        for q, r in classes:
-            first = (r - start) % q
+        for q, c in classes:
+            first = (c - start) % q
             if first < size:
                 # A bytearray right-hand side is not copied.
                 mask[first::q] = bytearray((size - 1 - first) // q + 1)
-        while fixes and fixes[-1][0] < start + size:
-            n, bit = fixes.pop()
-            mask[n - start] = bit
+        if (at := max(start, n0)) < (end := min(start + size, n1 + 1)):
+            mask[at - start : end - start] = near[at - n0 : end - n0]
         yield start, mask
 
 
@@ -374,13 +379,14 @@ def _ones(mask: bytearray, lo: int = 0, hi: int | None = None) -> int:
                for i in range(0, len(view), 65520))
 
 
-def _segment_counts(p: Progression, lo: int, hi: int, ends: Iterable[int]) -> Iterator[int]:
+def _segment_counts(p: Progression, lo: int, hi: int, ends: Iterable[int],
+                    units: int = 0) -> Iterator[int]:
     """For each of the ascending `ends`, all in [lo - 1, hi], the number of
-    n in [lo, end] with |a*n + b| prime, a >= 1, from one `_prime_segments`
-    pass over [lo, hi] that reads no further than each end as it is asked
-    for, so the ends may come lazily."""
+    n in [lo, end] with |a*n + b| prime (or at most 1, given units = 1),
+    a >= 1, from one `_prime_segments` pass over [lo, hi] that reads no
+    further than each end as it is asked for, so ends may come lazily."""
     count, start, mask, at = 0, lo, bytearray(), 0  # mask[:at] is counted
-    segments = _prime_segments(p, lo, hi)
+    segments = _prime_segments(p, lo, hi, units)
     for end in ends:
         while (stop := end - start + 1) > len(mask):
             count += _ones(mask, at)

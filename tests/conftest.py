@@ -74,7 +74,8 @@ def oracle_omega_histogram(x: int) -> list[int]:
     library used before its walk over Lucy's table.
 
     Each segment of `numcore._SEGMENT` integers counts the primes
-    q <= r = isqrt(x) that divide each n. It starts as a slice of one
+    q <= r = isqrt(x) that divide each n, taken from `oracle_prime_mask`,
+    not from the library's own sieve. It starts as a slice of one
     pattern that holds those counts for the smallest primes (`_period`),
     and only the other primes are strided per segment. Each value k is
     counted by `_ones` on the segment translated to a 0/1 mask of k. An
@@ -82,13 +83,15 @@ def oracle_omega_histogram(x: int) -> list[int]:
     m <= r: for each m, the pi(x // m) - pi(max(r, 2)) such n (the max
     leaves out n = 2 at x = 3) move up one bucket from omega(m).
     """
+    import numpy as np
+
     from apcomposites import numcore
-    from apcomposites.numcore import _ones, _period, _small_primes, prime_counts
+    from apcomposites.numcore import _ones, _period, prime_counts
 
     inc = bytes(range(1, 256)) + b"\0"  # adds 1 to every byte
     one_of = [bytes(k) + b"\1" + bytes(255 - k) for k in range(16)]  # k -> 1, else 0
     r = math.isqrt(x)
-    primes = _small_primes(r)
+    primes = np.flatnonzero(oracle_prime_mask(r)).tolist()
     hist = [0] * 16
     k, period = _period(primes, x - 2)
     pattern = bytearray(period - 1 + min(numcore._SEGMENT, x - 2))

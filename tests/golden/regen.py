@@ -68,6 +68,8 @@ GROUPS = {
         "count --x 1000 --a 4 --b 3",
         "count --x 1000 --a 4",
         "count --x 99999 --a 10 --b -3",
+        # 5 divides a and b: 5 is the one prime term.
+        "count --x 1000 --a 10 --b 5",
         "witness multiple --a 3 --b 2 --m 5",
         "witness multiple --a 4 --b -6 --m 2",
         "witness multiple --a 5 --b 3 --m 1e12",
@@ -80,6 +82,8 @@ GROUPS = {
         "consecutive --a 2 --b 1 --count 5",
         "consecutive --a 3 --b 1 --count 8",
         "consecutive --a 6 --b 1 --count 50",
+        # Terms -7, -4, -1, 2, 5, 8: the unit -1 breaks a run.
+        "consecutive --a 3 --b -10 --count 5",
         "kcomposite --a 5 --b 3 --k 3 --count 5",
         "kcomposite --a 4 --b 1 --k 2 --count 3 --mode multiplicity",
         "poly --coeffs 1,1,1 --count 3",
@@ -101,6 +105,8 @@ GROUPS = {
         "runs --a 6 --b 1 --n-max 1e4",
         "runs --a 2 --b 1 --n-max 1000",
         "runs --a 1 --b 0 --n-max 100",
+        # 5 divides a and b: the term 5 alone is prime.
+        "runs --a 10 --b -5 --n-max 50",
         "ek --x 3",
         "ek --x 1e4",
         "ek --x 1e5 --interval -2,0.5",
@@ -140,6 +146,8 @@ GROUPS = {
         "sweep runs --a 3..4 --b -1 --n-max 500",
         "sweep pdensity --a 3 --b 2 --x 1..1e5 --geometric 10",
         "sweep pdensity --a 1 --b 0 --x 5..500 --geometric 2",
+        # 3 divides a and b: for n >= 1 the one prime term is 3, and no term is a unit.
+        "sweep pdensity --a 6 --b -3 --x 1..1000 --geometric 10",
         "sweep runs --a 1..3 --b -7 --n-max 20",
         # Scans of many segments, and scans with ~48k runs of length 1 per a.
         "sweep runs --a 6..12 --b -7 --n-max 4e6",

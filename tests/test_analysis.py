@@ -394,6 +394,13 @@ class TestPrimeTermMask:
         n_max = 4_000_000
         assert traced_peak(lambda: scan(Progression(12, 1), n_max)) <= 2 << 20
 
+    def test_short_range_far_from_0(self):
+        # Ten indices near 1e11 sieve by the 27,293 base primes to 316,227:
+        # their classes and the small sieve, with no list of the +-q terms
+        # (5.6 MiB with one).
+        with sieve_cap(10**12):
+            assert traced_peak(lambda: longest_prime_run(Progression(1, 10**11), 10)) < 4.5 * 2**20
+
 
 class TestLongestPrimeRun:
     def test_odd_progression(self):

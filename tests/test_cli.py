@@ -118,8 +118,8 @@ class TestSweeps:
         assert recs[-1]["result"]["summary"]["all_within_bound"] is True
 
     def test_pdensity_sweep_makes_one_pass(self, monkeypatch):
-        # One sieve pass to the last point, 2**21: one per point re-sieved
-        # [1, x] 22 times.
+        # One sieve pass to the last point, 2**21, with the units marked:
+        # one per point re-sieved [1, x] 22 times.
         from apcomposites import numcore
 
         passes = []
@@ -129,7 +129,7 @@ class TestSweeps:
         res = run_cli(["sweep", "pdensity", "--a", "3", "--b", "2", "--x", "1..4e6",
                        "--geometric", "2"])
         assert res.code == 0
-        assert passes == [(1, 2**21)]
+        assert passes == [(1, 2**21, 1)]
         assert records(res.out)[-1]["result"]["summary"]["rows"] == 22
 
     @pytest.mark.parametrize("lo", [0, -5])

@@ -1,5 +1,6 @@
 import bisect
 import copy
+import itertools
 import json
 import math
 import os
@@ -26,7 +27,7 @@ from apcomposites.numcore import (
     _ones,
     _period,
     _prime_segments,
-    _small_primes,
+    _small_sieve,
 )
 from conftest import oracle_factorize, oracle_is_prime, oracle_prime_mask, sieve_cap, traced_peak
 
@@ -97,6 +98,11 @@ class TestSieve:
             assert mask[n] == oracle_is_prime(n)
 
 
+def _sieved(limit: int) -> list[int]:
+    """The primes <= limit that _small_sieve(limit) marks."""
+    return list(itertools.compress(range(limit + 1), _small_sieve(limit)))
+
+
 class TestSmallPrimes:
     @pytest.fixture(scope="class")
     def oracle_primes(self):
@@ -105,13 +111,13 @@ class TestSmallPrimes:
     def test_every_limit_to_400(self, oracle_primes):
         for limit in range(401):
             expected = oracle_primes[: bisect.bisect_right(oracle_primes, limit)]
-            assert _small_primes(limit) == expected
+            assert _sieved(limit) == expected
 
     def test_prime_squares_and_word_edge(self, oracle_primes):
         squares = [p * p for p in oracle_primes if p * p <= 65537]
         for limit in squares + [65535, 65536, 65537]:
             expected = oracle_primes[: bisect.bisect_right(oracle_primes, limit)]
-            assert _small_primes(limit) == expected
+            assert _sieved(limit) == expected
 
 
 class TestIsPrime:
@@ -211,7 +217,7 @@ class TestAgainstSympy:
     def sample(self):
         rng = random.Random(2017)
         xs = [rng.randrange(2, 10 ** rng.randint(1, 12) + 1) for _ in range(2000)]
-        primes = _small_primes(10**6)
+        primes = np.flatnonzero(oracle_prime_mask(10**6)).tolist()
         xs += [rng.choice(primes) * rng.choice(primes) for _ in range(200)]
 
         def big_prime():
@@ -359,6 +365,13 @@ class TestLucy:
             sum(map(oracle_is_prime, range(x + 1))) for x in points]
 
 
+def _trial_bits(p: Progression, lo: int, hi: int, units: int) -> list[int]:
+    """1 for each n in [lo, hi] with |a*n + b| prime, or at most 1 when
+    units is 1, by trial division."""
+    return [int(oracle_is_prime(abs(t)) or units and abs(t) <= 1)
+            for t in map(p.term, range(lo, hi + 1))]
+
+
 class TestPrimeSegments:
     """The index-space sieve under every count: masks over the n of a*n + b."""
 
@@ -366,12 +379,13 @@ class TestPrimeSegments:
     @pytest.mark.parametrize("lo, hi", [(0, 500), (7, 300), (5, 5), (0, 0)])
     def test_matches_trial_division(self, monkeypatch, a, b, lo, hi):
         p = Progression(a, b)
-        expected = [int(oracle_is_prime(abs(p.term(n)))) for n in range(lo, hi + 1)]
-        for segment in (1, 7, 97, 1 << 18):
-            monkeypatch.setattr(numcore, "_SEGMENT", segment)
-            segments = list(_prime_segments(p, lo, hi))
-            assert [start for start, _ in segments] == list(range(lo, hi + 1, segment))
-            assert [bit for _, mask in segments for bit in mask] == expected, segment
+        for units in (0, 1):
+            expected = _trial_bits(p, lo, hi, units)
+            for segment in (1, 7, 97, 1 << 18):
+                monkeypatch.setattr(numcore, "_SEGMENT", segment)
+                segments = list(_prime_segments(p, lo, hi, units))
+                assert [start for start, _ in segments] == list(range(lo, hi + 1, segment))
+                assert [bit for _, mask in segments for bit in mask] == expected, segment
 
     def test_empty_range(self):
         assert list(_prime_segments(Progression(2, 1), 5, 4)) == []
@@ -395,6 +409,9 @@ class TestPrimeSegments:
         (3, 2, 1_000_000, 1_000_050),  # short and far from 0
         # Too short for every class of the full pattern to be sieved.
         (1, 0, 0, 0), (1, 0, 0, 24), (1, 0, 0, 168), (2, 1, 0, 84), (2, 1, 3, 1000),
+        # The n with |term| <= isqrt(max |term|) span several segments and
+        # cross 0; with a prime q dividing a and b, only the terms +-q are prime.
+        (1, -500, 0, 1000), (3, -1000, 0, 700), (10, -5, 0, 1000), (6, -3, 0, 400),
     ])
     def test_pattern_matches_reference_mask(self, monkeypatch, a, b, lo, hi):
         # Past one segment, each mask starts as a slice of the pattern of
@@ -403,13 +420,15 @@ class TestPrimeSegments:
         # and the patched sizes are smaller than that, down to no pattern.
         p = Progression(a, b)
         terms = np.abs(a * np.arange(lo, hi + 1) + b)
-        expected = oracle_prime_mask(int(terms.max()))[terms]
-        for segment in (1, 7, 97, 1000, 1 << 16, 1 << 18):
-            if (hi - lo) // segment > 300:
-                continue
-            monkeypatch.setattr(numcore, "_SEGMENT", segment)
-            masks = b"".join(mask for _, mask in _prime_segments(p, lo, hi))
-            assert np.array_equal(np.frombuffer(masks, dtype=np.uint8), expected), segment
+        primes = oracle_prime_mask(int(terms.max()))[terms]
+        for units in (0, 1):
+            expected = primes | (terms <= 1) if units else primes
+            for segment in (1, 7, 97, 1000, 1 << 16, 1 << 18):
+                if (hi - lo) // segment > 300:
+                    continue
+                monkeypatch.setattr(numcore, "_SEGMENT", segment)
+                masks = b"".join(mask for _, mask in _prime_segments(p, lo, hi, units))
+                assert np.array_equal(np.frombuffer(masks, dtype=np.uint8), expected), segment
 
     def test_counts_independent_of_segmentation(self, segment):
         points = [2, 3, 97, 98, 4999, 5000]
@@ -452,20 +471,28 @@ class TestOnes:
 
 
 class TestSegmentCounts:
-    @pytest.mark.parametrize("a, b, lo", [(2, 1, 0), (3, -20, 1), (12, -1, 5)])
+    @pytest.mark.parametrize("a, b, lo", [
+        (2, 1, 0), (3, -20, 1), (12, -1, 5),
+        # The n with |term| <= isqrt(max |term|) span several segments and
+        # cross 0; with a prime q dividing a and b, only the terms +-q are prime.
+        (1, -500, 0), (3, -1000, 0), (10, -5, 0), (6, -3, 0),
+    ])
     def test_matches_trial_division(self, monkeypatch, a, b, lo):
         # Ends at lo - 1, repeated, on segment edges and past _COUNT_RUN
         # bytes of one segment.
         p = Progression(a, b)
         ends = sorted([lo - 1, lo - 1, lo, lo + 6, lo + 96, lo + 97, lo + 2050, lo + 2050]
                       + random.Random(a).sample(range(lo, lo + 3000), 20))
-        bits = [oracle_is_prime(abs(p.term(n))) for n in range(lo, lo + 3000)]
-        expected = [sum(bits[: end + 1 - lo]) for end in ends]
-        for segment in (7, 97, 1 << 18):
-            monkeypatch.setattr(numcore, "_SEGMENT", segment)
-            assert list(numcore._segment_counts(p, lo, ends[-1], ends)) == expected, segment
-            assert list(numcore._segment_counts(p, lo, ends[-1], iter(ends))) == expected
-        assert list(numcore._segment_counts(p, lo, lo - 1, [lo - 1])) == [0]
+        for units in (0, 1):
+            bits = _trial_bits(p, lo, lo + 2999, units)
+            expected = [sum(bits[: end + 1 - lo]) for end in ends]
+            for segment in (7, 97, 1 << 18):
+                monkeypatch.setattr(numcore, "_SEGMENT", segment)
+                counts = numcore._segment_counts(p, lo, ends[-1], ends, units)
+                assert list(counts) == expected, segment
+                counts = numcore._segment_counts(p, lo, ends[-1], iter(ends), units)
+                assert list(counts) == expected
+            assert list(numcore._segment_counts(p, lo, lo - 1, [lo - 1], units)) == [0]
 
 
 class TestPrimeCountProgression:
