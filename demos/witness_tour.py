@@ -51,7 +51,7 @@ for a, b, N in [(1, 0, 3), (2, 1, 2), (3, 2, 4)]:
     print(f"  {a}n+{b}, N={N}: start n0={res.start_n}, values {vals}"
           f"  (factorial construction works from m={res.factorial_m_bound})")
 
-show("k-composites by the (s*a^2+1)(a*m+b) recursion, distinct primes")
+show("k-composites by the (s*a^2+1)(a*m+b) identity, distinct primes")
 for k in (1, 2, 3):
     ws = k_composite_witnesses(Progression(4, 1), k, 3)
     print(f"  k={k}: " + ", ".join(

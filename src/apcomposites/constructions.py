@@ -278,36 +278,20 @@ def _no_run(N: int, hi: int, detail: str) -> CapacityError:
     return CapacityError(f"no run of {N} composites found for n <= {hi}{detail}{past}")
 
 
-def _extend_witness(w: KCompositeWitness, mode: str) -> KCompositeWitness:
-    """One induction step: multiply by a prime s*a^2 + 1 via
-
-        a*(s*a*(a*m+b) + m) + b = (s*a^2 + 1)*(a*m + b).
-
-    The new proof is the old one with q merged in, not a fresh
-    factorization; verify() re-checks it.
-    """
-    a = w.progression.a
-    floor = w.proof.gpf if mode == "distinct" else 1
-    s = first(lambda s: (q := s * a * a + 1) > floor and is_prime(q), 1, SEARCH_CAP,
-              f"no admissible s <= {SEARCH_CAP} with s*{a}^2+1 prime")
-    q = s * a * a + 1
-    n = s * a * w.value + w.n
-    value = q * w.value
-    assert w.progression.term(n) == value
-    exponents = dict(w.proof.factors)
-    exponents[q] = exponents.get(q, 0) + 1
-    proof = Factorization(value, tuple(sorted(exponents.items())))
-    return KCompositeWitness(w.progression, n, value, proof, w.k + 1, mode)
-
-
 def k_composite_witnesses(
     p: Progression, k: int, count: int, mode: str = "distinct"
 ) -> list[KCompositeWitness]:
     """`count` distinct progression terms with exactly k prime factors.
 
-    k = 1 terms are primes found by bounded scan; each k -> k+1 step
-    multiplies by the smallest prime of the form s*a^2 + 1 (exceeding
-    the previous greatest prime factor in distinct mode).
+    Each witness is a prime term t = a*m + b, found by bounded scan, times
+    k - 1 primes q = s*a^2 + 1, by the identity
+
+        a*(s*a*(a*m+b) + m) + b = (s*a^2 + 1)*(a*m + b).
+
+    Each q is the least such prime past a floor: the last prime taken in
+    distinct mode, 1 in multiplicity mode, where q repeats. A witness whose
+    digits, the product so far times q for each prime still to take, pass
+    `check_digits` is refused as soon as the estimate does.
     """
     if math.gcd(abs(p.a), abs(p.b)) != 1:
         raise DomainError("k_composite_witnesses requires gcd(a, b) = 1")
@@ -317,20 +301,28 @@ def k_composite_witnesses(
         raise DomainError(f"unknown mode {mode!r}")
     check_digits((min(k, 10**9) - 1) * math.log10(p.a * p.a + 1))
 
-    bases: list[KCompositeWitness] = []
+    bases: list[int] = []
     m = 0
     while len(bases) < count:
-        m = first(lambda n: (v := p.term(n)) > 1 and is_prime(v), m + 1, SEARCH_CAP,
+        m = first(lambda n: is_prime(p.term(n)), m + 1, SEARCH_CAP,
                   f"no prime term a*m+b found for m in [{m + 1}, {SEARCH_CAP}]")
-        bases.append(KCompositeWitness(p, m, p.term(m), _of_primes([p.term(m)]), 1, mode))
+        bases.append(p.term(m))
 
-    if k == 1:
-        return bases
+    a2, distinct = p.a * p.a, mode == "distinct"
     out = []
-    for w in bases:
-        for _ in range(k - 1):
-            w = _extend_witness(w, mode)
-        out.append(w)
+    for t in bases:
+        value, floor, primes = t, t if distinct else 1, [t]
+        for left in reversed(range(k - 1)):
+            s = first(lambda s: is_prime(s * a2 + 1), (floor - 1) // a2 + 1, SEARCH_CAP,
+                      f"no admissible s <= {SEARCH_CAP} with s*{p.a}^2+1 prime")
+            q = s * a2 + 1
+            primes.append(q)
+            value *= q
+            floor = q if distinct else 1
+            check_digits(math.log10(value) + left * math.log10(q))
+        n = (value - p.b) // p.a  # exact: every q is 1 mod a^2
+        assert p.term(n) == value
+        out.append(KCompositeWitness(p, n, value, _of_primes(primes), k, mode))
     return out
 
 
@@ -346,7 +338,9 @@ def polynomial_composites(coeffs: Sequence[int], count: int) -> list[PolyComposi
     coeffs[i] is the x^i coefficient).
 
     Finds the least k >= 0 with f(k) > 1, then f(k + j*f(k)) is a
-    multiple of f(k) for every j >= 1.
+    multiple of f(k) for every j >= 1, and a record where it is larger.
+    Each j gives at most one record, so SEARCH_CAP bounds j, and a count
+    past it is refused before the first record.
     """
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
@@ -357,22 +351,25 @@ def polynomial_composites(coeffs: Sequence[int], count: int) -> list[PolyComposi
         coeffs = [-c for c in coeffs]  # same |values|, positive leading coeff
     if count < 1:
         raise DomainError("count must be >= 1")
+    refusal = f"fewer than {count} records f(k + j*f(k)) > f(k) for j <= {SEARCH_CAP}"
+    if count > SEARCH_CAP:
+        raise CapacityError(refusal)
 
     k = first(lambda k: _poly_eval(coeffs, k) > 1, 0, SEARCH_CAP,
               f"no k <= {SEARCH_CAP} with f(k) > 1")
     d = _poly_eval(coeffs, k)
 
     out = []
-    j = 1
-    while len(out) < count:
+    for j in range(1, SEARCH_CAP + 1):
         idx = k + j * d
         value = _poly_eval(coeffs, idx)
         if value % d != 0:
             raise AssertionError("divisibility identity violated")
         if value > d:
             out.append(PolyCompositeRecord(tuple(coeffs), k, j, idx, value, d))
-        j += 1
-    return out
+            if len(out) == count:
+                return out
+    raise CapacityError(refusal)
 
 
 class Twin3Result(Record):

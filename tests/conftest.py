@@ -116,6 +116,48 @@ def oracle_omega_histogram(x: int) -> list[int]:
     return hist
 
 
+def oracle_k_composite(p, k: int, count: int, mode: str = "distinct"):
+    """k_composite_witnesses by the step-by-step recursion the library
+    used before it built each witness once: every step multiplies the
+    last witness by the least prime q = s*a^2 + 1, searched from s = 1,
+    that exceeds its greatest prime factor (distinct) or 1 (multiplicity),
+    and merges q into a new Factorization."""
+    from apcomposites import constructions
+    from apcomposites.constructions import KCompositeWitness
+    from apcomposites.errors import DomainError, check_digits, first
+    from apcomposites.numcore import Factorization, _of_primes, is_prime
+
+    cap = constructions.SEARCH_CAP
+    if math.gcd(abs(p.a), abs(p.b)) != 1:
+        raise DomainError("k_composite_witnesses requires gcd(a, b) = 1")
+    if k < 1 or count < 1:
+        raise DomainError("k and count must be >= 1")
+    if mode not in ("distinct", "multiplicity"):
+        raise DomainError(f"unknown mode {mode!r}")
+    check_digits((min(k, 10**9) - 1) * math.log10(p.a * p.a + 1))
+    bases, m = [], 0
+    while len(bases) < count:
+        m = first(lambda n: (v := p.term(n)) > 1 and is_prime(v), m + 1, cap,
+                  f"no prime term a*m+b found for m in [{m + 1}, {cap}]")
+        bases.append(KCompositeWitness(p, m, p.term(m), _of_primes([p.term(m)]), 1, mode))
+    out = []
+    for w in bases:
+        for _ in range(k - 1):
+            a = w.progression.a
+            floor = w.proof.gpf if mode == "distinct" else 1
+            s = first(lambda s: (q := s * a * a + 1) > floor and is_prime(q), 1, cap,
+                      f"no admissible s <= {cap} with s*{a}^2+1 prime")
+            q = s * a * a + 1
+            n, value = s * a * w.value + w.n, q * w.value
+            assert w.progression.term(n) == value
+            exponents = dict(w.proof.factors)
+            exponents[q] = exponents.get(q, 0) + 1
+            proof = Factorization(value, tuple(sorted(exponents.items())))
+            w = KCompositeWitness(w.progression, n, value, proof, w.k + 1, mode)
+        out.append(w)
+    return out
+
+
 @pytest.fixture(scope="session")
 def oracle_primes_1000():
     return [n for n in range(2, 1001) if oracle_is_prime(n)]

@@ -287,6 +287,9 @@ GROUPS = {
         # root 2 is the upper end, and |f| is below tol far to its left.
         "ratscan --x 3 --y 4 --z 5 --bracket -1e308,2 --q-max 10",
         "ratscan --x 3 --y 4 --z 5 --bracket -100,2.5 --q-max 1e5",
+        # Each j gives at most one record, so a count past the search cap
+        # is refused before the first.
+        "poly --coeffs 1,1 --count 1e9",
     ),
     "help": _help_pages(),
 }

@@ -1,4 +1,6 @@
 import math
+import random
+import re
 import sys
 import time
 
@@ -26,7 +28,14 @@ from apcomposites.errors import (
     WrongBranchError,
 )
 from apcomposites.numcore import Factorization, Progression, factorize
-from conftest import oracle_is_prime, oracle_prime_mask, sieve_cap, traced_peak
+from conftest import (
+    oracle_is_prime,
+    oracle_k_composite,
+    oracle_prime_mask,
+    run_cli,
+    sieve_cap,
+    traced_peak,
+)
 
 
 class TestWitnessMultipleOfB:
@@ -286,8 +295,8 @@ class TestKComposites:
 
     @pytest.mark.parametrize("mode", ["distinct", "multiplicity"])
     def test_proof_is_the_factorization(self, mode):
-        # The recursion builds each proof from the previous one plus the
-        # new prime; it must equal a fresh factorization of the value.
+        # Each proof is built from the base prime and the k - 1 primes
+        # s*a^2 + 1 taken; it must equal a fresh factorization of the value.
         for a in range(1, 11):
             for b in range(-10, 11):
                 if math.gcd(a, b) != 1:
@@ -299,7 +308,7 @@ class TestKComposites:
 
     def test_factors_past_the_trial_bound(self):
         # Both new primes exceed 1e6, so factorize needs rho to split the
-        # value; it must still equal the proof the recursion built.
+        # value; it must still equal the proof built from the primes taken.
         (w,) = k_composite_witnesses(Progression(1000, 1), 3, 1)
         assert w.proof.factors == ((3001, 1), (22000001, 1), (24000001, 1))
         assert w.proof == factorize(w.value)
@@ -326,6 +335,32 @@ class TestKComposites:
                            match=r"^no admissible s <= 1 with s\*3\^2\+1 prime$"):
             k_composite_witnesses(Progression(3, 2), 2, 1)
 
+    def test_matches_the_recursion(self, monkeypatch):
+        # The step-by-step recursion gives the same witnesses, or the same
+        # refusal. A search cap of 30 makes some of the searches for a
+        # prime term or an s refuse.
+        monkeypatch.setattr(constructions, "SEARCH_CAP", 30)
+        rng = random.Random(30)
+        cases = [(a, rng.randint(-30, 30)) for a in range(1, 13) for _ in range(20)]
+        cases += [(a, rng.randint(40, 400)) for a in (-1, -2, -3, -4, -6, -10) for _ in range(10)]
+        compared = refused = 0
+        for a, b in cases:
+            if math.gcd(a, b) != 1:
+                continue
+            p, count = Progression(a, b), rng.randint(1, 3)
+            for k in (1, 2, 3, 5, 8):
+                for mode in ("distinct", "multiplicity"):
+                    outcomes = []
+                    for build in (oracle_k_composite, k_composite_witnesses):
+                        try:
+                            outcomes.append(repr(build(p, k, count, mode)))
+                        except CapacityError as exc:
+                            outcomes.append(f"refused: {exc}")
+                    assert outcomes[0] == outcomes[1], (a, b, k, count, mode)
+                    compared += 1
+                    refused += outcomes[0].startswith("refused")
+        assert compared > 1500 and refused > 100
+
 
 class TestDigitLimit:
     """The three builders whose results grow without bound refuse, by an
@@ -349,6 +384,17 @@ class TestDigitLimit:
         start = time.perf_counter()
         assert traced_peak(refused) < 1 << 16
         assert time.perf_counter() - start < 0.5
+
+    def test_k_composite_refused_as_its_product_grows(self, monkeypatch):
+        # k = 1800 passes the up-front estimate, 1799 * log10(5) digits.
+        # The first witness's primes 4s + 1 soon show that it cannot fit.
+        calls = []
+        monkeypatch.setattr(constructions, "is_prime",
+                            lambda n: calls.append(n) or numcore.is_prime(n))
+        res = run_cli(["kcomposite", "--a", "2", "--b", "1", "--k", "1800", "--count", "20"])
+        assert (res.code, res.out) == (3, "")
+        assert re.match(self.REFUSAL, res.err.removeprefix("capacity error: "))
+        assert 0 < len(calls) < 2000
 
     def test_domain_comes_first(self):
         with pytest.raises(DomainError):
@@ -398,6 +444,24 @@ class TestPolynomialComposites:
     def test_constant_rejected(self):
         with pytest.raises(DomainError):
             polynomial_composites([5], 1)
+
+    def test_count_past_the_search_cap_is_refused_at_once(self):
+        def refused():
+            with pytest.raises(CapacityError,
+                               match=r"^fewer than 1000000000 records f\(k \+ j\*f\(k\)\) > "
+                                     r"f\(k\) for j <= 1000000$"):
+                polynomial_composites([1, 1], 10**9)
+
+        assert traced_peak(refused) < 1 << 16
+
+    def test_j_is_bounded_by_the_search_cap(self, monkeypatch):
+        # f(x) = x^2 - 20x + 2: f(0) = 2, and f(2j) <= 2 for j <= 10.
+        monkeypatch.setattr(constructions, "SEARCH_CAP", 10)
+        with pytest.raises(CapacityError, match=r"^fewer than 1 records .* for j <= 10$"):
+            polynomial_composites([2, -20, 1], 1)
+        monkeypatch.setattr(constructions, "SEARCH_CAP", 11)
+        (r,) = polynomial_composites([2, -20, 1], 1)
+        assert (r.k, r.j, r.index, r.value) == (0, 11, 22, 46)
 
     def test_no_k_below_the_search_cap(self, monkeypatch):
         # k - 5 <= 1 for k in [0, 3]; f(6) = 1 too, and f(7) = 2.

@@ -2,6 +2,7 @@
 tests/golden/regen.py): stdout bytes and exit code must match exactly."""
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from apcomposites import analysis, constructions, explorer, numcore
 from conftest import run_cli
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+ROOT = GOLDEN_DIR.parents[1]
 CASES = [case for path in sorted(GOLDEN_DIR.glob("*.json"))
          for case in json.loads(path.read_text())]
 
@@ -65,3 +67,28 @@ def test_every_operation_reached():
                and callable(op) and not isinstance(op, type)
                and op.__code__ not in reached]
     assert missing == []
+
+
+def _diff(old: Path, new: Path) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(GOLDEN_DIR / "diff.py"), str(old), str(new),
+                           "--group", "refusals"], capture_output=True, text=True, timeout=120)
+
+
+def test_diff_lists_nothing_between_a_tree_and_itself():
+    argvs = len(json.loads((GOLDEN_DIR / "refusals.json").read_text()))
+    res = _diff(ROOT, ROOT)
+    assert (res.returncode, res.stdout) == (0, f"{argvs} argvs, 0 differ\n"), res.stderr
+
+
+def test_diff_lists_each_argv_that_differs(tmp_path):
+    # A tree whose CLI writes its argv and exits 0: every refusal differs.
+    package = tmp_path / "src" / "apcomposites"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text("import sys\n\ndef main(argv):\n    print(argv)\n"
+                                    "    sys.exit(0)\n")
+    argvs = len(json.loads((GOLDEN_DIR / "refusals.json").read_text()))
+    res = _diff(ROOT, tmp_path)
+    lines = res.stdout.splitlines()
+    assert res.returncode == 1 and lines[-1] == f"{argvs} argvs, {argvs} differ"
+    assert lines[0] == "density --x 1: code, stdout, stderr differ (exit 1 -> 0)"
