@@ -183,6 +183,7 @@ class RunRecord(Record):
     """
 
     __slots__ = ("progression", "start_n", "length", "values", "truncated")
+    _json = ("start_n", "length", "values", "truncated")
 
 
 class RunScan(Record):
@@ -190,6 +191,7 @@ class RunScan(Record):
     (ascending); the runs' records are built only when read."""
 
     __slots__ = ("progression", "n_max", "max_length", "starts")
+    _json = ("n_max", "max_length", "runs")
 
     def _record(self, start: int) -> RunRecord:
         end = start + self.max_length
@@ -205,6 +207,8 @@ class RunScan(Record):
     @property
     def max_runs(self) -> tuple[RunRecord, ...]:
         return tuple(self._record(s) for s in self.starts)
+
+    runs = max_runs  # the name its JSON writes
 
 
 def run_length_threshold(p: Progression) -> int:

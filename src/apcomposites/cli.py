@@ -16,7 +16,10 @@ starts with `-`, so `--interval -1,1` and `--b -3` parse. The four
 checks of the inequality chain are listed once, in BOUNDS, and each
 yields both `<name>` and `sweep <name>`; a sweep is one
 `analysis.chain_sweep` call, and `sweep runs` one `analysis.run_length_bounds`
-call, each of which makes its own refusals.
+call, each of which makes its own refusals. A command whose result is
+what one library function returns has no body of its own: `_record`
+makes it. A result record is written as the fields its class names in
+`_json`, by the one `as_jsonable`.
 
 `main` sets the library's sieve cap (`errors.SIEVE_CAP`) from --max-sieve
 or --config for the one command it runs, and restores it however it ends.
@@ -204,23 +207,12 @@ def emit(run: dict, result, params: dict | None = None) -> None:
 
 
 def as_jsonable(obj):
-    """json.dumps hook: the JSON form of a value json cannot write itself.
-    json recurses into lists, tuples and dicts, and into what this returns."""
-    # A value of these types comes from modules the command has loaded.
-    from .constructions import DivisorPair
-
-    if isinstance(obj, lib.Factorization):
-        return {"type": "factorization", "value": obj.value, "factors": obj.factors}
-    if isinstance(obj, DivisorPair):
-        return {"type": "divisor_pair", "value": obj.value,
-                "d": obj.d, "cofactor": obj.cofactor}
-    if isinstance(obj, lib.CompositeWitness):
-        return {"a": obj.progression.a, "b": obj.progression.b, "n": obj.n,
-                "value": obj.value, "tag": obj.construction_tag, "proof": obj.proof}
-    if isinstance(obj, lib.KCompositeWitness):
-        return {"a": obj.progression.a, "b": obj.progression.b, "n": obj.n,
-                "value": obj.value, "k": obj.k, "mode": obj.mode, "proof": obj.proof}
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+    """json.dumps hook: a result record as the object of the fields its
+    class names in _json. json recurses into what this returns."""
+    fields = getattr(type(obj), "_json", None)
+    if fields is None:
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+    return {field: getattr(obj, field) for field in fields}
 
 
 def emit_sweep(run: dict, rows, format: str, flag: str | None = None) -> None:
@@ -263,49 +255,17 @@ def count_cmd(run, x, a, b):
         emit(run, {"pi_ab": lib.prime_count(x, prog)}, {"x": x, "a": a, "b": prog.b})
 
 
-def _witness(builder: str):
-    """The command of a witness builder that takes (Progression(a, b), m)."""
+def _record(name: str):
+    """The command that emits lib.<name> of its options, in their order; a
+    leading --a and --b pass as one Progression(a, b)."""
 
-    def cmd(run, a, b, m):
-        emit(run, getattr(lib, builder)(lib.Progression(a, b), m))
+    def cmd(run, **params):
+        args = list(params.values())
+        if "b" in params:
+            args[:2] = [lib.Progression(*args[:2])]
+        emit(run, getattr(lib, name)(*args))
 
     return cmd
-
-
-def witness_power_cmd(run, a, sign, k):
-    emit(run, lib.witness_power(a, sign, k))
-
-
-def factorial_cmd(run, m):
-    emit(run, lib.factorial_consecutive(m))
-
-
-def consecutive_cmd(run, a, b, count):
-    res = lib.consecutive_in_progression(lib.Progression(a, b), count)
-    emit(run, {"start_n": res.start_n, "witnesses": res.witnesses,
-               "factorial_m_bound": res.factorial_m_bound})
-
-
-def kcomposite_cmd(run, a, b, k, count, mode):
-    emit(run, lib.k_composite_witnesses(lib.Progression(a, b), k, count, mode))
-
-
-def poly_cmd(run, coeffs, count):
-    emit(run, [{"k": r.k, "j": r.j, "index": r.index, "value": r.value,
-                "divisor": r.divisor}
-               for r in lib.polynomial_composites(coeffs, count)])
-
-
-def twin3_cmd(run, count, k_max):
-    res = lib.three_composites_4n3(count, k_max)
-    emit(run, {"witnesses": res.witnesses, "shortfall": res.shortfall})
-
-
-def runs_cmd(run, a, b, n_max):
-    scan = lib.longest_prime_run(lib.Progression(a, b), n_max)
-    emit(run, {"n_max": scan.n_max, "max_length": scan.max_length,
-               "runs": [{"start_n": r.start_n, "length": r.length, "values": r.values,
-                         "truncated": r.truncated} for r in scan.max_runs]})
 
 
 def ek_cmd(run, x, interval):
@@ -317,18 +277,6 @@ def ek_cmd(run, x, interval):
 
 def lucky_cmd(run, max):
     emit(run, {"lucky": lib.euler_lucky_search(max)})
-
-
-def streak_cmd(run, c):
-    res = lib.prime_streak(c)
-    emit(run, {"length": res.length, "first_failure_n": res.first_failure_n,
-               "first_failure_value": res.first_failure_value})
-
-
-def fermatreal_cmd(run, x, y, z, bracket, tol):
-    r = lib.fermat_real_root(x, y, z, bracket, tol)
-    emit(run, {"s": r.s, "residual": r.residual, "refined_bracket": r.refined_bracket,
-               "iterations": r.iterations})
 
 
 def ratscan_cmd(run, x, y, z, bracket, q_max, tol):
@@ -411,33 +359,33 @@ COMMANDS = {path: (fn, doc, options) for path, fn, doc, options in (
     ("count", count_cmd, "pi(x), or pi_{a,b}(x) when --a/--b are given.",
      (opt("x"), opt("a", default=None), opt("b", default=None))),
     ("witness", None, "Composite-witness constructions.", ()),
-    ("witness multiple", _witness("witness_multiple_of_b"),
+    ("witness multiple", _record("witness_multiple_of_b"),
      "Composite term b*(a*m + 1) of a*n + b, for |b| > 1.", (opt("a"), opt("b"), opt("m"))),
-    ("witness unit", _witness("witness_unit_b"),
+    ("witness unit", _record("witness_unit_b"),
      "Composite term (a^2 + 1)*(a*m + b) of a*n + b, for b = +-1.",
      (opt("a"), opt("b"), opt("m"))),
-    ("witness power", witness_power_cmd, "Composite term (3a)^(2k+1) + sign.",
+    ("witness power", _record("witness_power"), "Composite term (3a)^(2k+1) + sign.",
      (opt("a"), opt("sign", choice("+1", "-1", "1", cast=int)), opt("k"))),
-    ("factorial", factorial_cmd, "Witnesses for the consecutive composites m!+2 ... m!+m.",
+    ("factorial", _record("factorial_consecutive"), "Witnesses for the consecutive composites m!+2 ... m!+m.",
      (opt("m"),)),
-    ("consecutive", consecutive_cmd, "Least run of --count consecutive composite terms.",
+    ("consecutive", _record("consecutive_in_progression"), "Least run of --count consecutive composite terms.",
      (opt("a"), opt("b"), opt("count", doc="How many consecutive composite terms to find."))),
-    ("kcomposite", kcomposite_cmd, "Terms of a*n + b with exactly k prime factors.",
+    ("kcomposite", _record("k_composite_witnesses"), "Terms of a*n + b with exactly k prime factors.",
      (opt("a"), opt("b"), opt("k"), opt("count", default=1),
       opt("mode", choice("distinct", "multiplicity"), "distinct"))),
-    ("poly", poly_cmd, "Composite values f(k + j*f(k)) of an integer polynomial.",
+    ("poly", _record("polynomial_composites"), "Composite values f(k + j*f(k)) of an integer polynomial.",
      (opt("coeffs", int_list, doc="Comma-separated, constant term first."),
       opt("count", default=1))),
-    ("twin3", twin3_cmd, "Terms 4n+3 with three prime factors, from twin primes.",
+    ("twin3", _record("three_composites_4n3"), "Terms 4n+3 with three prime factors, from twin primes.",
      (opt("count"), opt("k-max", default=10**4))),
-    ("runs", runs_cmd, "Longest runs of prime values among n in [1, n_max].",
+    ("runs", _record("longest_prime_run"), "Longest runs of prime values among n in [1, n_max].",
      (opt("a"), opt("b"), opt("n-max"))),
     ("ek", ek_cmd, "Distinct-prime-factor statistic summary over 3 <= n <= x.",
      (opt("x"), opt("interval", pair, (-1.0, 1.0), "Statistic interval 'lo,hi'."))),
     ("lucky", lucky_cmd, "Constants C <= max with n^2 - n + C prime for 1 <= n < C.",
      (opt("max"),)),
-    ("streak", streak_cmd, "Initial run of n >= 0 with n^2 + n + C prime.", (opt("c"),)),
-    ("fermatreal", fermatreal_cmd, "Bisect x^t + y^t - z^t to the stated tolerance.",
+    ("streak", _record("prime_streak"), "Initial run of n >= 0 with n^2 + n + C prime.", (opt("c"),)),
+    ("fermatreal", _record("fermat_real_root"), "Bisect x^t + y^t - z^t to the stated tolerance.",
      (opt("x"), opt("y"), opt("z"),
       opt("bracket", pair, (2.0, 3.0), "Sign-change bracket 'lo,hi'."),
       opt("tol", finite_float, 1e-12))),

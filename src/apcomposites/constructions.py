@@ -61,6 +61,8 @@ class DivisorPair(Record):
     """Compositeness proof by a nontrivial split value = d * cofactor."""
 
     __slots__ = ("value", "d", "cofactor")
+    _json = ("type", "value", "d", "cofactor")
+    type = "divisor_pair"
 
     def verify(self) -> bool:
         return self.d > 1 and self.cofactor > 1 and self.d * self.cofactor == self.value
@@ -71,6 +73,10 @@ class CompositeWitness(Record):
     proof is a Factorization or a DivisorPair."""
 
     __slots__ = ("progression", "n", "value", "proof", "construction_tag")
+    _json = ("a", "b", "n", "value", "tag", "proof")
+    a = property(lambda self: self.progression.a)
+    b = property(lambda self: self.progression.b)
+    tag = property(lambda self: self.construction_tag)
 
     def verify(self) -> bool:
         if self.progression.term(self.n) != self.value:
@@ -93,6 +99,9 @@ class KCompositeWitness(Record):
     """
 
     __slots__ = ("progression", "n", "value", "proof", "k", "mode")
+    _json = ("a", "b", "n", "value", "k", "mode", "proof")
+    a = property(lambda self: self.progression.a)
+    b = property(lambda self: self.progression.b)
 
     def verify(self) -> bool:
         if self.progression.term(self.n) != self.value:
@@ -107,6 +116,7 @@ class PolyCompositeRecord(Record):
     """f(k + j*f(k)) is a multiple of f(k) and strictly larger."""
 
     __slots__ = ("coeffs", "k", "j", "index", "value", "divisor")
+    _json = ("k", "j", "index", "value", "divisor")
 
     def verify(self) -> bool:
         return (
@@ -228,6 +238,7 @@ class ConsecutiveResult(Record):
     # Sufficient m for the factorial construction to cover the request:
     # S_m contains N progression terms once m >= a*N + |b| + 2.
     __slots__ = ("progression", "requested", "start_n", "witnesses", "factorial_m_bound")
+    _json = ("start_n", "witnesses", "factorial_m_bound")
 
 
 def consecutive_in_progression(p: Progression, N: int) -> ConsecutiveResult:
@@ -289,9 +300,11 @@ def k_composite_witnesses(
         a*(s*a*(a*m+b) + m) + b = (s*a^2 + 1)*(a*m + b).
 
     Each q is the least such prime past a floor: the last prime taken in
-    distinct mode, 1 in multiplicity mode, where q repeats. A witness whose
-    digits, the product so far times q for each prime still to take, pass
-    `check_digits` is refused as soon as the estimate does.
+    distinct mode; in multiplicity mode 1, so one q, found once, serves
+    every step of every witness. A witness whose digits, the product so
+    far times q for each prime still to take, pass `check_digits` is
+    refused as soon as the estimate does. For a < 0 no term past
+    m = (b - 2) // |a| is at least 2, so the prime-term search stops there.
     """
     if math.gcd(abs(p.a), abs(p.b)) != 1:
         raise DomainError("k_composite_witnesses requires gcd(a, b) = 1")
@@ -301,24 +314,28 @@ def k_composite_witnesses(
         raise DomainError(f"unknown mode {mode!r}")
     check_digits((min(k, 10**9) - 1) * math.log10(p.a * p.a + 1))
 
+    last = SEARCH_CAP if p.a > 0 else min(SEARCH_CAP, max(0, (p.b - 2) // -p.a))
     bases: list[int] = []
     m = 0
     while len(bases) < count:
-        m = first(lambda n: is_prime(p.term(n)), m + 1, SEARCH_CAP,
-                  f"no prime term a*m+b found for m in [{m + 1}, {SEARCH_CAP}]")
+        where = (f"in [{m + 1}, {last}]" if last == SEARCH_CAP
+                 else f">= {m + 1}: a*m+b < 2 for every m > {last}")
+        m = first(lambda n: is_prime(p.term(n)), m + 1, last,
+                  f"no prime term a*m+b found for m {where}")
         bases.append(p.term(m))
 
-    a2, distinct = p.a * p.a, mode == "distinct"
+    a2, distinct, q = p.a * p.a, mode == "distinct", 0
     out = []
     for t in bases:
-        value, floor, primes = t, t if distinct else 1, [t]
+        value, primes = t, [t]
         for left in reversed(range(k - 1)):
-            s = first(lambda s: is_prime(s * a2 + 1), (floor - 1) // a2 + 1, SEARCH_CAP,
-                      f"no admissible s <= {SEARCH_CAP} with s*{p.a}^2+1 prime")
-            q = s * a2 + 1
+            if distinct or not q:
+                floor = primes[-1] if distinct else 1
+                s = first(lambda s: is_prime(s * a2 + 1), (floor - 1) // a2 + 1, SEARCH_CAP,
+                          f"no admissible s <= {SEARCH_CAP} with s*{p.a}^2+1 prime")
+                q = s * a2 + 1
             primes.append(q)
             value *= q
-            floor = q if distinct else 1
             check_digits(math.log10(value) + left * math.log10(q))
         n = (value - p.b) // p.a  # exact: every q is 1 mod a^2
         assert p.term(n) == value
@@ -373,7 +390,7 @@ def polynomial_composites(coeffs: Sequence[int], count: int) -> list[PolyComposi
 
 
 class Twin3Result(Record):
-    __slots__ = ("witnesses", "shortfall")
+    __slots__ = _json = ("witnesses", "shortfall")
 
 
 def three_composites_4n3(count: int, k_max: int) -> Twin3Result:

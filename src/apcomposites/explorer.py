@@ -27,19 +27,25 @@ SCAN_CAP = 10**6
 
 def euler_lucky_search(C_max: int) -> list[int]:
     """All lucky constants C <= C_max, those with n^2 - n + C prime for
-    all 1 <= n <= C-1; equals {2, 3, 5, 11, 17, 41} for C_max >= 41.
+    all 1 <= n <= C-1: 2, 3, 5, 11, 17 and 41, and no other.
 
     C = 1 is excluded by convention (the range is empty); the standard
     range stops at C-1 because n = C always gives the composite C^2.
+    Only C <= min(C_max, 41) is scanned. n^2 - n + C is prime for every
+    1 <= n < C exactly when Q(sqrt(1 - 4C)) has class number 1
+    (Rabinowitz, 1913), and the imaginary quadratic fields of class
+    number 1 are the nine of Heegner (1952), Baker (1966) and Stark
+    (1967), the last of discriminant -163 = 1 - 4*41.
     """
     if C_max < 1:
         raise DomainError("C_max must be >= 1")
-    return [C for C in range(2, C_max + 1)
+    return [C for C in range(2, min(C_max, 41) + 1)
             if all(is_prime(n * n - n + C) for n in range(1, C))]
 
 
 class StreakResult(Record):
     __slots__ = ("C", "length", "first_failure_n", "first_failure_value")
+    _json = ("length", "first_failure_n", "first_failure_value")
 
 
 def prime_streak(C: int) -> StreakResult:
@@ -55,6 +61,7 @@ class RootResult(Record):
     """Bisection root of x^t + y^t - z^t on a sign-change bracket."""
 
     __slots__ = ("triple", "s", "residual", "bracket", "refined_bracket", "iterations")
+    _json = ("s", "residual", "refined_bracket", "iterations")
 
 
 def _fermat_f(x: int, y: int, z: int):

@@ -66,7 +66,8 @@ class Record:
     their types and field values are, hash, repr and pickle by their
     values, and refuse assignment.
     A record is not a tuple, so json.dumps hands it to its `default`
-    hook rather than writing it as an array. Subclass Record directly.
+    hook rather than writing it as an array; a class the CLI writes names
+    the fields of its JSON object once, in _json. Subclass Record directly.
     """
 
     __slots__ = ()
@@ -137,6 +138,8 @@ class Factorization(Record):
     factors is a tuple of (prime, exponent) pairs."""
 
     __slots__ = ("value", "factors")
+    _json = ("type", "value", "factors")
+    type = "factorization"
 
     @property
     def omega(self) -> int:

@@ -158,6 +158,14 @@ def oracle_k_composite(p, k: int, count: int, mode: str = "distinct"):
     return out
 
 
+def oracle_lucky(C_max: int) -> list[int]:
+    """euler_lucky_search by the full scan the library made before it
+    stopped at C = 41, with trial division: every C <= C_max, tested at
+    every n < C."""
+    return [C for C in range(2, C_max + 1)
+            if all(oracle_is_prime(n * n - n + C) for n in range(1, C))]
+
+
 @pytest.fixture(scope="session")
 def oracle_primes_1000():
     return [n for n in range(2, 1001) if oracle_is_prime(n)]

@@ -290,6 +290,9 @@ GROUPS = {
         # Each j gives at most one record, so a count past the search cap
         # is refused before the first.
         "poly --coeffs 1,1 --count 1e9",
+        # a < 0: no term past m = 14 is at least 2, so the search for a
+        # tenth prime term ends there.
+        "kcomposite --a -2 --b 31 --k 1 --count 10",
     ),
     "help": _help_pages(),
 }

@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
 import pytest
 
 from apcomposites import cli
+from apcomposites.numcore import Progression, Record
 from conftest import run_cli, traced_peak
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -365,6 +367,42 @@ class TestDeterminism:
         b = run_cli(args)
         assert a.out == b.out
         assert a.code == b.code == 0
+
+
+def _written_records() -> list:
+    """One result of each record class the CLI writes."""
+    import apcomposites as lib
+    from apcomposites.constructions import DivisorPair
+
+    scan = lib.longest_prime_run(Progression(2, 1), 100)
+    return [lib.factorize(12), DivisorPair(12, 3, 4),
+            lib.witness_unit_b(Progression(2, 1), 3),
+            lib.k_composite_witnesses(Progression(4, 1), 2, 1)[0],
+            lib.polynomial_composites([1, 1, 1], 1)[0],
+            lib.consecutive_in_progression(Progression(2, 1), 3),
+            lib.three_composites_4n3(2, 100), scan, scan.best, lib.prime_streak(41),
+            lib.fermat_real_root(4, 5, 6, (2.0, 3.0))]
+
+
+class TestSerializer:
+    """`as_jsonable` writes a record as the fields its class names in _json,
+    and nothing else."""
+
+    def test_declared_fields_are_attributes_of_the_records(self):
+        written = _written_records()
+        declared = {cls for cls in Record.__subclasses__() if hasattr(cls, "_json")}
+        assert declared == {type(r) for r in written}
+        for record in written:
+            fields = type(record)._json
+            assert all(hasattr(record, f) for f in fields), type(record).__name__
+            assert list(cli.as_jsonable(record)) == list(fields)
+
+    # A Progression is a record that declares no fields.
+    @pytest.mark.parametrize("value", [object(), {1, 2}, Fraction(1, 3), range(3),
+                                       Progression(3, 2)])
+    def test_anything_else_is_refused(self, value):
+        with pytest.raises(TypeError, match=f"^{type(value).__name__} is not JSON serializable$"):
+            cli.as_jsonable(value)
 
 
 class TestGrammar:

@@ -26,6 +26,7 @@ from apcomposites.errors import (
     DegenerateInputError,
     DomainError,
     WrongBranchError,
+    first,
 )
 from apcomposites.numcore import Factorization, Progression, factorize
 from conftest import (
@@ -360,6 +361,34 @@ class TestKComposites:
                     compared += 1
                     refused += outcomes[0].startswith("refused")
         assert compared > 1500 and refused > 100
+
+    @pytest.mark.parametrize("a, b", [(-2, 31), (-3, 100), (-7, 1000), (-1, 2), (-2, 1)])
+    def test_negative_a_refused_at_the_last_term_above_1(self, monkeypatch, a, b):
+        # Every term past m = (b - 2) // |a| is below 2, so the search for
+        # one prime term more than there are ends there and names that m.
+        last = max(0, (b - 2) // -a)
+        primes = [m for m in range(1, last + 1) if oracle_is_prime(a * m + b)]
+        tested = []
+        monkeypatch.setattr(constructions, "is_prime",
+                            lambda n: tested.append(n) or oracle_is_prime(n))
+        p = Progression(a, b)
+        if primes:
+            assert [w.n for w in k_composite_witnesses(p, 1, len(primes))] == primes
+            tested.clear()
+        with pytest.raises(CapacityError, match=rf"a\*m\+b < 2 for every m > {last}$"):
+            k_composite_witnesses(p, 1, len(primes) + 1)
+        assert len(tested) <= (b - 2) // -a + 1
+
+    def test_multiplicity_searches_q_once(self, monkeypatch):
+        # Every q is the least prime s*4^2 + 1, 17: one search serves the
+        # three steps of each of the five witnesses.
+        refusals = []
+        monkeypatch.setattr(constructions, "first",
+                            lambda *args: refusals.append(args[3]) or first(*args))
+        ws = k_composite_witnesses(Progression(4, 1), 4, 5, "multiplicity")
+        assert sum(r.startswith("no admissible s") for r in refusals) == 1
+        assert [w.value for w in ws] == [t * 17**3 for t in (5, 13, 17, 29, 37)]
+        assert repr(ws) == repr(oracle_k_composite(Progression(4, 1), 4, 5, "multiplicity"))
 
 
 class TestDigitLimit:

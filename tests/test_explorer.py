@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import time
@@ -14,7 +15,7 @@ from apcomposites.explorer import (
     prime_streak,
     rational_scan,
 )
-from conftest import oracle_is_prime
+from conftest import oracle_is_prime, oracle_lucky
 
 
 class TestLucky:
@@ -40,6 +41,22 @@ class TestLucky:
 
     def test_c1_excluded(self):
         assert euler_lucky_search(1) == []
+
+    def test_matches_the_full_scan(self, monkeypatch):
+        # Every C_max <= 2*10^4 gets the prefix of one full scan. is_prime
+        # is memoized, as each call tests the same values again.
+        lucky = oracle_lucky(2 * 10**4)
+        monkeypatch.setattr(explorer, "is_prime", functools.cache(explorer.is_prime))
+        for C_max in range(1, 2 * 10**4 + 1):
+            assert euler_lucky_search(C_max) == [C for C in lucky if C <= C_max], C_max
+
+    def test_huge_bound_ends_at_41(self, monkeypatch):
+        tested = []
+        monkeypatch.setattr(explorer, "is_prime",
+                            lambda n: tested.append(n) or oracle_is_prime(n))
+        assert euler_lucky_search(10**18) == [2, 3, 5, 11, 17, 41]
+        # 115 tests: the last C is 41, its last n 40.
+        assert len(tested) < 200 and max(tested) == 40 * 40 - 40 + 41
 
 
 class TestPrimeStreak:
