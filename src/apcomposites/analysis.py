@@ -205,10 +205,8 @@ class RunScan(Record):
         return self._record(self.starts[0]) if self.starts else None
 
     @property
-    def max_runs(self) -> tuple[RunRecord, ...]:
+    def runs(self) -> tuple[RunRecord, ...]:
         return tuple(self._record(s) for s in self.starts)
-
-    runs = max_runs  # the name its JSON writes
 
 
 def run_length_threshold(p: Progression) -> int:

@@ -29,12 +29,11 @@ malformed --config or a non-finite or non-integral number), 3 capacity
 error, 141 stdout closed early; `main` maps the library's errors to them.
 
 Every command reaches the library through the package's lazy names
-(`lib.<name>`), which import a name's module on its first use, so
-`--help` loads none of the library modules and `count` only numcore.
-No library function is bound at module level, so a command calls
-whatever the package or module attribute holds when it runs, as
-rebound by bench/tracer.py. Only the names the package does not
-export are imported from their modules.
+(`lib.<name>`), which import a name's module on its first use. No
+library function is bound at module level, so `--help` loads none of
+the library modules and `count` only numcore, as tests/test_startup.py
+checks. Only the names the package does not export are imported from
+their modules.
 """
 
 import json

@@ -357,7 +357,8 @@ def polynomial_composites(coeffs: Sequence[int], count: int) -> list[PolyComposi
     Finds the least k >= 0 with f(k) > 1, then f(k + j*f(k)) is a
     multiple of f(k) for every j >= 1, and a record where it is larger.
     Each j gives at most one record, so SEARCH_CAP bounds j, and a count
-    past it is refused before the first record.
+    past it is refused before the first record. A value past
+    `check_digits` is refused as it is built, before the next.
     """
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
@@ -383,6 +384,7 @@ def polynomial_composites(coeffs: Sequence[int], count: int) -> list[PolyComposi
         if value % d != 0:
             raise AssertionError("divisibility identity violated")
         if value > d:
+            check_digits(math.log10(value))
             out.append(PolyCompositeRecord(tuple(coeffs), k, j, idx, value, d))
             if len(out) == count:
                 return out

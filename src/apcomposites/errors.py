@@ -73,7 +73,8 @@ def first(pred, start: int, cap: int, refusal: str) -> int:
 def check_digits(digits: float) -> None:
     """Refuse a result with an integer of at least `digits` digits, an
     estimate from below, a digit past Python's int-to-str limit; a limit
-    of 0 disables it. Three builders call it before building, and emit."""
+    of 0 disables it. The builders call it before or as they build, and
+    emit."""
     if (limit := sys.get_int_max_str_digits()) and digits >= limit + 1:
         raise CapacityError(f"the result holds an integer of more than {limit} digits, "
                             "Python's limit for writing one as text")

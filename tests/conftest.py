@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import signal
 import tracemalloc
 from collections import namedtuple
 
@@ -207,15 +208,27 @@ def traced_peak(fn) -> int:
 CliResult = namedtuple("CliResult", "code out err")
 
 
-def run_cli(argv: list[str]) -> CliResult:
+def run_cli(argv: list[str], budget_s: float | None = None) -> CliResult:
     """Exit code, stdout and stderr of `apcomposites ARGV`, run in-process
-    through `cli.main`; an exception other than its SystemExit propagates."""
+    through `cli.main`; an exception other than its SystemExit propagates.
+    Given `budget_s`, a run still going after that many seconds of wall
+    time fails the test there, so an overrun cannot hang the suite."""
     from apcomposites import cli
 
+    def overrun(signum, frame):
+        pytest.fail(f"{' '.join(argv)!r} ran past its budget of {budget_s} s", pytrace=False)
+
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
+    if budget_s is not None:
+        handler = signal.signal(signal.SIGALRM, overrun)
+        signal.setitimer(signal.ITIMER_REAL, budget_s)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             cli.main(argv)
-        except SystemExit as exc:
-            return CliResult(exc.code, out.getvalue(), err.getvalue())
+    except SystemExit as exc:
+        return CliResult(exc.code, out.getvalue(), err.getvalue())
+    finally:
+        if budget_s is not None:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, handler)
     raise AssertionError("cli.main returned without SystemExit")

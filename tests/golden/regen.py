@@ -1,12 +1,15 @@
-"""Write the CLI golden files: stdout and exit code of fixed argv lists.
+"""Write the CLI golden files: exit code, stdout and stderr of fixed
+argv lists, each with a wall-time budget.
 
     PYTHONPATH=src python tests/golden/regen.py
 
 Each group below becomes ``tests/golden/<group>.json``, a list of
-``{"argv", "exit_code", "stdout"}`` records that ``tests/test_golden.py``
-replays in-process. Regenerate only for an intended change of output,
-and review the diff: the files are the CLI's behavioural contract.
-Inputs that crash with a traceback do not belong here.
+``{"argv", "exit_code", "stdout", "stderr", "budget_s"}`` records that
+``tests/test_golden.py`` replays in-process, failing a run that is still
+going after ``budget_s`` seconds. The budget is ``BUDGET_S`` unless
+``BUDGETS`` names a tighter one. Regenerate only for an intended change
+of output, and review the diff: the files are the CLI's behavioural
+contract. Inputs that crash with a traceback do not belong here.
 """
 
 from __future__ import annotations
@@ -21,6 +24,16 @@ sys.path.insert(0, str(HERE.parent))
 
 from apcomposites.cli import COMMANDS  # noqa: E402
 from conftest import run_cli  # noqa: E402
+
+
+BUDGET_S = 10
+# Searches whose end the mathematics decides, and a refusal made as each
+# value is built: each must end long before the default budget.
+BUDGETS = {
+    "lucky --max 1e18": 2,
+    "kcomposite --a -2 --b 31 --k 1 --count 10": 1,
+    "poly --coeffs 1e300,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1 --count 20000": 1,
+}
 
 
 def _argvs(*lines: str) -> list[list[str]]:
@@ -88,6 +101,8 @@ GROUPS = {
         "kcomposite --a 4 --b 1 --k 2 --count 3 --mode multiplicity",
         "poly --coeffs 1,1,1 --count 3",
         "poly --coeffs 41,-1,1 --count 2",
+        # The trailing zero coefficient is dropped: f = 1 + x.
+        "poly --coeffs 1,1,0 --count 2",
         "poly --coeffs 1e3,1 --count 1",
         "twin3 --count 3",
         "density --x 2",
@@ -113,7 +128,11 @@ GROUPS = {
         "ek --x 5e7",
         # 3163**2, where 3163 moves between m's primes and the large prime.
         "ek --x 10004569",
+        # omega read off Lucy's table in O(x^(3/4)), far past the default cap.
+        "--max-sieve 1e9 ek --x 1e9",
         "lucky --max 1000",
+        # Euler's lucky numbers end at 41, whatever --max is.
+        "lucky --max 1e18",
         "streak --c 17",
         "streak --c 1",
         "fermatreal --x 4 --y 5 --z 6",
@@ -168,17 +187,28 @@ GROUPS = {
         "count --x 0 --a 4 --b 3",
         "sieve --limit 1",
         "witness multiple --a 3 --b 1 --m 2",
+        "witness multiple --a 3 --b 2 --m 0",
+        # The value a*(m*b) + b is 0.
+        "witness multiple --a -1 --b 2 --m 1",
         "witness unit --a 3 --b 2 --m 2",
         "witness unit --a 2 --b 1 --m 0",
         "witness power --a 2 --sign -1 --k -1",
+        "witness power --a 0 --sign +1 --k 1",
         "factorial --m 1",
         "consecutive --a 0 --b 1 --count 3",
+        "consecutive --a -1 --b 1 --count 3",
+        "consecutive --a 2 --b 1 --count 0",
         "kcomposite --a 4 --b 2 --k 3",
+        "kcomposite --a 2 --b 1 --k 0",
+        "poly --coeffs 1,1 --count 0",
         "runs --a 0 --b 1 --n-max 10",
         "runs --a 2 --b 1 --n-max 0",
         "ek --x 2",
         "lucky --max 0",
+        "streak --c 0",
         "fermatreal --x 4 --y 5 --z 6 --bracket 0,1",
+        "fermatreal --x 0 --y 4 --z 5",
+        "fermatreal --x 3 --y 4 --z 5 --bracket 3,2",
         "ratscan --x 4 --y 5 --z 6 --bracket 0,1 --q-max 5",
         "sweep density --x 0..10",
         "sweep density --x 1..1000 --geometric 10",
@@ -283,6 +313,11 @@ GROUPS = {
         # Refused up front by their digit estimates, before anything is built.
         "witness power --a 1 --sign +1 --k 1e7",
         "kcomposite --a 10 --b 1 --k 10000 --count 1",
+        # Refused as the first witness's product grows past the limit.
+        "kcomposite --a 2 --b 1 --k 1800 --count 50",
+        # Refused at its first value, of 4,501 digits, not after building
+        # 20,000 of them.
+        "poly --coeffs 1e300,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1 --count 20000",
         # Scan windows with room for more candidates than the scan cap: the
         # root 2 is the upper end, and |f| is below tol far to its left.
         "ratscan --x 3 --y 4 --z 5 --bracket -1e308,2 --q-max 10",
@@ -300,10 +335,13 @@ GROUPS = {
 
 def run(argv: list[str]) -> dict:
     res = run_cli(argv)
-    return {"argv": argv, "exit_code": res.code, "stdout": res.out}
+    return {"argv": argv, "exit_code": res.code, "stdout": res.out, "stderr": res.err,
+            "budget_s": BUDGETS.get(shlex.join(argv), BUDGET_S)}
 
 
 def main() -> None:
+    named = {shlex.join(argv) for argvs in GROUPS.values() for argv in argvs}
+    assert BUDGETS.keys() <= named, f"budgets of no argv: {sorted(BUDGETS.keys() - named)}"
     for group, argvs in GROUPS.items():
         cases = [run(argv) for argv in argvs]
         (HERE / f"{group}.json").write_text(json.dumps(cases, indent=1) + "\n")

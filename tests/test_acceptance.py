@@ -125,7 +125,7 @@ def test_criterion_4_euler_lucky():
 
 def test_criterion_5_prime_runs():
     scan = longest_prime_run(Progression(2, 1), 10**6)
-    ok = scan.max_length == 3 and [r.start_n for r in scan.max_runs] == [1]
+    ok = scan.max_length == 3 and [r.start_n for r in scan.runs] == [1]
     # every run starting at n >= 2 has length <= 2
     thresh_ok = True
     for a in range(1, 7):
@@ -142,7 +142,7 @@ def test_criterion_5_prime_runs():
                 thresh_ok &= s.max_length <= a * a
             else:
                 later = [
-                    r for r in s.max_runs
+                    r for r in s.runs
                     if r.start_n > run_length_threshold(p)
                 ]
                 thresh_ok &= all(r.length <= a * a for r in later)

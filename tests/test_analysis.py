@@ -406,7 +406,7 @@ class TestLongestPrimeRun:
     def test_odd_progression(self):
         scan = longest_prime_run(Progression(2, 1), 10**5)
         assert scan.max_length == 3
-        assert [r.start_n for r in scan.max_runs] == [1]
+        assert [r.start_n for r in scan.runs] == [1]
         assert scan.best.values == (3, 5, 7)
 
     def test_n_plus_1(self):
@@ -421,7 +421,7 @@ class TestLongestPrimeRun:
     def test_maximality(self):
         p = Progression(2, 1)
         scan = longest_prime_run(p, 10**4)
-        for r in scan.max_runs:
+        for r in scan.runs:
             if r.start_n > 1:
                 assert not oracle_is_prime(abs(p.term(r.start_n - 1)))
             if not r.truncated:
@@ -447,7 +447,7 @@ class TestLongestPrimeRun:
                 # Bound applies to runs starting past the construction
                 # threshold; early runs may exceed it (2,3 and 3,5,7).
                 if scan.max_length > a * a:
-                    assert all(r.start_n <= thresh for r in scan.max_runs), (a, b)
+                    assert all(r.start_n <= thresh for r in scan.runs), (a, b)
 
     def test_threshold_needs_positive_step(self):
         with pytest.raises(DomainError):

@@ -353,6 +353,85 @@ class TestCapacityAndDomain:
         assert (res.code, res.out) == (3, "")
         assert "more than 640 digits" in res.err
 
+    def test_emit_refuses_an_int_past_the_digit_limit(self, capsys):
+        # The builders refuse first; emit's own check is the last line.
+        from apcomposites.errors import CapacityError
+
+        run = {"command": "poly", "params": {}}
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(CapacityError, match=f"more than {limit} digits"):
+            cli.emit(run, {"value": 10**5000})
+        assert capsys.readouterr().out == ""
+        sys.set_int_max_str_digits(0)
+        try:
+            cli.emit(run, {"value": 10**5000})
+            assert json.loads(capsys.readouterr().out)["result"] == {"value": 10**5000}
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
+class TestLargeRuns:
+    """Runs past what a golden record holds: 4 MB of stdout, and peak RSS,
+    which only a process of the CLI's own can show."""
+
+    # A small interpreter that starts the CLI and reads its peak with
+    # os.wait4. A child's ru_maxrss starts from its spawner's RSS, so
+    # spawned from pytest it would read pytest's. Its last line of stdout
+    # is the CLI's exit code and peak RSS in KiB, after the CLI's stdout.
+    PEAK = """if True:
+        import os, sys
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.execv(sys.executable, [sys.executable, "-m", "apcomposites.cli", *sys.argv[1:]])
+            finally:
+                os._exit(127)
+        _, status, usage = os.wait4(pid, 0)
+        print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+    """
+
+    @classmethod
+    def peak(cls, args: list[str]) -> tuple[int, str, float]:
+        """Exit code, stdout and peak RSS in MiB of `apcomposites ARGS`."""
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-S", "-c", cls.PEAK, *args], env=env,
+                              capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        out, _, last = proc.stdout[:-1].rpartition("\n")
+        code, rss_kib = map(int, last.split())
+        return code, out, rss_kib / 1024
+
+    def test_twin3_past_a_million(self):
+        # Each proof is built from the twin primes just proven, so no
+        # factorization bounds the scan, whose 20,000th pair is past 1e6.
+        res = run_cli(["twin3", "--count", "20000", "--k-max", "2e6"], budget_s=10)
+        assert (res.code, res.err) == (0, "")
+        result = json.loads(res.out)["result"]
+        assert (len(result["witnesses"]), result["shortfall"]) == (20000, False)
+
+    def test_sweep_runs_keeps_one_run_start_per_step(self):
+        # At a = 3 the terms alternate in parity, so every prime term is a
+        # longest run: keeping each start took this sweep to 135.5 MB. It
+        # keeps one per step, so its peak RSS stays near start-up's.
+        code, out, rss = self.peak(["--max-sieve", "1e8", "sweep", "runs", "--a", "1..3",
+                                    "--b", "1", "--n-max", "3e7"])
+        assert code == 0
+        summary = json.loads(out.splitlines()[-1])["result"]["summary"]
+        assert summary["all_within_bound"] is True, summary
+        assert rss < 40, f"peak RSS {rss:.1f} MB"
+
+    def test_short_range_far_from_0(self):
+        # Ten indices near 1e14 sieve by the 664,579 base primes to 1e7.
+        # Their terms are all far above 1e7, so no index reads the small
+        # sieve, and no list of the +-q terms is built (158.1 MB with one).
+        code, out, rss = self.peak(["--max-sieve", "1e15", "runs", "--a", "1",
+                                    "--b", "100000000000025", "--n-max", "10"])
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["max_length"] == 1, result
+        assert result["runs"][0]["values"] == [100000000000031], result
+        assert rss < 135, f"peak RSS {rss:.1f} MB"
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("args", [

@@ -392,7 +392,7 @@ class TestKComposites:
 
 
 class TestDigitLimit:
-    """The three builders whose results grow without bound refuse, by an
+    """The four builders whose results grow without bound refuse, by an
     estimate from below of their digits, what Python would not write."""
 
     REFUSAL = (f"^the result holds an integer of more than {sys.get_int_max_str_digits()} "
@@ -424,6 +424,26 @@ class TestDigitLimit:
         assert (res.code, res.out) == (3, "")
         assert re.match(self.REFUSAL, res.err.removeprefix("capacity error: "))
         assert 0 < len(calls) < 2000
+
+    def test_polynomial_refused_as_each_value_is_built(self):
+        # f(x) = x^15 + 10^300: f(0) = 10^300, and f(10^300) has 4,501
+        # digits, refused before a second value is built.
+        coeffs = [10**300, *[0] * 14, 1]
+
+        def refused():
+            with pytest.raises(CapacityError, match=self.REFUSAL):
+                polynomial_composites(coeffs, 20000)
+
+        start = time.perf_counter()
+        assert traced_peak(refused) < 1 << 16
+        assert time.perf_counter() - start < 0.5
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            (r,) = polynomial_composites(coeffs, 1)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (r.index, r.value) == (10**300, 10**4500 + 10**300)
 
     def test_domain_comes_first(self):
         with pytest.raises(DomainError):

@@ -1,5 +1,6 @@
 """Replay the CLI golden files (tests/golden/*.json, written by
-tests/golden/regen.py): stdout bytes and exit code must match exactly."""
+tests/golden/regen.py): exit code, stdout and stderr must match exactly,
+and each run must end within its record's wall-time budget."""
 
 import json
 import subprocess
@@ -19,8 +20,8 @@ CASES = [case for path in sorted(GOLDEN_DIR.glob("*.json"))
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: " ".join(c["argv"]) or "<no args>")
 def test_golden(case):
-    res = run_cli(case["argv"])
-    assert (res.code, res.out) == (case["exit_code"], case["stdout"])
+    res = run_cli(case["argv"], case["budget_s"])
+    assert res == (case["exit_code"], case["stdout"], case["stderr"])
 
 
 def _reject_constant(name):

@@ -1,11 +1,12 @@
 """bench/tracer.py still records the library calls the CLI makes.
 
-The CLI reaches every exported library name through the package's lazy
-attributes, and the tracer rebinds module and package attributes after
-`import apcomposites.cli`; a name bound at the CLI's module level would
-escape it. One command per library module, each run through the tracer
-in a fresh interpreter, must print what the plain command prints and
-leave its library function in the trace's stats.
+After `import apcomposites.cli`, the tracer wraps each public function
+of the library modules and rebinds every attribute that holds one in
+every loaded `apcomposites` module, the package and the CLI included, so
+a call is traced however the CLI reaches the function. One command per
+library module, each run through the tracer in a fresh interpreter, must
+print what the plain command prints and leave its library function in
+the trace's stats.
 """
 
 import json
