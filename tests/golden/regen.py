@@ -81,6 +81,20 @@ GROUPS = {
         "count --x 1000 --a 4 --b 3",
         "count --x 1000 --a 4",
         "count --x 99999 --a 10 --b -3",
+        # Either side of 13**4, where the 2*3*5*7*11*13 wheel first
+        # applies to the point count's pre-sieve.
+        "count --x 28560",
+        "count --x 28561",
+        # Either side of 64**4, where the pre-sieve's 64*sqrt(x) cap
+        # takes over from x**(3/4).
+        "count --x 16777215",
+        "count --x 16777216",
+        "count --x 5e7",
+        "density --x 49384156",
+        "sweep dyadic --k 2..25",
+        # Point counts far past the default cap.
+        "--max-sieve 1e9 count --x 1e9",
+        "--max-sieve 1e10 count --x 1e10",
         # 5 divides a and b: 5 is the one prime term.
         "count --x 1000 --a 10 --b 5",
         "witness multiple --a 3 --b 2 --m 5",
