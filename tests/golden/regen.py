@@ -85,8 +85,11 @@ GROUPS = {
         # applies to the point count's pre-sieve.
         "count --x 28560",
         "count --x 28561",
-        # Either side of 64**4, where the pre-sieve's 64*sqrt(x) cap
-        # takes over from x**(3/4).
+        # Near 64**4 the pre-sieve's 64*sqrt(x) cap takes over from
+        # x**(3/4): it first decides the sieve at 16769024, and either
+        # side of 64**4 both give the same.
+        "count --x 16769023",
+        "count --x 16769024",
         "count --x 16777215",
         "count --x 16777216",
         "count --x 5e7",
