@@ -9,8 +9,14 @@ completes for every n < 3.3e24, whatever was factored before.
 
 `prime_counts(points, p=None)` is the one counting entry: pi(x), or
 pi(x; |a|, b) given a progression p, at every point, as one `PrimeTable`.
-Without p, pi at x and at the points x // i comes from Lucy_Hedgehog's
-dynamic program, `_lucy`, in O(x^(3/4)) time and O(sqrt(x)) memory.
+Without p, pi at x and at the points x // i comes from Lehmer's formula,
+`_lehmer`: Lucy_Hedgehog's dynamic program over the primes to
+y = max(x^(1/4), x // (64*sqrt(x))) at the y largest quotients x // i,
+with every smaller count read off one bytearray that pre-sieves the odd
+numbers to x // y, min(x^(3/4), 64*sqrt(x)) / 2 bytes, in ascending
+`_prefix_ones` passes. Most of its time is that C-level byte counting.
+Lucy's program over all of x's quotients, `analysis._lucy`, is left to
+the omega walk, which reads its whole table.
 Every other count, and every scan over a range of n, come from
 one index-space sieve, `_prime_segments`: it marks the n with |a*n + b|
 prime in bytearrays of `_SEGMENT` indices, one segment at a time, so a
@@ -27,6 +33,7 @@ progression. `_ones` counts a slice by its Adler-32 byte sums, and loads
 zlib only past 2,048 bytes.
 """
 
+import bisect
 import itertools
 import math
 from collections.abc import Iterable, Iterator
@@ -56,6 +63,8 @@ _SEGMENT = 1 << 18
 # `_ones` counts a slice of up to this many bytes by bytearray.count,
 # whose call costs less than its Adler-32 sums.
 _COUNT_RUN = 2048
+# The wheel of the point counts' pre-sieve: 2*3*5*7*11*13.
+_WHEEL = 30030
 
 
 class Record:
@@ -329,40 +338,6 @@ def _prime_segments(p: Progression, lo: int, hi: int,
         yield start, mask
 
 
-def _lucy(x: int) -> tuple[list[int], list[int]]:
-    """Lucy_Hedgehog's dynamic program, in O(x^(3/4)) time and O(sqrt(x))
-    memory: (small, large) with small[v] = pi(v) for v <= r = isqrt(x) and
-    large[i] = pi(x // i) for 1 <= i <= r, x >= 2.
-
-    S(v) counts the n in [2, v] that are prime or have no prime factor
-    below the current p: v - 1 at first, pi(v) once p passes sqrt(v).
-    Sieving a prime p removes the p*m <= v with m >= p and no prime
-    factor of m below p: S(v) -= S(v // p) - pi(p - 1) for v >= p*p, read
-    from the values before p. Every v // p of a point x // i is
-    x // (i*p), which is again a point: large[i*p] for i*p <= r, and
-    small[(x // i) // p] otherwise.
-    """
-    r = math.isqrt(x)
-    small = [0, *range(r)]
-    quotients = [0, *(x // i for i in range(1, r + 1))]
-    large = [v - 1 for v in quotients]
-    for p in range(2, r + 1):
-        below = small[p - 1]  # pi(p - 1)
-        if small[p] == below:
-            continue  # p is composite
-        last = min(r, x // (p * p))  # large[i] with x // i >= p*p
-        mid = min(last, r // p)  # those whose i*p is still <= r
-        large[1 : mid + 1] = [s - t + below for s, t in
-                              zip(large[1 : mid + 1], large[p : mid * p + 1 : p])]
-        large[mid + 1 : last + 1] = [s - small[v // p] + below for s, v in
-                                     zip(large[mid + 1 : last + 1],
-                                         quotients[mid + 1 : last + 1])]
-        if p * p <= r:
-            small[p * p :] = [s - small[v // p] + below for v, s in
-                              zip(range(p * p, r + 1), small[p * p :])]
-    return small, large
-
-
 def _ones(mask: bytearray, lo: int = 0, hi: int | None = None) -> int:
     """The number of 1s in mask[lo:hi], a 0/1 bytearray.
 
@@ -399,15 +374,127 @@ def _segment_counts(p: Progression, lo: int, hi: int, ends: Iterable[int],
         yield count
 
 
+def _prefix_ones(mask: bytearray, ends: list[int]) -> list[int]:
+    """The number of 1s in mask[: e + 1] for each of the ascending `ends`,
+    each at least -1, in one pass that counts the slice between two
+    consecutive ends once. A mask of at most `_COUNT_RUN` bytes is counted
+    by bytearray.count. A longer one loads zlib, as `_ones` does, and
+    counts each slice of at most 65520 bytes by one Adler-32 sum."""
+    stops = [e + 1 for e in ends]
+    if len(mask) <= _COUNT_RUN:
+        return list(itertools.accumulate(map(mask.count, itertools.repeat(1),
+                                             [0, *stops], stops)))
+    from zlib import adler32
+
+    view, counts, count, at = memoryview(mask), [], 0, 0
+    for stop in stops:
+        count += (adler32(view[at:stop], 0) & 0xFFFF if stop - at <= 65520
+                  else _ones(mask, at, stop))
+        counts.append(count)
+        at = stop
+    return counts
+
+
+def _lehmer(x: int, points: list[int]) -> dict[int, int]:
+    """{v: pi(v)} for the `points`, each at least 2 and at most isqrt(x) or
+    of the form x // i, x >= 2, by Lehmer's formula (Illinois J. Math. 3,
+    1959). With a = pi(y) for some y >= x^(1/4), every v <= x has
+    pi(v) = S(v) - P2(v) - P3(v): S(v) = phi(v, a) + a - 1 counts the n in
+    [2, v] that are prime or have no prime factor <= y, and P2 and P3 count
+    the n <= v with exactly two and three prime factors, all above y. No
+    n <= x has four.
+
+    y = max(x^(1/4), x // (64*sqrt(x))), and one bytearray pre-sieves the
+    odd numbers to L = x // y, mask[k] for n = 2k + 1: min(x^(3/4),
+    64*sqrt(x)) / 2 bytes. S at the y largest quotients x // i comes from
+    Lucy_Hedgehog's dynamic program over the primes p <= y, as in
+    `analysis._lucy`: S(v) -= S(v // p) - pi(p - 1) for v >= p*p. Each
+    v // p = x // (i*p) with i*p <= y is again such a quotient. Every other
+    is at most L, and its S, the prime 2 and the 1s of the mask up to it,
+    is read in one ascending `_prefix_ones` pass before p's multiples are
+    cleared. From y >= 13 on, the mask starts as the pattern of the
+    2*3*5*7*11*13 wheel, S as the wheel's counts, and the program at 17.
+
+    Once the primes to sqrt(L) are cleared, the mask marks the odd primes
+    to L, and a point v <= L is read off it. At a point v = x // i > L,
+    P2(v) sums pi(v // p) - pi(p) + 1 over the primes y < p <= sqrt(v), and
+    P3(v) sums pi(v // (p*q)) - pi(q) + 1 over the primes y < p <= q with
+    p*q*q <= v. Every v // p and v // (p*q) is at most L, so one more pass
+    reads them all.
+    """
+    r = math.isqrt(x)
+    y = max(math.isqrt(r), x // (64 * r))
+    top = (x // y - 1) // 2  # mask[top] is the last odd n <= L
+    quotients = [x // i for i in range(1, y + 1)]
+    if y >= 13:
+        half = _WHEEL // 2  # the odd n mod _WHEEL, mask[k] for n = 2k + 1
+        wheel = bytearray([1]) * half
+        for q in (3, 5, 7, 11, 13):
+            wheel[q // 2 :: q] = bytes(len(range(q // 2, half, q)))
+        mask = wheel * (top // half + 1)
+        del mask[top + 1 :]
+        mask[:7] = b"\0\1\1\1\0\1\1"  # 1, 3, 5, 7, 9, 11, 13
+        # The n <= v prime to the wheel, 1 among them, are
+        # (v - 1) // 2 // half full periods of 5760 and a part period.
+        ends = sorted({(v - 1) // 2 % half for v in quotients})
+        part = dict(zip(ends, _prefix_ones(wheel, ends)))
+        large = [0, *((v - 1) // 2 // half * 5760 + part[(v - 1) // 2 % half] + 5
+                      for v in quotients)]
+        below, start = 6, 17
+    else:
+        mask = bytearray(1) + bytearray([1]) * top
+        large = [0, *((v + 1) // 2 for v in quotients)]  # 2 and the odd n in [3, v]
+        below, start = 1, 3
+    for p in range(start, y + 1, 2):
+        if not mask[p // 2]:
+            continue  # p is composite
+        last = min(y, x // (p * p))  # large[i] with x // i >= p*p
+        mid = min(last, y // p)  # those whose i*p is still <= y
+        large[1 : mid + 1] = [s - t + below for s, t in
+                              zip(large[1 : mid + 1], large[p : mid * p + 1 : p])]
+        read = _prefix_ones(mask, [(x // (i * p) - 1) // 2 for i in range(last, mid, -1)])
+        large[mid + 1 : last + 1] = [s - t - 1 + below for s, t in
+                                     zip(large[mid + 1 : last + 1], reversed(read))]
+        mask[p * p // 2 :: p] = bytes(len(range(p * p // 2, top + 1, p)))
+        below += 1
+    for p in range(y + 1 + y % 2, math.isqrt(x // y) + 1, 2):
+        if mask[p // 2]:
+            mask[p * p // 2 :: p] = bytes(len(range(p * p // 2, top + 1, p)))
+    primes = [2, *(2 * k + 1 for k in itertools.compress(range((r + 1) // 2), mask))]
+    a = bisect.bisect_right(primes, y)  # pi(y)
+    reads, plans = [v for v in points if v <= x // y], []
+    for v in points:
+        if v > x // y:
+            # primes[j] for a <= j < b are the p of P2, and pi(p) = j + 1.
+            b = bisect.bisect_right(primes, math.isqrt(v))
+            args, known = [v // p for p in primes[a:b]], (a + b - 1) * (b - a) // 2
+            for j in range(a, b):
+                if (p := primes[j]) ** 3 > v:
+                    break
+                c = bisect.bisect_right(primes, math.isqrt(v // p))
+                args += [v // (p * q) for q in primes[j:c]]
+                known += (j + c - 1) * (c - j) // 2
+            plans.append((v, large[x // v] + known, args))
+            reads += args
+    ends = sorted(set(reads))
+    pi = {v: c + 1 for v, c in zip(ends, _prefix_ones(mask, [(v - 1) // 2 for v in ends]))}
+    counts = {v: pi[v] for v in points if v <= x // y}
+    for v, s, args in plans:
+        counts[v] = s - sum(map(pi.__getitem__, args))
+    return counts
+
+
 def prime_counts(points: Iterable[int], p: Progression | None = None) -> PrimeTable:
     """pi(x) at every x in `points` (any order, repeats allowed; 0 for
     x < 2), or with `p`, pi(x; |a|, b): the primes <= x congruent to b
     mod |a|.
 
-    Without p, with X the largest point, the table comes from `_lucy(X)`
-    when every point is at most isqrt(X) or of the form X // i: a single
-    x, the n and 2n of one binomial check, powers of 2 or 4, a geometric
-    sweep. Any other count is one `_segment_counts` pass up to X over a
+    Without p, with X the largest point, the table comes from
+    `_lehmer(X, points)` when every point is at most isqrt(X) or of the
+    form X // i: a single x, the n and 2n of one binomial check, powers of
+    2 or 4, a geometric sweep. Lehmer's formula holds min(X^(3/4),
+    64*sqrt(X)) / 2 bytes of pre-sieve: 1 MB at 1e9, 3.2 MB at 1e10. Any
+    other count is one `_segment_counts` pass up to X over a
     residue class: |a|*n + (b mod |a|), or without p the odd numbers
     2n + 1, with the prime 2 added. An X past the sieve cap is refused
     first (`errors.check_sieve`), and so is `prime_count`'s x.
@@ -421,8 +508,7 @@ def prime_counts(points: Iterable[int], p: Progression | None = None) -> PrimeTa
     if todo:
         top, root = todo[-1], math.isqrt(todo[-1])
         if p is None and all(x <= root or top // (top // x) == x for x in todo):
-            small, large = _lucy(top)
-            counts.update((x, small[x] if x <= root else large[top // x]) for x in todo)
+            counts.update(_lehmer(top, todo))
         else:  # one residue class; without p, the odd primes and the prime 2
             a, r, two = (2, 1, 1) if p is None else (abs(p.a), p.residue, 0)
             in_class = _segment_counts(Progression(a, r), 0, (top - r) // a,
@@ -432,7 +518,8 @@ def prime_counts(points: Iterable[int], p: Progression | None = None) -> PrimeTa
 
 
 def prime_count(x: int, p: Progression | None = None) -> int:
-    """pi(x) by `_lucy` in O(x^(3/4)) time, or with `p` pi(x; |a|, b) by a
+    """pi(x) by Lehmer's formula (`_lehmer`), over a pre-sieve of
+    min(x^(3/4), 64*sqrt(x)) / 2 bytes, or with `p` pi(x; |a|, b) by a
     segment pass over |a|*n + (b mod |a|), 1/|a| of the integers to x."""
     if x < 1:
         raise DomainError("prime_count requires x >= 1")

@@ -331,7 +331,7 @@ class TestPrimeTermMask:
              f"n_max {n_max}", top),
             (lambda: progression_composite_densities(p, [n_max]), (numcore, "_segment_counts"),
              f"x {n_max}", top),
-            (lambda: prime_count(n_max), (numcore, "_lucy"), f"x {n_max}", n_max),
+            (lambda: prime_count(n_max), (numcore, "_lehmer"), f"x {n_max}", n_max),
             # n_max - 1 is not n_max // i, so this pass takes the segments.
             (lambda: prime_counts([n_max - 1, n_max]), (numcore, "_segment_counts"),
              f"x {n_max}", n_max),
@@ -339,10 +339,11 @@ class TestPrimeTermMask:
              f"x {n_max}", n_max),
             (lambda: erdos_kac_samples(n_max), (analysis, "_omega_histogram"),
              f"x {n_max}", n_max),
-            (lambda: central_binom_bound(n_max), (numcore, "_lucy"), f"n {n_max}", 2 * n_max),
-            (lambda: dyadic_gap_bound(k), (numcore, "_lucy"), f"k {k}", 2**k),
-            (lambda: pi_power4_bound(m), (numcore, "_lucy"), f"m {m}", 4**m),
-            (lambda: density_bound_check(n_max), (numcore, "_lucy"), f"x {n_max}", n_max),
+            (lambda: central_binom_bound(n_max), (numcore, "_lehmer"), f"n {n_max}",
+             2 * n_max),
+            (lambda: dyadic_gap_bound(k), (numcore, "_lehmer"), f"k {k}", 2**k),
+            (lambda: pi_power4_bound(m), (numcore, "_lehmer"), f"m {m}", 4**m),
+            (lambda: density_bound_check(n_max), (numcore, "_lehmer"), f"x {n_max}", n_max),
         ]
         for call, (module, kernel), given, need in cases:
             with sieve_cap(need):
@@ -525,6 +526,20 @@ class TestErdosKac:
         # walk's bound m*q*q <= x moves with it.
         for x in (r * r - 1, r * r, r * r + 1):
             assert _omega_histogram(x) == oracle_omega_histogram(x), x
+
+    @pytest.mark.parametrize("top", sorted({
+        2, 3, 4, 2**20, 10**6 + 7,
+        *(r * r + d for r in (2, 3, 10, 97, 1000) for d in (-1, 0, 1)),
+    }))
+    def test_lucy_table_matches_oracle(self, top):
+        # The walk reads every entry of Lucy's table: small[v] = pi(v) for
+        # v <= isqrt(top), and large[i] = pi(top // i).
+        r = math.isqrt(top)
+        small, large = analysis._lucy(top)
+        pi = np.cumsum(oracle_prime_mask(top))
+        assert len(small) == len(large) == r + 1
+        assert small == pi[: r + 1].tolist()
+        assert large[1:] == [pi[top // i] for i in range(1, r + 1)]
 
     def test_walk_matches_oracle_at_seeded_x(self):
         rng = np.random.default_rng(20_241)

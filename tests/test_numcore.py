@@ -285,15 +285,16 @@ class TestPrimeCount:
         for x in points:
             assert counts.count(x) == int(sympy.primepi(x)), x
         for x in edges:
-            # _lucy(x) does not hold x - 1, so x ends a segment pass.
+            # x - 1 is not x // i, so x ends a segment pass.
             assert prime_counts((x - 1, x)).count(x) == int(sympy.primepi(x)), x
         for x in points[:20]:
             assert prime_count(x) == int(sympy.primepi(x)), x
 
     def test_peak_memory_is_the_sieve(self):
-        # Lucy's three lists of sqrt(x) ints; a segment pass holds one
-        # segment of 2**18 indices, the zeros of one stride and the base
-        # primes, whatever x is: no [0, x] mask.
+        # Lehmer's pre-sieve of min(x^(3/4), 64*sqrt(x)) / 2 bytes and its
+        # lists of x // (64*sqrt(x)) ints; a segment pass holds one segment
+        # of 2**18 indices, the zeros of one stride and the base primes,
+        # whatever x is: no [0, x] mask.
         for x in (2_000_000, 20_000_000):
             assert traced_peak(lambda: prime_count(x)) <= 1 << 20, x
             assert traced_peak(lambda: prime_counts((x - 1, x))) <= 1 << 20, x
@@ -331,7 +332,8 @@ class TestPrimeCounts:
 
 
 class TestLucy:
-    """Lucy's table against a segment pass, at every point it holds."""
+    """The point-count kernel, `_lehmer` (Lucy's before it), against a
+    segment pass, at every point x // i and up to sqrt(x)."""
 
     @pytest.mark.parametrize("top", sorted({
         2, 3, 4, 2**20, 10**6 + 7,
@@ -340,11 +342,12 @@ class TestLucy:
     def test_matches_segment_pass(self, monkeypatch, top):
         r = math.isqrt(top)
         points = sorted({*range(1, r + 1), *(top // i for i in range(1, r + 1))})
-        lucy = numcore._lucy
+        lehmer = numcore._lehmer
         calls = []
-        monkeypatch.setattr(numcore, "_lucy", lambda x: calls.append(x) or lucy(x))
+        monkeypatch.setattr(numcore, "_lehmer",
+                            lambda x, todo: calls.append(x) or lehmer(x, todo))
         table = prime_counts(points)
-        # Lucy's table does not hold top - 1 (unless it is below 2).
+        # top - 1 is not top // i (unless it is below 2).
         forced = prime_counts([*points, top - 1])
         assert calls == [top] * (1 + (top == 2))
         pi = np.cumsum(oracle_prime_mask(top))
@@ -359,10 +362,69 @@ class TestLucy:
 
     @pytest.mark.parametrize("points", [[11, 20], [99, 100], [5, 13, 100], [3, 2000, 1001]])
     def test_other_points_take_the_segment_pass(self, monkeypatch, points):
-        monkeypatch.setattr(numcore, "_lucy", None)
+        monkeypatch.setattr(numcore, "_lehmer", None)
         counts = prime_counts(points)
         assert [counts.count(x) for x in points] == [
             sum(map(oracle_is_prime, range(x + 1))) for x in points]
+
+
+class TestLehmer:
+    """`_lehmer` against counts of a segment pass, and of sympy: at every
+    point of each x to 3,000; where the wheel first applies (13**4) and
+    where the pre-sieve's 64*sqrt(x) cap takes over (near 64**4); beside
+    k**4, k**3 and k**2, where a prime moves between the sieved primes, P2
+    and P3; beside multiples of the wheel's 30030; and at seeded x."""
+
+    @staticmethod
+    def _every_point(x: int) -> list[int]:
+        r = math.isqrt(x)
+        return sorted({*range(2, r + 1), *(x // i for i in range(1, r + 1))} - {1})
+
+    def test_every_point_to_3000(self):
+        table = prime_counts(range(3001))  # 2999 is not 3000 // i: one segment pass
+        for x in range(2, 3001):
+            points = self._every_point(x)
+            assert numcore._lehmer(x, points) == {v: table.count(v) for v in points}, x
+
+    def test_edge_families(self):
+        rng = random.Random(34)
+        xs = {k**4 + d for k in range(2, 91) for d in (-1, 0, 1)}
+        xs |= {k**3 + d for k in rng.sample(range(2, 400), 40) for d in (-1, 1)}
+        xs |= {k * k + d for k in rng.sample(range(2, 8000), 40) for d in (-1, 1)}
+        xs |= {30030 * k + d for k in (*range(1, 20), *rng.sample(range(20, 2200), 20))
+               for d in (-1, 1)}
+        xs |= {28560, 28561, 16769023, 16769024, 16777215, 16777216}
+        with sieve_cap(max(xs)):
+            table = prime_counts(xs)  # not all x // i of the largest: one segment pass
+            for x in sorted(xs):
+                assert prime_count(x) == table.count(x), x
+
+    def test_seeded_x(self):
+        rng = random.Random(3434)
+        xs = [rng.randint(2, 2 * 10**7) for _ in range(500)]
+        table = prime_counts(xs)
+        assert [prime_count(x) for x in xs] == [table.count(x) for x in xs]
+
+    def test_seeded_x_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(3435)
+        for x in [rng.randint(2, 2 * 10**7) for _ in range(20)]:
+            assert prime_count(x) == int(sympy.primepi(x)), x
+
+    @pytest.mark.parametrize("top", [28561, 10**6 + 1, 16769024, 30030 * 999 + 1, 5 * 10**7])
+    def test_every_quotient(self, top):
+        # Many points above the pre-sieve in one call, each with its own
+        # P2 and P3 sums, read in one pass.
+        points = self._every_point(top)
+        table = prime_counts([*points, top - 1])  # top - 1 is not top // i
+        assert numcore._lehmer(top, points) == {v: table.count(v) for v in points}
+
+    def test_peak_memory_at_1e9(self):
+        # The pre-sieve of 64*sqrt(x) / 2 bytes, 1 MB here, and lists of
+        # x // (64*sqrt(x)) and pi(sqrt(x)) ints. Lucy's lists of sqrt(x)
+        # ints peaked at 5.3 MiB.
+        with sieve_cap(10**9):
+            assert traced_peak(lambda: prime_count(10**9)) <= 4 << 20
 
 
 def _trial_bits(p: Progression, lo: int, hi: int, units: int) -> list[int]:
@@ -524,9 +586,9 @@ class TestPrimeCountProgression:
         # One pass over a class at many points: steps of both signs, offsets
         # inside and outside [0, |a|), gcd(a, b) > 1, and points repeated,
         # below 2, and on and beside the segment edges of the class's
-        # indices |a|*n + (b mod |a|). A progression never takes Lucy's path.
+        # indices |a|*n + (b mod |a|). A progression never takes Lehmer's path.
         primes = [q for q in range(3001) if oracle_is_prime(q)]
-        monkeypatch.setattr(numcore, "_lucy", None)
+        monkeypatch.setattr(numcore, "_lehmer", None)
         rng = random.Random(26)
         for segment in (7, 97, 1 << 18):
             monkeypatch.setattr(numcore, "_SEGMENT", segment)

@@ -105,10 +105,11 @@ def test_loads_only_what_the_kernel_needs(argv, loaded):
     assert probe["slow"] == []
 
 
-# fractions imports decimal itself. Lucy's counts, the omega walk, the run
-# scan and the witnesses count no mask, and a short sweep's counts no slice
-# of more than 2,048 bytes, so they never load zlib. No package module
-# imports __future__; mpmath does, for fermatreal and ratscan.
+# fractions imports decimal itself. The omega walk, the run scan and the
+# witnesses count no mask, and a short sweep's counts and a point count
+# below 13**4, where the pre-sieve's wheel of 15,015 bytes starts, count
+# no mask of more than 2,048 bytes, so they never load zlib. No package
+# module imports __future__; mpmath does, for fermatreal and ratscan.
 STDLIB_CASES = [
     (["--help"], []),
     (["count", "--x", "100"], []),
