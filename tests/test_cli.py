@@ -341,9 +341,12 @@ class TestCapacityAndDomain:
                            f"{sys.get_int_max_str_digits()} digits, Python's limit for "
                            "writing one as text\n")
 
-    def test_emit_refuses_what_the_estimate_lets_through(self):
-        # k - 1 = 199 steps, each by a prime of at least a^2 + 1 = 101, give
-        # at least 399 digits; the value built has 884.
+    def test_witness_refused_as_its_product_grows_past_the_limit(self):
+        # The up-front estimate lets this through: k - 1 = 199 steps, each
+        # by a prime of at least a^2 + 1 = 101, give at least 399 digits.
+        # The witness built would have 884, and k_composite_witnesses
+        # refuses it inside the library, by its per-step digit check, as
+        # the product passes 640 digits; emit is never reached.
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:

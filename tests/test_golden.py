@@ -3,6 +3,8 @@ tests/golden/regen.py): exit code, stdout and stderr must match exactly,
 and each run must end within its record's wall-time budget."""
 
 import json
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -78,7 +80,10 @@ def _diff(old: Path, new: Path) -> subprocess.CompletedProcess:
 def test_diff_lists_nothing_between_a_tree_and_itself():
     argvs = len(json.loads((GOLDEN_DIR / "refusals.json").read_text()))
     res = _diff(ROOT, ROOT)
-    assert (res.returncode, res.stdout) == (0, f"{argvs} argvs, 0 differ\n"), res.stderr
+    memory, behaviour = res.stdout.splitlines()
+    assert (res.returncode, behaviour) == (0, f"{argvs} argvs, 0 differ"), res.stderr
+    assert re.fullmatch(rf"{argvs} argvs traced, 0 with a traced-peak rise, 0 timed out "
+                        r"under tracing; wall [0-9.]+ -> [0-9.]+ s", memory), memory
 
 
 def test_diff_lists_each_argv_that_differs(tmp_path):
@@ -92,4 +97,22 @@ def test_diff_lists_each_argv_that_differs(tmp_path):
     res = _diff(ROOT, tmp_path)
     lines = res.stdout.splitlines()
     assert res.returncode == 1 and lines[-1] == f"{argvs} argvs, {argvs} differ"
-    assert lines[0] == "density --x 1: code, stdout, stderr differ (exit 1 -> 0)"
+    assert re.fullmatch(r"density --x 1: code, stdout, stderr differ \(exit 1 -> 0\); wall "
+                        r"[0-9.]+ -> [0-9.]+ s, peak [0-9.]+ -> [0-9.]+ MiB", lines[0]), lines[0]
+
+
+def test_diff_lists_each_traced_peak_rise(tmp_path):
+    # The same CLI, holding 1 MiB more while it runs: every refusal keeps
+    # its behaviour, and its traced peak grows past 10% and 256 KiB.
+    shutil.copytree(ROOT / "src" / "apcomposites", tmp_path / "src" / "apcomposites",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "src" / "apcomposites" / "cli.py", "a") as cli:
+        cli.write("\n_main = main\n\n\ndef main(argv=None):\n"
+                  "    ballast = bytearray(1 << 20)\n    return _main(argv)\n")
+    argvs = len(json.loads((GOLDEN_DIR / "refusals.json").read_text()))
+    res = _diff(ROOT, tmp_path)
+    lines = res.stdout.splitlines()
+    assert res.returncode == 1 and lines[-1] == f"{argvs} argvs, 0 differ"
+    assert lines[-2].startswith(f"{argvs} argvs traced, {argvs} with a traced-peak rise, ")
+    assert re.fullmatch(r"density --x 1: traced peak grew; wall [0-9.]+ -> [0-9.]+ s, "
+                        r"peak [0-9.]+ -> [0-9.]+ MiB", lines[0]), lines[0]
