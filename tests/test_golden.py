@@ -72,9 +72,10 @@ def test_every_operation_reached():
     assert missing == []
 
 
-def _diff(old: Path, new: Path) -> subprocess.CompletedProcess:
+def _diff(old: Path, new: Path, *flags: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, str(GOLDEN_DIR / "diff.py"), str(old), str(new),
-                           "--group", "refusals"], capture_output=True, text=True, timeout=120)
+                           "--group", "refusals", *flags],
+                          capture_output=True, text=True, timeout=120)
 
 
 def test_diff_lists_nothing_between_a_tree_and_itself():
@@ -84,6 +85,17 @@ def test_diff_lists_nothing_between_a_tree_and_itself():
     assert (res.returncode, behaviour) == (0, f"{argvs} argvs, 0 differ"), res.stderr
     assert re.fullmatch(rf"{argvs} argvs traced, 0 with a traced-peak rise, 0 timed out "
                         r"under tracing; wall [0-9.]+ -> [0-9.]+ s", memory), memory
+
+
+def test_diff_all_shows_each_argv_time_and_peak():
+    refusals = json.loads((GOLDEN_DIR / "refusals.json").read_text())
+    res = _diff(ROOT, ROOT, "--all")
+    lines = res.stdout.splitlines()
+    assert res.returncode == 0 and len(lines) == len(refusals) + 2, res.stderr
+    for record, line in zip(refusals, lines):
+        name = " ".join(record["argv"]) or "<no args>"
+        assert re.fullmatch(re.escape(name) + r": wall [0-9.]+ -> [0-9.]+ s, "
+                            r"peak [0-9.]+ -> [0-9.]+ MiB", line), line
 
 
 def test_diff_lists_each_argv_that_differs(tmp_path):
