@@ -466,7 +466,8 @@ def _lehmer(x: int, points: list[int]) -> dict[int, int]:
     for v in points:
         if v > x // y:
             # primes[j] for a <= j < b are the p of P2, and pi(p) = j + 1.
-            b = bisect.bisect_right(primes, math.isqrt(v))
+            # Past 64**6, y exceeds x^(1/3), and a point below y*y has none.
+            b = max(a, bisect.bisect_right(primes, math.isqrt(v)))
             args, known = [v // p for p in primes[a:b]], (a + b - 1) * (b - a) // 2
             for j in range(a, b):
                 if (p := primes[j]) ** 3 > v:

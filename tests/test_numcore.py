@@ -419,6 +419,15 @@ class TestLehmer:
         table = prime_counts([*points, top - 1])  # top - 1 is not top // i
         assert numcore._lehmer(top, points) == {v: table.count(v) for v in points}
 
+    def test_point_below_y_squared_past_64_to_the_6th(self):
+        # At 1e11 > 64**6, y = x // (64*sqrt(x)) exceeds x^(1/3): the point
+        # 22222222 lies above the pre-sieve, x // y, but below y*y, so it
+        # has no P2 or P3 term.
+        with sieve_cap(10**11):
+            table = prime_counts([22222222, 10**11])
+        assert table.count(10**11) == 4_118_054_813
+        assert table.count(22222222) == prime_counts([22222221, 22222222]).count(22222222)
+
     def test_peak_memory_at_1e9(self):
         # The pre-sieve of 64*sqrt(x) / 2 bytes, 1 MB here, and lists of
         # x // (64*sqrt(x)) and pi(sqrt(x)) ints. Lucy's lists of sqrt(x)
