@@ -145,6 +145,14 @@ GROUPS = {
         "ek --x 5e7",
         # 3163**2, where 3163 moves between m's primes and the large prime.
         "ek --x 10004569",
+        # The edges of the table the walk reads: either side of 13**4, where
+        # the wheel starts; either side of 16769024, where the 64*sqrt(x)
+        # cap on the pre-sieve takes over; and 64**4.
+        "ek --x 28560",
+        "ek --x 28561",
+        "ek --x 16769023",
+        "ek --x 16769024",
+        "ek --x 16777216",
         # omega read off Lucy's table in O(x^(3/4)), far past the default cap.
         "--max-sieve 1e9 ek --x 1e9",
         "lucky --max 1000",
