@@ -6,7 +6,7 @@ The inequality checks are proven theorems: a single failure at any
 admissible input is an implementation bug, and tests treat it as such.
 The progression scans read numcore's index-space sieve one segment at
 a time, so no array spans the whole range, and the omega histogram is a
-walk over Lucy's table, `_lucy`, which holds O(sqrt(x)) counts. Each entry
+walk over Lucy's table of O(sqrt(x)) counts, `numcore._lehmer`. Each entry
 point checks its domain, then the sieve cap, before any work. Nothing
 here loads numpy.
 """
@@ -306,45 +306,11 @@ def gaussian_mass(lo: float, hi: float) -> float:
     return 0.5 * (math.erf(hi / math.sqrt(2)) - math.erf(lo / math.sqrt(2)))
 
 
-def _lucy(x: int) -> tuple[list[int], list[int]]:
-    """Lucy_Hedgehog's dynamic program, in O(x^(3/4)) time and O(sqrt(x))
-    memory: (small, large) with small[v] = pi(v) for v <= r = isqrt(x) and
-    large[i] = pi(x // i) for 1 <= i <= r, x >= 2.
-
-    S(v) counts the n in [2, v] that are prime or have no prime factor
-    below the current p: v - 1 at first, pi(v) once p passes sqrt(v).
-    Sieving a prime p removes the p*m <= v with m >= p and no prime
-    factor of m below p: S(v) -= S(v // p) - pi(p - 1) for v >= p*p, read
-    from the values before p. Every v // p of a point x // i is
-    x // (i*p), which is again a point: large[i*p] for i*p <= r, and
-    small[(x // i) // p] otherwise. The omega walk reads the whole table;
-    numcore's point counts take Lehmer's formula, `numcore._lehmer`.
-    """
-    r = math.isqrt(x)
-    small = [0, *range(r)]
-    quotients = [0, *(x // i for i in range(1, r + 1))]
-    large = [v - 1 for v in quotients]
-    for p in range(2, r + 1):
-        below = small[p - 1]  # pi(p - 1)
-        if small[p] == below:
-            continue  # p is composite
-        last = min(r, x // (p * p))  # large[i] with x // i >= p*p
-        mid = min(last, r // p)  # those whose i*p is still <= r
-        large[1 : mid + 1] = [s - t + below for s, t in
-                              zip(large[1 : mid + 1], large[p : mid * p + 1 : p])]
-        large[mid + 1 : last + 1] = [s - small[v // p] + below for s, v in
-                                     zip(large[mid + 1 : last + 1],
-                                         quotients[mid + 1 : last + 1])]
-        if p * p <= r:
-            small[p * p :] = [s - small[v // p] + below for v, s in
-                              zip(range(p * p, r + 1), small[p * p :])]
-    return small, large
-
-
 def _omega_histogram(x: int) -> list[int]:
     """hist[k] = #{3 <= n <= x : omega(n) = k} (x < 2**63, so k <= 15), by
-    a walk over Lucy's table (the second phase of min_25's sieve), in
-    O(x^(3/4)) time and O(sqrt(x)) memory.
+    a walk over Lucy's table (the second phase of min_25's sieve), every
+    row of it asked of `numcore._lehmer`, in O(x^(3/4)) time and
+    O(sqrt(x)) memory.
 
     The primes but 2 start bucket 1. The walk visits each m whose primes,
     ascending, leave room for one more square: m*q*q <= x for a prime q
@@ -355,8 +321,8 @@ def _omega_histogram(x: int) -> list[int]:
     When m*q**3 > x, e is 1 and m*q has nothing to visit, so those q,
     five in six of all at x = 1e7, are summed at once.
     """
-    small, large = _lucy(x)  # pi(v) for v <= r, and pi(x // i)
     r = math.isqrt(x)
+    small, large = numcore._lehmer(x, range(1, r + 1))  # pi(v) for v <= r, and pi(x // i)
     primes = [v for v in range(2, r + 1) if small[v] > small[v - 1]]
     hist = [0] * 16
     hist[1] = large[1] - 1

@@ -9,14 +9,15 @@ completes for every n < 3.3e24, whatever was factored before.
 
 `prime_counts(points, p=None)` is the one counting entry: pi(x), or
 pi(x; |a|, b) given a progression p, at every point, as one `PrimeTable`.
-Without p, pi at x and at the points x // i comes from Lehmer's formula,
-`_lehmer`: Lucy_Hedgehog's dynamic program over the primes to
-y = max(x^(1/4), x // (64*sqrt(x))) at the y largest quotients x // i,
-with every smaller count read off one bytearray that pre-sieves the odd
-numbers to x // y, min(x^(3/4), 64*sqrt(x)) / 2 bytes, in ascending
-`_prefix_ones` passes. Most of its time is that C-level byte counting.
-Lucy's program over all of x's quotients, `analysis._lucy`, is left to
-the omega walk, which reads its whole table.
+Without p, pi at x and at the points x // i comes from Lucy's table of
+x, pi(v) for v <= sqrt(x) and pi(x // i) at the rows i asked for, by
+Lehmer's formula, `_lehmer`: Lucy_Hedgehog's dynamic program over the
+primes to y = max(x^(1/4), x // (64*sqrt(x))) at the y largest quotients
+x // i, with every smaller count read off one bytearray that pre-sieves
+the odd numbers to x // y, min(x^(3/4), 64*sqrt(x)) / 2 bytes, in
+ascending `_prefix_ones` passes. Most of its time is that C-level byte
+counting. The point counts ask for the rows of their points, and
+analysis's omega walk for every row.
 Every other count, and every scan over a range of n, come from
 one index-space sieve, `_prime_segments`: it marks the n with |a*n + b|
 prime in bytearrays of `_SEGMENT` indices, one segment at a time, so a
@@ -33,9 +34,9 @@ progression. `_ones` counts a slice by its Adler-32 byte sums, and loads
 zlib only past 2,048 bytes.
 """
 
-import bisect
 import itertools
 import math
+from array import array
 from collections.abc import Iterable, Iterator
 
 from .errors import CapacityError, DomainError, check_sieve
@@ -395,10 +396,13 @@ def _prefix_ones(mask: bytearray, ends: list[int]) -> list[int]:
     return counts
 
 
-def _lehmer(x: int, points: list[int]) -> dict[int, int]:
-    """{v: pi(v)} for the `points`, each at least 2 and at most isqrt(x) or
-    of the form x // i, x >= 2, by Lehmer's formula (Illinois J. Math. 3,
-    1959). With a = pi(y) for some y >= x^(1/4), every v <= x has
+def _lehmer(x: int, rows: Iterable[int]) -> tuple[array, list[int]]:
+    """Lucy's table of x >= 2 by Lehmer's formula (Illinois J. Math. 3,
+    1959): (small, large), each of r + 1 entries for r = isqrt(x), with
+    small[v] = pi(v) for v <= r and large[i] = pi(x // i) for each of the
+    `rows` i, 1 <= i <= r. No other entry of large is read.
+
+    With a = pi(y) for some y >= x^(1/4), every v <= x has
     pi(v) = S(v) - P2(v) - P3(v): S(v) = phi(v, a) + a - 1 counts the n in
     [2, v] that are prime or have no prime factor <= y, and P2 and P3 count
     the n <= v with exactly two and three prime factors, all above y. No
@@ -407,20 +411,24 @@ def _lehmer(x: int, points: list[int]) -> dict[int, int]:
     y = max(x^(1/4), x // (64*sqrt(x))), and one bytearray pre-sieves the
     odd numbers to L = x // y, mask[k] for n = 2k + 1: min(x^(3/4),
     64*sqrt(x)) / 2 bytes. S at the y largest quotients x // i comes from
-    Lucy_Hedgehog's dynamic program over the primes p <= y, as in
-    `analysis._lucy`: S(v) -= S(v // p) - pi(p - 1) for v >= p*p. Each
-    v // p = x // (i*p) with i*p <= y is again such a quotient. Every other
-    is at most L, and its S, the prime 2 and the 1s of the mask up to it,
-    is read in one ascending `_prefix_ones` pass before p's multiples are
-    cleared. From y >= 13 on, the mask starts as the pattern of the
-    2*3*5*7*11*13 wheel, S as the wheel's counts, and the program at 17.
+    Lucy_Hedgehog's dynamic program over the primes p <= y:
+    S(v) -= S(v // p) - pi(p - 1) for v >= p*p. Each v // p = x // (i*p)
+    with i*p <= y is again such a quotient. Every other is at most L, and
+    its S, the prime 2 and the 1s of the mask up to it, is read in one
+    ascending `_prefix_ones` pass before p's multiples are cleared. From
+    y >= 13 on, the mask starts as the pattern of the 2*3*5*7*11*13 wheel,
+    S as the wheel's counts, and the program at 17. The same loop goes on
+    to clear the primes to sqrt(L), and the mask then marks the odd
+    primes to L.
 
-    Once the primes to sqrt(L) are cleared, the mask marks the odd primes
-    to L, and a point v <= L is read off it. At a point v = x // i > L,
-    P2(v) sums pi(v // p) - pi(p) + 1 over the primes y < p <= sqrt(v), and
-    P3(v) sums pi(v // (p*q)) - pi(q) + 1 over the primes y < p <= q with
-    p*q*q <= v. Every v // p and v // (p*q) is at most L, so one more pass
-    reads them all.
+    small is one accumulate over the mask to r. A row i >= y, with
+    x // i <= L, is read off the mask. A row i < y is S - P2 - P3 at
+    v = x // i: P2(v) sums pi(v // p) - pi(p) + 1 over the primes
+    y < p <= sqrt(v), and P3(v) sums pi(v // (p*q)) - pi(q) + 1 over the
+    primes y < p <= q with p*q*q <= v, the `terms` of the row. Each
+    v // p = x // (i*p) is large[i*p], a row above y, when i*p <= r, and
+    small[x // (i*p)] otherwise, and so is each v // (p*q). One more
+    ascending pass reads the rows from y on that are asked or needed.
     """
     r = math.isqrt(x)
     y = max(math.isqrt(r), x // (64 * r))
@@ -445,44 +453,62 @@ def _lehmer(x: int, points: list[int]) -> dict[int, int]:
         mask = bytearray(1) + bytearray([1]) * top
         large = [0, *((v + 1) // 2 for v in quotients)]  # 2 and the odd n in [3, v]
         below, start = 1, 3
-    for p in range(start, y + 1, 2):
+    for p in range(start, max(y, math.isqrt(x // y)) + 1, 2):
         if not mask[p // 2]:
             continue  # p is composite
-        last = min(y, x // (p * p))  # large[i] with x // i >= p*p
-        mid = min(last, y // p)  # those whose i*p is still <= y
-        large[1 : mid + 1] = [s - t + below for s, t in
-                              zip(large[1 : mid + 1], large[p : mid * p + 1 : p])]
-        read = _prefix_ones(mask, [(x // (i * p) - 1) // 2 for i in range(last, mid, -1)])
-        large[mid + 1 : last + 1] = [s - t - 1 + below for s, t in
-                                     zip(large[mid + 1 : last + 1], reversed(read))]
+        if p <= y:
+            last = min(y, x // (p * p))  # large[i] with x // i >= p*p
+            mid = min(last, y // p)  # those whose i*p is still <= y
+            large[1 : mid + 1] = [s - t + below for s, t in
+                                  zip(large[1 : mid + 1], large[p : mid * p + 1 : p])]
+            read = _prefix_ones(mask, [(x // (i * p) - 1) // 2 for i in range(last, mid, -1)])
+            large[mid + 1 : last + 1] = [s - t - 1 + below for s, t in
+                                         zip(large[mid + 1 : last + 1], reversed(read))]
+            below += 1
         mask[p * p // 2 :: p] = bytes(len(range(p * p // 2, top + 1, p)))
-        below += 1
-    for p in range(y + 1 + y % 2, math.isqrt(x // y) + 1, 2):
-        if mask[p // 2]:
-            mask[p * p // 2 :: p] = bytes(len(range(p * p // 2, top + 1, p)))
-    primes = [2, *(2 * k + 1 for k in itertools.compress(range((r + 1) // 2), mask))]
-    a = bisect.bisect_right(primes, y)  # pi(y)
-    reads, plans = [v for v in points if v <= x // y], []
-    for v in points:
-        if v > x // y:
-            # primes[j] for a <= j < b are the p of P2, and pi(p) = j + 1.
-            # Past 64**6, y exceeds x^(1/3), and a point below y*y has none.
-            b = max(a, bisect.bisect_right(primes, math.isqrt(v)))
-            args, known = [v // p for p in primes[a:b]], (a + b - 1) * (b - a) // 2
-            for j in range(a, b):
-                if (p := primes[j]) ** 3 > v:
-                    break
-                c = bisect.bisect_right(primes, math.isqrt(v // p))
-                args += [v // (p * q) for q in primes[j:c]]
-                known += (j + c - 1) * (c - j) // 2
-            plans.append((v, large[x // v] + known, args))
-            reads += args
-    ends = sorted(set(reads))
-    pi = {v: c + 1 for v, c in zip(ends, _prefix_ones(mask, [(v - 1) // 2 for v in ends]))}
-    counts = {v: pi[v] for v in points if v <= x // y}
-    for v, s, args in plans:
-        counts[v] = s - sum(map(pi.__getitem__, args))
-    return counts
+    # odd[k] = pi(2k + 1) = pi(2k + 2) for k >= 1, and pi(2) = 1 at k = 0.
+    odd = array("I", itertools.accumulate(mask[1 : (r + 1) // 2], initial=1))
+    small = array("I", [0]) * (r + 1)
+    small[2::2], small[3::2] = odd[: r // 2], odd[1:]
+    del odd
+    primes = array("I", [2, *itertools.compress(range(3, r + 1, 2), mask[1 : (r + 1) // 2])])
+    a = small[y]
+
+    def terms(i: int) -> tuple[int, list[int]]:
+        """P2 + P3 at the row i < y, v = x // i, as (k, ns): the sum of
+        pi(x // n) over the n in ns, less k. Its n are i*p for each
+        p = primes[j] of P2, whose -pi(p) + 1 is -j, and i*p*q for each
+        q = primes[j'] >= p of P3, whose -pi(q) + 1 is -j'. Past 64**6,
+        y exceeds x^(1/3), and a row whose v is below y*y has no term."""
+        v = x // i
+        b = max(a, small[math.isqrt(v)])
+        ns, k = [i * p for p in primes[a:b]], (a + b - 1) * (b - a) // 2
+        for j in range(a, b):
+            if (p := primes[j]) ** 3 > v:
+                break
+            c = small[math.isqrt(v // p)]
+            ns += [i * p * q for q in primes[j:c]]
+            k += (j + c - 1) * (c - j) // 2
+        return k, ns
+
+    large += [0] * (r - y)
+    want = bytearray(r + 1)  # the rows to fill
+    for i in rows:
+        want[i] = 1
+    low = list(itertools.compress(range(y), want))
+    for i in low:
+        for n in terms(i)[1]:
+            if n <= r:
+                want[n] = 1
+    # The rows from y on, x // n ascending.
+    high = array("I", itertools.compress(range(r, y - 1, -1), want[r : y - 1 : -1]))
+    del want
+    for n, c in zip(high, _prefix_ones(mask, [(x // n - 1) // 2 for n in high])):
+        large[n] = c + 1
+    for i in low:
+        k, ns = terms(i)
+        large[i] += k - sum([large[n] if n <= r else small[x // n] for n in ns])
+    return small, large
 
 
 def prime_counts(points: Iterable[int], p: Progression | None = None) -> PrimeTable:
@@ -490,10 +516,11 @@ def prime_counts(points: Iterable[int], p: Progression | None = None) -> PrimeTa
     x < 2), or with `p`, pi(x; |a|, b): the primes <= x congruent to b
     mod |a|.
 
-    Without p, with X the largest point, the table comes from
-    `_lehmer(X, points)` when every point is at most isqrt(X) or of the
-    form X // i: a single x, the n and 2n of one binomial check, powers of
-    2 or 4, a geometric sweep. Lehmer's formula holds min(X^(3/4),
+    Without p, with X the largest point, the counts are read off Lucy's
+    table of X, `_lehmer`, asked for the rows X // x of the points above
+    isqrt(X), when every point is at most isqrt(X) or of the form X // i:
+    a single x, the n and 2n of one binomial check, powers of 2 or 4, a
+    geometric sweep. Lehmer's formula holds min(X^(3/4),
     64*sqrt(X)) / 2 bytes of pre-sieve: 1 MB at 1e9, 3.2 MB at 1e10. Any
     other count is one `_segment_counts` pass up to X over a
     residue class: |a|*n + (b mod |a|), or without p the odd numbers
@@ -509,7 +536,8 @@ def prime_counts(points: Iterable[int], p: Progression | None = None) -> PrimeTa
     if todo:
         top, root = todo[-1], math.isqrt(todo[-1])
         if p is None and all(x <= root or top // (top // x) == x for x in todo):
-            counts.update(_lehmer(top, todo))
+            small, large = _lehmer(top, {top // x for x in todo if x > root})
+            counts.update((x, small[x] if x <= root else large[top // x]) for x in todo)
         else:  # one residue class; without p, the odd primes and the prime 2
             a, r, two = (2, 1, 1) if p is None else (abs(p.a), p.residue, 0)
             in_class = _segment_counts(Progression(a, r), 0, (top - r) // a,

@@ -532,13 +532,14 @@ class TestErdosKac:
         *(r * r + d for r in (2, 3, 10, 97, 1000) for d in (-1, 0, 1)),
     }))
     def test_lucy_table_matches_oracle(self, top):
-        # The walk reads every entry of Lucy's table: small[v] = pi(v) for
-        # v <= isqrt(top), and large[i] = pi(top // i).
+        # The walk reads every entry of Lucy's table, every row asked of
+        # Lehmer's: small[v] = pi(v) for v <= isqrt(top), and
+        # large[i] = pi(top // i).
         r = math.isqrt(top)
-        small, large = analysis._lucy(top)
+        small, large = numcore._lehmer(top, range(1, r + 1))
         pi = np.cumsum(oracle_prime_mask(top))
         assert len(small) == len(large) == r + 1
-        assert small == pi[: r + 1].tolist()
+        assert small.tolist() == pi[: r + 1].tolist()
         assert large[1:] == [pi[top // i] for i in range(1, r + 1)]
 
     def test_walk_matches_oracle_at_seeded_x(self):

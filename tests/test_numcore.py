@@ -345,7 +345,7 @@ class TestLucy:
         lehmer = numcore._lehmer
         calls = []
         monkeypatch.setattr(numcore, "_lehmer",
-                            lambda x, todo: calls.append(x) or lehmer(x, todo))
+                            lambda x, rows: calls.append(x) or lehmer(x, rows))
         table = prime_counts(points)
         # top - 1 is not top // i (unless it is below 2).
         forced = prime_counts([*points, top - 1])
@@ -369,31 +369,62 @@ class TestLucy:
 
 
 class TestLehmer:
-    """`_lehmer` against counts of a segment pass, and of sympy: at every
-    point of each x to 3,000; where the wheel first applies (13**4) and
-    where the pre-sieve's 64*sqrt(x) cap takes over (near 64**4); beside
-    k**4, k**3 and k**2, where a prime moves between the sieved primes, P2
-    and P3; beside multiples of the wheel's 30030; and at seeded x."""
+    """`_lehmer`, Lucy's table by Lehmer's formula, against counts of a
+    segment pass, and of sympy: at every point of each x to 3,000; where
+    the wheel first applies (13**4) and where the pre-sieve's 64*sqrt(x)
+    cap takes over (near 64**4); beside k**4, k**3 and k**2, where a prime
+    moves between the sieved primes, P2 and P3; beside multiples of the
+    wheel's 30030; and at seeded x."""
 
     @staticmethod
     def _every_point(x: int) -> list[int]:
         r = math.isqrt(x)
         return sorted({*range(2, r + 1), *(x // i for i in range(1, r + 1))} - {1})
 
-    def test_every_point_to_3000(self):
-        table = prime_counts(range(3001))  # 2999 is not 3000 // i: one segment pass
-        for x in range(2, 3001):
-            points = self._every_point(x)
-            assert numcore._lehmer(x, points) == {v: table.count(v) for v in points}, x
+    @staticmethod
+    def _counts(x: int, points: list[int]) -> dict[int, int]:
+        """{v: pi(v)} off the table of x, for points v <= isqrt(x) or of
+        the form x // i, asking for the rows of the latter alone."""
+        r = math.isqrt(x)
+        small, large = numcore._lehmer(x, {x // v for v in points if v > r})
+        return {v: small[v] if v <= r else large[x // v] for v in points}
 
-    def test_edge_families(self):
+    @staticmethod
+    def _edge_families() -> set[int]:
         rng = random.Random(34)
         xs = {k**4 + d for k in range(2, 91) for d in (-1, 0, 1)}
         xs |= {k**3 + d for k in rng.sample(range(2, 400), 40) for d in (-1, 1)}
         xs |= {k * k + d for k in rng.sample(range(2, 8000), 40) for d in (-1, 1)}
         xs |= {30030 * k + d for k in (*range(1, 20), *rng.sample(range(20, 2200), 20))
                for d in (-1, 1)}
-        xs |= {28560, 28561, 16769023, 16769024, 16777215, 16777216}
+        return xs | {28560, 28561, 16769023, 16769024, 16777215, 16777216}
+
+    def test_every_point_to_3000(self):
+        table = prime_counts(range(3001))  # 2999 is not 3000 // i: one segment pass
+        for x in range(2, 3001):
+            points = self._every_point(x)
+            assert self._counts(x, points) == {v: table.count(v) for v in points}, x
+
+    def test_whole_table(self):
+        # Every row asked: small[v] = pi(v) for v <= isqrt(x), and
+        # large[i] = pi(x // i), at every x to 2,000 and on the edge
+        # families, each batch of ascending x against one segment pass
+        # over all their points.
+        xs = sorted(self._edge_families())
+        with sieve_cap(xs[-1]):
+            for batch in [range(2, 2001), *(xs[i : i + 12] for i in range(0, len(xs), 12))]:
+                # The largest x less 1 is not one of its quotients.
+                table = prime_counts([0, 1, batch[-1] - 1,
+                                      *(v for x in batch for v in self._every_point(x))])
+                for x in batch:
+                    r = math.isqrt(x)
+                    small, large = numcore._lehmer(x, range(1, r + 1))
+                    assert len(small) == len(large) == r + 1, x
+                    assert list(small) == [table.count(v) for v in range(r + 1)], x
+                    assert large[1:] == [table.count(x // i) for i in range(1, r + 1)], x
+
+    def test_edge_families(self):
+        xs = self._edge_families()
         with sieve_cap(max(xs)):
             table = prime_counts(xs)  # not all x // i of the largest: one segment pass
             for x in sorted(xs):
@@ -417,7 +448,7 @@ class TestLehmer:
         # P2 and P3 sums, read in one pass.
         points = self._every_point(top)
         table = prime_counts([*points, top - 1])  # top - 1 is not top // i
-        assert numcore._lehmer(top, points) == {v: table.count(v) for v in points}
+        assert self._counts(top, points) == {v: table.count(v) for v in points}
 
     def test_point_below_y_squared_past_64_to_the_6th(self):
         # At 1e11 > 64**6, y = x // (64*sqrt(x)) exceeds x^(1/3): the point
