@@ -500,8 +500,9 @@ def _lehmer(x: int, rows: Iterable[int]) -> tuple[array, list[int]]:
         for n in terms(i)[1]:
             if n <= r:
                 want[n] = 1
-    # The rows from y on, x // n ascending.
-    high = array("I", itertools.compress(range(r, y - 1, -1), want[r : y - 1 : -1]))
+    high, at = array("I"), r + 1  # the rows from y on, x // n ascending
+    while (at := want.rfind(1, y, at)) >= 0:
+        high.append(at)
     del want
     for n, c in zip(high, _prefix_ones(mask, [(x // n - 1) // 2 for n in high])):
         large[n] = c + 1

@@ -7,7 +7,7 @@ library modules, and each command only those it runs: numcore alone for
 the counts. The CLI loads the stdlib's decimal only for a non-integer
 number, fractions (and with it decimal) only for a command that computes
 an exact ratio, __future__ only with mpmath, zlib only for a command
-whose segment sieve counts masks, and no command loads csv, click,
+that counts more than 2,048 bytes of a mask, and no command loads csv, click,
 inspect or dataclasses. Every case runs in a fresh interpreter, since
 sys.modules of the test process may already hold all of them, and under
 `python -S`, since a .pth file that site processes may import any module
@@ -105,11 +105,12 @@ def test_loads_only_what_the_kernel_needs(argv, loaded):
     assert probe["slow"] == []
 
 
-# fractions imports decimal itself. The omega walk, the run scan and the
-# witnesses count no mask, and a short sweep's counts and a point count
+# fractions imports decimal itself. The run scan and the witnesses count
+# no mask. A short sweep's counts, and a point count or an omega walk
 # below 13**4, where the pre-sieve's wheel of 15,015 bytes starts, count
-# no mask of more than 2,048 bytes, so they never load zlib. No package
-# module imports __future__; mpmath does, for fermatreal and ratscan.
+# no mask of more than 2,048 bytes, so they never load zlib; from 13**4
+# on, the walk's table counts the wheel and loads it. No package module
+# imports __future__; mpmath does, for fermatreal and ratscan.
 STDLIB_CASES = [
     (["--help"], []),
     (["count", "--x", "100"], []),
@@ -118,6 +119,7 @@ STDLIB_CASES = [
     (["sweep", "dyadic", "--k", "2..5", "--format", "csv"], []),
     (["sweep", "binom", "--n", "2..50"], []),
     (["ek", "--x", "1000"], []),
+    (["ek", "--x", "28561"], ["zlib"]),
     (["runs", "--a", "6", "--b", "1", "--n-max", "1000"], []),
     (["density", "--x", "1000"], ["decimal", "fractions"]),
     (["witness", "multiple", "--a", "3", "--b", "2", "--m", "5"], []),
