@@ -36,8 +36,7 @@ zlib only past 2,048 bytes.
 
 import itertools
 import math
-from array import array
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, DomainError, check_sieve
 
@@ -396,7 +395,7 @@ def _prefix_ones(mask: bytearray, ends: list[int]) -> list[int]:
     return counts
 
 
-def _lehmer(x: int, rows: Iterable[int]) -> tuple[array, list[int]]:
+def _lehmer(x: int, rows: Iterable[int]) -> tuple[Sequence[int], list[int]]:
     """Lucy's table of x >= 2 by Lehmer's formula (Illinois J. Math. 3,
     1959): (small, large), each of r + 1 entries for r = isqrt(x), with
     small[v] = pi(v) for v <= r and large[i] = pi(x // i) for each of the
@@ -429,7 +428,11 @@ def _lehmer(x: int, rows: Iterable[int]) -> tuple[array, list[int]]:
     v // p = x // (i*p) is large[i*p], a row above y, when i*p <= r, and
     small[x // (i*p)] otherwise, and so is each v // (p*q). One more
     ascending pass reads the rows from y on that are asked or needed.
+    small, the primes and those rows are arrays of C ints; the array module
+    loads only here.
     """
+    from array import array
+
     r = math.isqrt(x)
     y = max(math.isqrt(r), x // (64 * r))
     top = (x // y - 1) // 2  # mask[top] is the last odd n <= L
