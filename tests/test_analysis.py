@@ -591,8 +591,9 @@ class TestErdosKac:
         assert [iv.sample_fraction for iv in summary.intervals] == fractions
 
     def test_peak_memory(self):
-        # Lucy's lists of sqrt(x) ints, the primes up to sqrt(x) and the
-        # walk's stack: about 0.5 MiB at 1e7. A segment pass, which holds
-        # 2**18 bytes and the slices each translate copies, fails at 4e6.
+        # Lucy's table of sqrt(x) rows and its pre-sieve, the primes up to
+        # sqrt(x) and the walk's stack: about 0.52 MiB at 1e7. A segment
+        # pass, which holds 2**18 bytes and the slices each translate
+        # copies, fails at 4e6.
         for x in (500_000, 4_000_000, 10_000_000):
             assert traced_peak(lambda: erdos_kac_samples(x)) <= 3 << 18, x

@@ -291,10 +291,10 @@ class TestPrimeCount:
             assert prime_count(x) == int(sympy.primepi(x)), x
 
     def test_peak_memory_is_the_sieve(self):
-        # Lehmer's pre-sieve of min(x^(3/4), 64*sqrt(x)) / 2 bytes and its
-        # lists of x // (64*sqrt(x)) ints; a segment pass holds one segment
-        # of 2**18 indices, the zeros of one stride and the base primes,
-        # whatever x is: no [0, x] mask.
+        # Lehmer's pre-sieve of min(x^(3/4), 64*sqrt(x)) / 2 bytes and a
+        # table of sqrt(x) rows, its small half C ints; a segment pass
+        # holds one segment of 2**18 indices, the zeros of one stride and
+        # the base primes, whatever x is: no [0, x] mask.
         for x in (2_000_000, 20_000_000):
             assert traced_peak(lambda: prime_count(x)) <= 1 << 20, x
             assert traced_peak(lambda: prime_counts((x - 1, x))) <= 1 << 20, x
@@ -460,9 +460,9 @@ class TestLehmer:
         assert table.count(22222222) == prime_counts([22222221, 22222222]).count(22222222)
 
     def test_peak_memory_at_1e9(self):
-        # The pre-sieve of 64*sqrt(x) / 2 bytes, 1 MB here, and lists of
-        # x // (64*sqrt(x)) and pi(sqrt(x)) ints. Lucy's lists of sqrt(x)
-        # ints peaked at 5.3 MiB.
+        # The pre-sieve of 64*sqrt(x) / 2 bytes, 1 MB here, an array of
+        # sqrt(x) C ints for small and a list of sqrt(x) rows for large,
+        # few of them filled. Lucy's lists of sqrt(x) ints peaked at 5.3 MiB.
         with sieve_cap(10**9):
             assert traced_peak(lambda: prime_count(10**9)) <= 4 << 20
 
